@@ -85,6 +85,7 @@ from .ssm import (
     p_map,
     pad_rim,
     prds_covariance_check,
+    refit,
     residual_traces,
     restrict_tmap,
     t_map,
@@ -120,7 +121,7 @@ __all__ = [
     "transform_points",
     "FdrConfig", "PMap", "SmoothFit", "TMap", "bh_adjust", "degrees_of_freedom",
     "difference_map", "fdr_map", "local_quadratic_smooth", "p_map", "pad_rim",
-    "prds_covariance_check", "residual_traces", "restrict_tmap", "t_map",
+    "prds_covariance_check", "refit", "residual_traces", "restrict_tmap", "t_map",
     "EffectSpec", "GroundTruth", "PhantomSpec", "PoseSpec", "StimSpec", "blob_field",
     "gen_frame", "gen_lagged_pair", "gen_misaligned_pair", "gen_pose_pair",
     "gen_session", "seat_blob",

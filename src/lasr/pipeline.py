@@ -23,7 +23,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
@@ -59,7 +59,7 @@ class RunConfig:
     mean_frame: bool = False
     candidates: Tuple[int, ...] = (2, 3)
     seed: int = 0
-    workers: int = 1
+    workers: int = 1                # accepted, range-checked and reported; ignored
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -158,44 +158,97 @@ def _register_movie(movie: fr.Movie):
     return fr.Movie(tuple(out), fps=movie.fps), transforms
 
 
-def _compare_pair(args):
-    """Difference -> rim pad -> smooth -> t -> chop -> p -> FDR for one pair."""
-    before_f, after_f, bandwidth, kernel, rim, q, fdr_mode, two_sided = args
-    diff = ssm.difference_map(after_f, before_f)
-    if not diff.support_mask.any():
-        raise DataError("registered supports do not overlap")
-    padded = ssm.pad_rim(diff, rim)
-    fit = ssm.local_quadratic_smooth(padded, h=bandwidth, kernel=kernel)
-    tmap = ssm.restrict_tmap(ssm.t_map(fit), diff.support_mask)
-    pvals = ssm.p_map(tmap, two_sided=two_sided)
-    rejected, critical = ssm.bh_adjust(pvals[tmap.mask], ssm.FdrConfig(q, fdr_mode))
-    rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
-    rej_grid[tmap.mask] = rejected
-    pmap = ssm.fdr_map(pvals, rej_grid, critical)
-    return {
-        "diff": diff.values, "tmap": tmap.values, "pvals": pvals, "pmap": pmap.values,
-        "delta1": fit.delta1, "delta2": fit.delta2, "df": tmap.df,
-        "sigma_hat": fit.sigma_hat, "critical_p": pmap.critical_p,
-        "n_rejected": pmap.n_rejected, "n_pixels": int(tmap.mask.sum()),
-    }
+def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
+    """A stage movie file with its support masks (values > 0) restored."""
+    movie = fr.load_movie(path)
+    if mean_frame:
+        movie = _mean_movie(movie)
+    return fr.Movie(tuple(fr.with_positive_mask(f) for f in movie.frames), fps=movie.fps)
+
+
+class _Outputs:
+    """A command's output files, as a context: on failure every file written
+    (and the directory, if made here) is removed, and the error is re-raised
+    as a StageError naming ``stage``."""
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.stage = "config"
+        self.written = []
+        self.made_dir = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if not isinstance(exc, (LasrError, OSError)):
+            return False
+        for p in self.written:
+            with suppress(OSError):
+                os.unlink(p)
+        if self.made_dir:
+            with suppress(OSError):
+                os.rmdir(self.out_dir)
+        raise StageError(self.stage, exc) from exc
+
+    def makedirs(self) -> None:
+        if not os.path.isdir(self.out_dir):
+            os.makedirs(self.out_dir)
+            self.made_dir = True
+
+    def emit(self, name: str, writer, *args) -> None:
+        path = os.path.join(self.out_dir, name)
+        writer(*args, path)
+        self.written.append(path)
+
+
+def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Outputs,
+                    report: dict, first: Tuple[int, int] = (0, 0)) -> None:
+    """Difference -> rim pad -> smooth -> t -> chop -> p -> FDR per frame pair;
+    writes each pair's maps and report keys.  Frame k of one movie pairs with
+    frame k of the other; ``first`` holds the source frame numbers of pair 0.
+    The smoother depends only on the padded mask, which all pairs of a
+    segment share, so a pair reuses the previous pair's fit on an equal mask.
+    """
+    pairs = list(zip(before.frames, after.frames))
+    report["n_pairs"] = len(pairs)
+    fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
+    fit = None
+    for k, (b, a) in enumerate(pairs):
+        diff = ssm.difference_map(a, b)
+        if not diff.support_mask.any():
+            raise DataError("registered supports do not overlap")
+        padded = ssm.pad_rim(diff, cfg.rim)
+        if fit is not None and np.array_equal(fit.mask, padded.support_mask):
+            fit = ssm.refit(fit, padded)
+        else:
+            fit = ssm.local_quadratic_smooth(padded, h=cfg.bandwidth, kernel=cfg.kernel)
+        tmap = ssm.restrict_tmap(ssm.t_map(fit), diff.support_mask)
+        pvals = ssm.p_map(tmap, two_sided=cfg.two_sided)
+        rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
+        rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
+        rej_grid[tmap.mask] = rejected
+        pmap = ssm.fdr_map(pvals, rej_grid, critical)
+        report.update({
+            f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
+            f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
+            f"pair.{k}.df": tmap.df, f"pair.{k}.sigma_hat": fit.sigma_hat,
+            f"pair.{k}.critical_p": pmap.critical_p, f"pair.{k}.n_rejected": pmap.n_rejected,
+            f"pair.{k}.n_pixels": int(tmap.mask.sum()),
+        })
+        base = f"pair{k:04d}"
+        out.emit(f"{base}_diff.csv", fr.save_map_csv, diff.values)
+        out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
+        out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
+        out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
 
 
 def run_lasr(config: RunConfig) -> dict:
     """Run the full comparison; returns the report dict (also written to disk)."""
-    written = []
-    made_dir = False
-
-    def emit(name, writer, *args):
-        path = os.path.join(config.out_dir, name)
-        writer(*args, path)
-        written.append(path)
-        return name
-
-    stage = "config"
-    try:
+    with _Outputs(config.out_dir) as out:
         cfg = _validate(config)
 
-        stage = "load"
+        out.stage = "load"
         sessions = {}
         for which in ("before", "after"):
             src = getattr(cfg, which)
@@ -212,10 +265,7 @@ def run_lasr(config: RunConfig) -> dict:
         if cfg.mean_frame:
             movie_b, movie_a = _mean_movie(movie_b), _mean_movie(movie_a)
 
-        if not os.path.isdir(cfg.out_dir):
-            os.makedirs(cfg.out_dir)
-            made_dir = True
-
+        out.makedirs()
         report = {
             "mode": "dynamic" if dynamic else "static",
             "q": cfg.q, "bandwidth": cfg.bandwidth, "kernel": cfg.kernel, "rim": cfg.rim,
@@ -223,7 +273,7 @@ def run_lasr(config: RunConfig) -> dict:
             "m0": cfg.m0, "max_lag": cfg.max_lag, "seed": cfg.seed, "workers": cfg.workers,
         }
 
-        stage = "segment"
+        out.stage = "segment"
         seg_movies, reg_movies = {}, {}
         for which, tag, movie in (("before", tag_b, movie_b), ("after", tag_a, movie_a)):
             if isinstance(getattr(cfg, which), str):
@@ -236,9 +286,9 @@ def run_lasr(config: RunConfig) -> dict:
             report[f"{which}.mixture_m"] = thr.model.m
             report[f"{which}.threshold"] = thr.t
             report[f"{which}.threshold_method"] = thr.method
-            emit(f"{which}_segmented.lasr", fr.save_movie, segmented)
+            out.emit(f"{which}_segmented.lasr", fr.save_movie, segmented)
 
-        stage = "register"
+        out.stage = "register"
         for which in ("before", "after"):
             registered, transforms = _register_movie(seg_movies[which])
             reg_movies[which] = registered
@@ -246,9 +296,9 @@ def run_lasr(config: RunConfig) -> dict:
                 report[f"{which}.srlp.{i}.theta"] = t.theta
                 report[f"{which}.srlp.{i}.u"] = t.u
                 report[f"{which}.srlp.{i}.v"] = t.v
-            emit(f"{which}_registered.lasr", fr.save_movie, registered)
+            out.emit(f"{which}_registered.lasr", fr.save_movie, registered)
 
-        stage = "align"
+        out.stage = "align"
         rb, ra = reg_movies["before"], reg_movies["after"]
         offset_b = offset_a = 0
         if dynamic:
@@ -262,48 +312,14 @@ def run_lasr(config: RunConfig) -> dict:
             report["icr.j0"] = lag.j0
             report["icr.direction"] = lag.direction
         else:
-            n = min(len(rb), len(ra))
-            rb = fr.Movie(rb.frames[:n], fps=rb.fps)
-            ra = fr.Movie(ra.frames[:n], fps=ra.fps)
             report["icr.applied"] = False
-        pairs = list(zip(rb.frames, ra.frames))
-        report["n_pairs"] = len(pairs)
 
-        stage = "compare"
-        jobs = [(b, a, cfg.bandwidth, cfg.kernel, cfg.rim, cfg.q, cfg.fdr_mode, cfg.two_sided)
-                for b, a in pairs]
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(_compare_pair, jobs))
-        else:
-            results = [_compare_pair(j) for j in jobs]
+        out.stage = "compare"
+        _compare_movies(rb, ra, cfg, out, report, first=(offset_b, offset_a))
 
-        for k, res in enumerate(results):
-            base = f"pair{k:04d}"
-            report[f"pair.{k}.before_frame"] = offset_b + k
-            report[f"pair.{k}.after_frame"] = offset_a + k
-            for key in ("delta1", "delta2", "df", "sigma_hat", "critical_p", "n_rejected", "n_pixels"):
-                report[f"pair.{k}.{key}"] = res[key]
-            emit(f"{base}_diff.csv", fr.save_map_csv, res["diff"])
-            emit(f"{base}_tmap.csv", fr.save_map_csv, res["tmap"])
-            emit(f"{base}_pmap.csv", fr.save_map_csv, res["pmap"])
-            emit(f"{base}_pmap.pgm", fr.save_map_image, res["pmap"])
-
-        stage = "report"
-        emit("report.txt", _write_report, report)
+        out.stage = "report"
+        out.emit("report.txt", _write_report, report)
         return report
-    except (LasrError, OSError) as exc:
-        for p in written:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
-        if made_dir:
-            try:
-                os.rmdir(config.out_dir)
-            except OSError:
-                pass
-        raise StageError(stage, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +401,7 @@ _RUN_OPTIONS = [
     ("--two-sided", dict(action="store_true")),
     ("--mean-frame", dict(action="store_true")),
     ("--seed", dict(type=int)),
-    ("--workers", dict(type=int)),
+    ("--workers", dict(type=int, help="accepted for compatibility and ignored")),
 ]
 
 _CONFIG_KEYS = {
@@ -501,13 +517,9 @@ def _cmd_segment(ns) -> int:
         cand = tuple(int(tok) for tok in ns.components.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"bad --components value {ns.components!r}") from None
-    if not cand or min(cand) < 2:
-        raise ConfigError("component candidates must all be >= 2")
-    movie = fr.load_movie(ns.infile)
-    ref = movie.frames[min(10, len(movie) - 1)]
-    model = seg.select_model(seg.positive_samples(ref), cand, init=seg.InitSpec(seed=ns.seed))
-    result = seg.optimal_threshold(model)
-    segmented = _cut_movie(movie, result.t)
+    cfg = _validate(RunConfig(before=ns.infile, after=ns.infile, out_dir=ns.out,
+                              candidates=cand, seed=ns.seed))
+    segmented, result = _segment_movie(fr.load_movie(ns.infile), cfg)
     os.makedirs(ns.out, exist_ok=True)
     fr.save_movie(segmented, os.path.join(ns.out, "segmented.lasr"))
     rep = {"threshold": result.t, "method": result.method, "mixture_m": result.model.m}
@@ -521,9 +533,7 @@ def _cmd_segment(ns) -> int:
 
 
 def _cmd_register(ns) -> int:
-    movie = fr.load_movie(ns.infile)
-    masked = fr.Movie(tuple(fr.with_positive_mask(f) for f in movie.frames), fps=movie.fps)
-    registered, transforms = _register_movie(masked)
+    registered, transforms = _register_movie(_load_masked(ns.infile))
     os.makedirs(ns.out, exist_ok=True)
     fr.save_movie(registered, os.path.join(ns.out, "registered.lasr"))
     rep = {}
@@ -537,35 +547,23 @@ def _cmd_register(ns) -> int:
 
 
 def _cmd_ssm(ns) -> int:
-    before = fr.load_movie(ns.before)
-    after = fr.load_movie(ns.after)
-    if before.shape != after.shape:
-        raise DataError("before/after frame dimensions differ")
-    rim = ns.rim if ns.rim is not None else int(math.ceil(ns.bandwidth))
-    ssm.FdrConfig(ns.q, ns.fdr)
-    if ns.bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
-    if rim < 0:
-        raise ConfigError("rim must be >= 0")
-    if ns.mean_frame:
-        before, after = _mean_movie(before), _mean_movie(after)
-    n = min(len(before), len(after))
-    os.makedirs(ns.out, exist_ok=True)
-    rep = {"q": ns.q, "bandwidth": ns.bandwidth, "kernel": ns.kernel, "rim": rim,
-           "fdr_mode": ns.fdr, "two_sided": ns.two_sided, "n_pairs": n}
-    for k in range(n):
-        b = fr.with_positive_mask(before.frames[k])
-        a = fr.with_positive_mask(after.frames[k])
-        res = _compare_pair((b, a, ns.bandwidth, ns.kernel, rim, ns.q, ns.fdr, ns.two_sided))
-        base = f"pair{k:04d}"
-        for key in ("delta1", "delta2", "df", "sigma_hat", "critical_p", "n_rejected", "n_pixels"):
-            rep[f"pair.{k}.{key}"] = res[key]
-        fr.save_map_csv(res["diff"], os.path.join(ns.out, f"{base}_diff.csv"))
-        fr.save_map_csv(res["tmap"], os.path.join(ns.out, f"{base}_tmap.csv"))
-        fr.save_map_csv(res["pmap"], os.path.join(ns.out, f"{base}_pmap.csv"))
-        fr.save_map_image(res["pmap"], os.path.join(ns.out, f"{base}_pmap.pgm"))
-    _write_report(rep, os.path.join(ns.out, "report.txt"))
-    print(f"wrote {n} pair map(s) and report.txt to {ns.out}")
+    with _Outputs(ns.out) as out:
+        cfg = _validate(RunConfig(before=ns.before, after=ns.after, out_dir=ns.out, q=ns.q,
+                                  bandwidth=ns.bandwidth, kernel=ns.kernel, rim=ns.rim,
+                                  fdr_mode=ns.fdr, two_sided=ns.two_sided,
+                                  mean_frame=ns.mean_frame))
+        out.stage = "load"
+        before, after = (_load_masked(p, cfg.mean_frame) for p in (cfg.before, cfg.after))
+        if before.shape != after.shape:
+            raise DataError("before/after frame dimensions differ")
+        out.makedirs()
+        report = {"q": cfg.q, "bandwidth": cfg.bandwidth, "kernel": cfg.kernel, "rim": cfg.rim,
+                  "fdr_mode": cfg.fdr_mode, "two_sided": cfg.two_sided}
+        out.stage = "compare"
+        _compare_movies(before, after, cfg, out, report)
+        out.stage = "report"
+        out.emit("report.txt", _write_report, report)
+    print(f"wrote {report['n_pairs']} pair map(s) and report.txt to {ns.out}")
     return 0
 
 

@@ -14,7 +14,9 @@ explicit hat matrix L.  With residual quadratic-form traces
 
 the residual variance estimate is sigma^2 = RSS/delta1 and the statistic
 t(x) = a0 / (sigma * ||p(x)||) is referred to a t distribution with
-delta1^2/delta2 degrees of freedom (two-moment approximation).  P-values
+delta1^2/delta2 degrees of freedom (two-moment approximation).  L, ||p(x)||
+and both traces (exact sparse products) depend only on the analysis mask,
+so maps on one mask share them: ``refit`` redoes only the data part.  P-values
 are screened by Benjamini-Hochberg (or Benjamini-Yekutieli) step-up FDR
 control; the positive-dependence condition backing BH can be probed via
 hat-row inner products, which drive the covariance of the smoothed field.
@@ -27,7 +29,7 @@ starved of neighbors; rim estimates are discarded afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "difference_map",
     "pad_rim",
     "local_quadratic_smooth",
+    "refit",
     "residual_traces",
     "degrees_of_freedom",
     "t_map",
@@ -65,13 +68,12 @@ KERNELS = {
     "tricube": (1.0, lambda u: (1.0 - u ** 3) ** 3),
 }
 
-DENSE_TRACE_LIMIT = 20000
-TRACE_PROBES = 64
-
-
 @dataclass(frozen=True)
 class SmoothFit:
-    """A fitted local quadratic smoother on one difference map."""
+    """A fitted local quadratic smoother on one difference map.
+
+    Every field but m_hat, sigma_hat and rss depends only on the mask.
+    """
 
     m_hat: np.ndarray       # smoothed estimate, NaN off the mask
     hat_norm: np.ndarray    # ||p(x)||_2 per pixel, NaN off the mask
@@ -84,7 +86,6 @@ class SmoothFit:
     mask: np.ndarray
     hat: sp.csr_matrix      # rows/cols indexed by masked pixels (row-major order)
     pixels: np.ndarray      # (n, 2) masked pixel coordinates, row-major
-    trace_method: str       # "dense" | "hutchinson"
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,7 @@ def _kernel_offsets(h: float, kernel: str):
     return dr.astype(np.int64), dc.astype(np.int64), w
 
 
-def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss",
-                           dense_trace_limit: int = DENSE_TRACE_LIMIT,
-                           trace_probes: int = TRACE_PROBES,
-                           trace_seed: int = 0) -> SmoothFit:
+def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss") -> SmoothFit:
     """Fit the local quadratic smoother over the masked pixels of ``diff``.
 
     Parameters
@@ -209,21 +207,22 @@ def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss",
         "tgauss" (Gaussian with scale h/3, truncated at h) or "tricube"
         (support h).  At h = 3 the weight covers the 28 neighbors within
         three pixels of the target.
-    dense_trace_limit : int
-        Above this many masked pixels, delta2 is estimated by seeded
-        Hutchinson probes instead of an exact sparse product.
     """
+    mask = diff.support_mask if diff.support_mask is not None else np.ones(diff.shape, bool)
+    return refit(_hat_fit(mask, h, kernel), diff)
+
+
+def _hat_fit(mask: np.ndarray, h: float, kernel: str) -> SmoothFit:
+    """The mask-only part of a fit; m_hat, rss and sigma_hat are left for ``refit``."""
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
-    mask = diff.support_mask if diff.support_mask is not None else np.ones(diff.shape, bool)
     n = int(mask.sum())
     if n == 0:
         raise DataError("empty analysis region")
-    rows, cols = diff.shape
+    rows, cols = mask.shape
     pr, pc = np.nonzero(mask)                      # row-major masked pixels
     flat_index = np.full(mask.shape, -1, dtype=np.int64)
     flat_index[pr, pc] = np.arange(n)
-    y = diff.values[pr, pc]
 
     dr, dc, w = _kernel_offsets(h, kernel)
     k = dr.size
@@ -254,47 +253,44 @@ def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss",
     coef = np.linalg.solve(A, e1[..., None])[..., 0]      # rows of A^{-1} e1
     hat_w = wts * (coef @ X.T)                            # (n, k) hat weights
 
-    ygrab = np.where(valid, y[np.clip(nidx, 0, n - 1)], 0.0)
-    m_hat_vec = (hat_w * ygrab).sum(axis=1)
-    hat_norm_vec = np.sqrt((hat_w * hat_w).sum(axis=1))
-
     rows_idx = np.repeat(np.arange(n), k)[valid.ravel()]
     cols_idx = nidx.ravel()[valid.ravel()]
     data = hat_w.ravel()[valid.ravel()]
     L = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(n, n))
 
-    resid = y - m_hat_vec
-    rss = float(resid @ resid)
-
     tr_l = float(L.diagonal().sum())
     fro_l2 = float((L.data * L.data).sum())
     delta1 = n - 2.0 * tr_l + fro_l2
-    if n <= dense_trace_limit:
-        M = sp.identity(n, format="csr") - L
-        lam = (M.T @ M).tocsr()
-        delta2 = float((lam.data * lam.data).sum())
-        method = "dense"
-    else:
-        rng = np.random.default_rng(trace_seed)
-        probes = max(int(trace_probes), 64)
-        est = 0.0
-        M = sp.identity(n, format="csr") - L
-        for _ in range(probes):
-            z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
-            lz = M.T @ (M @ z)
-            est += float(lz @ lz)
-        delta2 = est / probes
-        method = "hutchinson"
     if delta1 <= 1e-9:
         raise NumericError("no residual degrees of freedom (interpolating fit)")
+    M = sp.identity(n, format="csr") - L
+    lam = (M.T @ M).tocsr()
+    delta2 = float((lam.data * lam.data).sum())
 
-    m_hat = np.full(diff.shape, np.nan)
+    hat_norm = np.full(mask.shape, np.nan)
+    hat_norm[pr, pc] = np.sqrt((hat_w * hat_w).sum(axis=1))
+    return SmoothFit(None, hat_norm, math.nan, float(delta1), delta2, math.nan,
+                     float(h), kernel, mask.copy(), L, np.column_stack([pr, pc]))
+
+
+def refit(fit: SmoothFit, diff: Frame) -> SmoothFit:
+    """Apply ``fit``'s smoother to another map on the same mask.
+
+    Only m_hat, rss and sigma_hat depend on the data; the hat matrix, hat
+    norms and traces are shared with ``fit``.  Raises DataError when the
+    support mask of ``diff`` is not the mask ``fit`` was built on.
+    """
+    mask = diff.support_mask if diff.support_mask is not None else np.ones(diff.shape, bool)
+    if not np.array_equal(mask, fit.mask):
+        raise DataError("difference map mask differs from the fitted mask")
+    pr, pc = fit.pixels[:, 0], fit.pixels[:, 1]
+    y = diff.values[pr, pc]
+    m_hat_vec = fit.hat @ y
+    resid = y - m_hat_vec
+    rss = float(resid @ resid)
+    m_hat = np.full(mask.shape, np.nan)
     m_hat[pr, pc] = m_hat_vec
-    hat_norm = np.full(diff.shape, np.nan)
-    hat_norm[pr, pc] = hat_norm_vec
-    sigma_hat = float(np.sqrt(rss / delta1))
-    return SmoothFit(m_hat, hat_norm, sigma_hat, float(delta1), float(delta2), rss,
-                     float(h), kernel, mask.copy(), L, np.column_stack([pr, pc]), method)
+    return replace(fit, m_hat=m_hat, rss=rss, sigma_hat=float(np.sqrt(rss / fit.delta1)))
 
 
 def residual_traces(L: np.ndarray) -> Tuple[float, float]:

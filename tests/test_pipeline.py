@@ -9,16 +9,29 @@ import pytest
 from lasr import (
     ConfigError,
     DataError,
+    FdrConfig,
+    Frame,
+    Movie,
     NumericError,
     PhantomSpec,
     RunConfig,
     StageError,
     StimSpec,
+    bh_adjust,
     cli_main,
+    difference_map,
+    fdr_map,
     gen_session,
     load_movie,
+    local_quadratic_smooth,
+    p_map,
+    pad_rim,
+    restrict_tmap,
     run_lasr,
+    save_movie,
+    t_map,
 )
+from lasr import pipeline
 
 
 BASE_SPEC = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
@@ -202,6 +215,64 @@ class TestRunFailures:
         assert sentinel.read_text() == "untouched"
 
 
+class TestCompareMovies:
+    """The per-pair compare loop shared by ``run`` and ``lasr ssm``."""
+
+    class Capture:
+        def __init__(self):
+            self.maps = {}
+
+        def emit(self, name, writer, values):
+            self.maps[name] = values
+
+    def test_fit_reuse_is_bit_identical_to_the_unshared_chain(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        wide = np.zeros((16, 18), dtype=bool)
+        wide[3:13, 3:15] = True
+        narrow = wide.copy()
+        narrow[3:6, 3:7] = False
+        masks = [wide, wide, narrow, narrow, wide]  # the mask changes twice
+
+        def movie(shift):
+            return Movie(tuple(Frame(np.where(m, 20.0 + shift * m + rng.normal(0, 1, m.shape), 0.0),
+                                     support_mask=m) for m in masks), fps=2.0)
+
+        before = movie(0.0)
+        effect = np.zeros_like(wide)
+        effect[7:11, 8:12] = True
+        after = movie(4.0 * effect)
+        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5))
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return local_quadratic_smooth(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.ssm, "local_quadratic_smooth", counting)
+        out, report = self.Capture(), {}
+        pipeline._compare_movies(before, after, cfg, out, report)
+        assert len(builds) == 3  # one per run of equal masks; only the last fit is kept
+        assert report["n_pairs"] == len(masks)
+        for k, (b, a) in enumerate(zip(before.frames, after.frames)):
+            diff = difference_map(a, b)
+            fit = local_quadratic_smooth(pad_rim(diff, cfg.rim), h=cfg.bandwidth, kernel=cfg.kernel)
+            tm = restrict_tmap(t_map(fit), diff.support_mask)
+            pv = p_map(tm)
+            rejected, critical = bh_adjust(pv[tm.mask], FdrConfig(cfg.q, cfg.fdr_mode))
+            grid = np.zeros(tm.mask.shape, dtype=bool)
+            grid[tm.mask] = rejected
+            pm = fdr_map(pv, grid, critical)
+            base = f"pair{k:04d}"
+            assert np.array_equal(out.maps[f"{base}_diff.csv"], diff.values)
+            assert np.array_equal(out.maps[f"{base}_tmap.csv"], tm.values, equal_nan=True)
+            assert np.array_equal(out.maps[f"{base}_pmap.csv"], pm.values)
+            assert report[f"pair.{k}.sigma_hat"] == fit.sigma_hat
+            assert report[f"pair.{k}.delta1"] == fit.delta1
+            assert report[f"pair.{k}.delta2"] == fit.delta2
+            assert report[f"pair.{k}.n_rejected"] == pm.n_rejected
+        assert report["pair.0.n_rejected"] > 0
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -325,3 +396,41 @@ class TestCli:
                          "--components", "1,2"]) == 2
         assert cli_main(["segment", "--in", "x.lasr", "--out", str(tmp_path),
                          "--components", "apple"]) == 2
+
+    def test_failed_ssm_removes_pair_files(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        blob = np.zeros((16, 18))
+        blob[3:13, 3:15] = 1.0
+
+        def frame():
+            return Frame(blob * (20.0 + rng.normal(0, 1, blob.shape)))
+
+        same = frame()
+        save_movie(Movie((frame(), same), fps=2.0), tmp_path / "b.lasr")
+        save_movie(Movie((frame(), same), fps=2.0), tmp_path / "a.lasr")
+        ssm_args = ["ssm", "--before", str(tmp_path / "b.lasr"), "--after", str(tmp_path / "a.lasr")]
+        maps = tmp_path / "maps"
+        # pair 0 is written before pair 1, identical frames, hits sigma_hat = 0
+        assert cli_main(ssm_args + ["--out", str(maps)]) == 4
+        assert "stage 'compare'" in capsys.readouterr().err
+        assert not maps.exists()
+        assert cli_main(ssm_args + ["--out", str(maps), "--rim", "-1"]) == 2
+        assert not maps.exists()
+
+    def test_staged_chain_maps_equal_one_shot_run(self, tmp_path):
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph), "--effect-delta", "4.0"] + PHANTOM_ARGS)
+        assert cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
+                         "--out", str(tmp_path / "run")]) == 0
+        for which, path in (("b", ph / "s1" / "seg0.lasr"), ("a", ph / "s2" / "seg2.lasr")):
+            assert cli_main(["segment", "--in", str(path), "--out", str(tmp_path / f"seg_{which}")]) == 0
+            assert cli_main(["register", "--in", str(tmp_path / f"seg_{which}" / "segmented.lasr"),
+                             "--out", str(tmp_path / f"reg_{which}")]) == 0
+        assert cli_main(["ssm", "--before", str(tmp_path / "reg_b" / "registered.lasr"),
+                         "--after", str(tmp_path / "reg_a" / "registered.lasr"),
+                         "--out", str(tmp_path / "maps")]) == 0
+        run = tree_bytes(tmp_path / "run")
+        staged = tree_bytes(tmp_path / "maps")
+        names = sorted(n for n in staged if n.startswith("pair"))
+        assert len(names) == 12
+        assert all(run[n] == staged[n] for n in names)

@@ -22,6 +22,7 @@ from lasr import (
     p_map,
     pad_rim,
     prds_covariance_check,
+    refit,
     residual_traces,
     restrict_tmap,
     t_map,
@@ -199,7 +200,6 @@ class TestLocalQuadraticSmooth:
         assert np.isnan(fit.m_hat[~mask]).all()
         assert np.isfinite(fit.m_hat[mask]).all()
         assert fit.bandwidth == 2.5 and fit.kernel == "tgauss"
-        assert fit.trace_method == "dense"
         assert fit.hat.shape == (mask.sum(), mask.sum())
 
     def test_deterministic(self):
@@ -209,17 +209,15 @@ class TestLocalQuadraticSmooth:
         assert np.array_equal(a.m_hat[f.support_mask], b.m_hat[f.support_mask])
         assert a.delta2 == b.delta2
 
-    def test_hutchinson_estimate_close_to_exact_and_seeded(self):
-        f = noisy_diff(12, 12, seed=8)
-        exact = local_quadratic_smooth(f, h=2.0)
-        est = local_quadratic_smooth(f, h=2.0, dense_trace_limit=0)
-        est2 = local_quadratic_smooth(f, h=2.0, dense_trace_limit=0)
-        assert est.trace_method == "hutchinson"
-        assert est.delta2 == est2.delta2
-        assert abs(est.delta2 - exact.delta2) < 0.1 * exact.delta2
-        # delta1 and the fit itself do not depend on the trace method
-        assert est.delta1 == exact.delta1
-        assert np.array_equal(est.m_hat[f.support_mask], exact.m_hat[f.support_mask])
+    def test_refit_rejects_another_mask(self):
+        mask = blob_mask(10, 11, pad=1)
+        fit = local_quadratic_smooth(noisy_diff(10, 11, seed=8, mask=mask), h=2.5)
+        other = mask.copy()
+        other[5, 5] = False
+        with pytest.raises(DataError, match="mask"):
+            refit(fit, noisy_diff(10, 11, seed=9, mask=other))
+        with pytest.raises(DataError, match="mask"):
+            refit(fit, noisy_diff(11, 11, seed=9))
 
     def test_starved_neighborhood_rejected(self):
         mask = np.zeros((1, 10), dtype=bool)
