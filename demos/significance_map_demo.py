@@ -23,8 +23,6 @@ from lasr import (
     difference_map,
     local_quadratic_smooth,
     p_map,
-    pad_rim,
-    restrict_tmap,
     save_map_csv,
     save_map_image,
     t_map,
@@ -55,10 +53,8 @@ def make_pair(seed, delta):
 def screen(before, after, mode="bh"):
     """difference -> smooth -> t -> p -> step-up; returns (rejections, fit, pmap)."""
     diff = difference_map(after, before)
-    padded = pad_rim(diff, int(math.ceil(BANDWIDTH)))
-    fit = local_quadratic_smooth(padded, h=BANDWIDTH, kernel="tgauss")
-    tm = restrict_tmap(t_map(fit), diff.support_mask)
-    pm = p_map(tm)
+    fit = local_quadratic_smooth(diff, h=BANDWIDTH, kernel="tgauss", rim=int(math.ceil(BANDWIDTH)))
+    pm = p_map(t_map(fit))
     rejected, crit = bh_adjust(pm[diff.support_mask], FdrConfig(q=Q, mode=mode))
     return rejected.reshape(GRID, GRID), fit, pm, crit
 

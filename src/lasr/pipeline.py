@@ -204,11 +204,12 @@ class _Outputs:
 
 def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Outputs,
                     report: dict, first: Tuple[int, int] = (0, 0)) -> None:
-    """Difference -> rim pad -> smooth -> t -> chop -> p -> FDR per frame pair;
-    writes each pair's maps and report keys.  Frame k of one movie pairs with
-    frame k of the other; ``first`` holds the source frame numbers of pair 0.
-    The smoother depends only on the padded mask, which all pairs of a
-    segment share, so a pair reuses the previous pair's fit on an equal mask.
+    """Difference -> smooth -> t -> p -> FDR per frame pair; writes each
+    pair's maps and report keys.  Frame k of one movie pairs with frame k of
+    the other; ``first`` holds the source frame numbers of pair 0.  The
+    smoother (rim padding included) depends only on the support mask, which
+    all pairs of a segment share, so a pair reuses the previous pair's fit
+    on an equal mask.
     """
     pairs = list(zip(before.frames, after.frames))
     report["n_pairs"] = len(pairs)
@@ -218,12 +219,11 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
         diff = ssm.difference_map(a, b)
         if not diff.support_mask.any():
             raise DataError("registered supports do not overlap")
-        padded = ssm.pad_rim(diff, cfg.rim)
-        if fit is not None and np.array_equal(fit.mask, padded.support_mask):
-            fit = ssm.refit(fit, padded)
+        if fit is not None and np.array_equal(fit.mask, diff.support_mask):
+            fit = ssm.refit(fit, diff)
         else:
-            fit = ssm.local_quadratic_smooth(padded, h=cfg.bandwidth, kernel=cfg.kernel)
-        tmap = ssm.restrict_tmap(ssm.t_map(fit), diff.support_mask)
+            fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
+        tmap = ssm.t_map(fit)
         pvals = ssm.p_map(tmap, two_sided=cfg.two_sided)
         rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
         rej_grid = np.zeros(tmap.mask.shape, dtype=bool)

@@ -21,9 +21,10 @@ are screened by Benjamini-Hochberg (or Benjamini-Yekutieli) step-up FDR
 control; the positive-dependence condition backing BH can be probed via
 hat-row inner products, which drive the covariance of the smoothed field.
 
-Background pixels within a small rim of the support can be padded with
-their nearest supported value before smoothing, so boundary fits are not
-starved of neighbors; rim estimates are discarded afterwards.
+Fits near the support's edge also draw on a rim of background pixels, each
+standing for its nearest supported pixel.  The rim is a column map inside L
+(support -> support, duplicate columns summed), not a copy of the data, so
+residuals, traces and ||p(x)|| count only the independent support values.
 """
 
 from __future__ import annotations
@@ -72,19 +73,19 @@ KERNELS = {
 class SmoothFit:
     """A fitted local quadratic smoother on one difference map.
 
-    Every field but m_hat, sigma_hat and rss depends only on the mask.
+    Every field but m_hat, sigma_hat and rss depends only on the mask and rim.
     """
 
     m_hat: np.ndarray       # smoothed estimate, NaN off the mask
-    hat_norm: np.ndarray    # ||p(x)||_2 per pixel, NaN off the mask
+    hat_norm: np.ndarray    # ||p(x)||_2 per pixel (a row norm of hat), NaN off the mask
     sigma_hat: float
     delta1: float
     delta2: float
     rss: float
     bandwidth: float
     kernel: str
-    mask: np.ndarray
-    hat: sp.csr_matrix      # rows/cols indexed by masked pixels (row-major order)
+    mask: np.ndarray        # the analysis region: the support, without the rim
+    hat: sp.csr_matrix      # support -> support, rim folded in; indexed like pixels
     pixels: np.ndarray      # (n, 2) masked pixel coordinates, row-major
 
 
@@ -194,7 +195,8 @@ def _kernel_offsets(h: float, kernel: str):
     return dr.astype(np.int64), dc.astype(np.int64), w
 
 
-def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss") -> SmoothFit:
+def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss",
+                           rim: int = 0) -> SmoothFit:
     """Fit the local quadratic smoother over the masked pixels of ``diff``.
 
     Parameters
@@ -207,12 +209,15 @@ def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss") 
         "tgauss" (Gaussian with scale h/3, truncated at h) or "tricube"
         (support h).  At h = 3 the weight covers the 28 neighbors within
         three pixels of the target.
+    rim : int
+        Background pixels within ``rim`` of the support enter the local fits
+        as their nearest supported pixel (as ``pad_rim`` fills them).
     """
     mask = diff.support_mask if diff.support_mask is not None else np.ones(diff.shape, bool)
-    return refit(_hat_fit(mask, h, kernel), diff)
+    return refit(_hat_fit(mask, h, kernel, rim), diff)
 
 
-def _hat_fit(mask: np.ndarray, h: float, kernel: str) -> SmoothFit:
+def _hat_fit(mask: np.ndarray, h: float, kernel: str, rim: int) -> SmoothFit:
     """The mask-only part of a fit; m_hat, rss and sigma_hat are left for ``refit``."""
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
@@ -221,8 +226,10 @@ def _hat_fit(mask: np.ndarray, h: float, kernel: str) -> SmoothFit:
         raise DataError("empty analysis region")
     rows, cols = mask.shape
     pr, pc = np.nonzero(mask)                      # row-major masked pixels
-    flat_index = np.full(mask.shape, -1, dtype=np.int64)
-    flat_index[pr, pc] = np.arange(n)
+    own = np.cumsum(mask).reshape(mask.shape) - 1.0  # row-major index of each support pixel
+    # pad the index map, not the data: a rim pixel points at its source column
+    padded = pad_rim(Frame(own, support_mask=mask, signed=True), rim)
+    flat_index = np.where(padded.support_mask, padded.values, -1).astype(np.int64)
 
     dr, dc, w = _kernel_offsets(h, kernel)
     k = dr.size
@@ -256,7 +263,7 @@ def _hat_fit(mask: np.ndarray, h: float, kernel: str) -> SmoothFit:
     rows_idx = np.repeat(np.arange(n), k)[valid.ravel()]
     cols_idx = nidx.ravel()[valid.ravel()]
     data = hat_w.ravel()[valid.ravel()]
-    L = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(n, n))
+    L = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(n, n))  # sums rim duplicates
 
     tr_l = float(L.diagonal().sum())
     fro_l2 = float((L.data * L.data).sum())
@@ -268,7 +275,7 @@ def _hat_fit(mask: np.ndarray, h: float, kernel: str) -> SmoothFit:
     delta2 = float((lam.data * lam.data).sum())
 
     hat_norm = np.full(mask.shape, np.nan)
-    hat_norm[pr, pc] = np.sqrt((hat_w * hat_w).sum(axis=1))
+    hat_norm[pr, pc] = np.sqrt(np.asarray(L.multiply(L).sum(axis=1)).ravel())
     return SmoothFit(None, hat_norm, math.nan, float(delta1), delta2, math.nan,
                      float(h), kernel, mask.copy(), L, np.column_stack([pr, pc]))
 

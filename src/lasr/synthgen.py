@@ -126,25 +126,29 @@ def _noisy_frame(clean: np.ndarray, support: np.ndarray, spec: PhantomSpec, rng)
     return Frame(np.clip(clean + noise, 0.0, None))
 
 
+def _posed_field(spec: PhantomSpec):
+    """``blob_field`` moved by the spec's pose: (base, left, right, support, pose)."""
+    base, left, right = blob_field(spec)
+    support = base > 0
+    if spec.pose is None:
+        return base, left, right, support, RigidTransform(0.0, 0.0, 0.0)
+    posed = apply_rigid(Frame(base, support_mask=support), spec.pose)
+    if posed.support_mask.sum() < 0.5 * support.sum():
+        raise DataError("pose moves more than half of the blob out of bounds")
+    left = apply_rigid(Frame(left), spec.pose).values
+    right = apply_rigid(Frame(right), spec.pose).values
+    return posed.values, left, right, posed.support_mask, spec.pose
+
+
 def gen_frame(spec: PhantomSpec, stream: int = 0) -> Tuple[Frame, GroundTruth]:
     """One noisy frame under the spec's pose (identity when pose is None)."""
-    base, _, _ = blob_field(spec)
-    support = base > 0
-    pose = spec.pose if spec.pose is not None else RigidTransform(0.0, 0.0, 0.0)
-    if spec.pose is not None:
-        posed = apply_rigid(Frame(base, support_mask=support), spec.pose)
-        if posed.support_mask.sum() < 0.5 * support.sum():
-            raise DataError("pose moves more than half of the blob out of bounds")
-        base, support = posed.values, posed.support_mask
+    base, _, _, support, pose = _posed_field(spec)
     frame = _noisy_frame(base, support, spec, _noise_rng(spec.seed, stream))
     truth = GroundTruth(support, pose, 0, None, 0.0)
     return frame, truth
 
 
-def _stim_clean(spec: PhantomSpec, t: int, base, left, right) -> np.ndarray:
-    if spec.stim is None:
-        return base
-    st = spec.stim
+def _stim_clean(st: StimSpec, t: int, base, left, right) -> np.ndarray:
     left_on = ((t + st.phase_lag) % st.period) < st.period // 2
     if left_on:
         return base + st.left_amp * left
@@ -159,17 +163,7 @@ def gen_session(spec: PhantomSpec, session_id: str = "s1",
     differing only in ``effect`` and ``seed`` forms a before/after pair
     with independent noise.
     """
-    base, left, right = blob_field(spec)
-    support = base > 0
-    pose = spec.pose if spec.pose is not None else RigidTransform(0.0, 0.0, 0.0)
-    if spec.pose is not None:
-        posed = apply_rigid(Frame(base, support_mask=support), spec.pose)
-        if posed.support_mask.sum() < 0.5 * support.sum():
-            raise DataError("pose moves more than half of the blob out of bounds")
-        left = apply_rigid(Frame(left), spec.pose).values
-        right = apply_rigid(Frame(right), spec.pose).values
-        base, support = posed.values, posed.support_mask
-
+    base, left, right, support, pose = _posed_field(spec)
     effect_mask = None
     delta = 0.0
     if spec.effect is not None:
@@ -185,8 +179,7 @@ def gen_session(spec: PhantomSpec, session_id: str = "s1",
         rng = _noise_rng(spec.seed, seg)
         frames = []
         for t in range(spec.n_frames):
-            clean = base if tag == "NoStim" else _stim_clean(
-                replace(spec, stim=stim), t, base, left, right)
+            clean = base if tag == "NoStim" else _stim_clean(stim, t, base, left, right)
             frames.append(_noisy_frame(clean, support, spec, rng))
         segments.append((tag, Movie(tuple(frames), fps=spec.fps)))
     layout = SessionLayout(tuple(segments), session_id=session_id, subject_id=subject_id)
@@ -304,7 +297,7 @@ def gen_lagged_pair(spec: PhantomSpec, lag: int) -> Tuple[Movie, Movie, GroundTr
     total = spec.n_frames + lag
     frames = []
     for t in range(total):
-        clean = _stim_clean(replace(spec, stim=stim), t, base, left, right)
+        clean = _stim_clean(stim, t, base, left, right)
         frames.append(_noisy_frame(clean, support, spec, rng))
     a = Movie(tuple(frames[lag:]), fps=spec.fps)    # A starts `lag` frames in
     b = Movie(tuple(frames[:spec.n_frames]), fps=spec.fps)

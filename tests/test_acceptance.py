@@ -26,6 +26,7 @@ from lasr import (
     RunConfig,
     StimSpec,
     bh_adjust,
+    blob_field,
     compose,
     difference_map,
     gen_lagged_pair,
@@ -35,10 +36,9 @@ from lasr import (
     local_quadratic_smooth,
     optimal_threshold,
     p_map,
-    pad_rim,
     prds_covariance_check,
+    refit,
     registration_error,
-    restrict_tmap,
     run_lasr,
     select_model,
     srlp_params,
@@ -53,7 +53,7 @@ from lasr import (
 # A "null phantom" is a pair of fully loaded 30x30 frames differing only
 # in noise; an effect run adds a 6x6 step of three noise standard
 # deviations.  The flow below is the map-making path of the pipeline:
-# difference -> rim padding -> local quadratic smooth -> t -> p -> step-up.
+# difference -> local quadratic smooth (rim folded in) -> t -> p -> step-up.
 # ---------------------------------------------------------------------------
 
 GRID = 30
@@ -71,9 +71,8 @@ def significance_run(seed, delta=0.0, mode="bh"):
     after_vals = 30.0 + NOISE_SD * g1.standard_normal((GRID, GRID)) + delta * EFFECT_MASK
     after = Frame(after_vals)
     diff = difference_map(after, before)
-    padded = pad_rim(diff, int(math.ceil(BANDWIDTH)))
-    fit = local_quadratic_smooth(padded, h=BANDWIDTH, kernel="tgauss")
-    tm = restrict_tmap(t_map(fit), diff.support_mask)
+    fit = local_quadratic_smooth(diff, h=BANDWIDTH, kernel="tgauss", rim=int(math.ceil(BANDWIDTH)))
+    tm = t_map(fit)
     pv = p_map(tm)
     rejected, _ = bh_adjust(pv[diff.support_mask], FdrConfig(q=0.05, mode=mode))
     return rejected.reshape(GRID, GRID), fit
@@ -234,6 +233,38 @@ def test_global_null_rejection_rate_controlled(null_battery):
     bound = 0.05 + 2.0 * math.sqrt(0.05 * 0.95 / 200.0)
     assert frac <= bound, f"{frac:.3f} of null runs rejected something (bound {bound:.3f})"
     assert elapsed < 600.0
+
+
+def test_masked_support_null_rejection_rate_and_sigma():
+    # On the full grid above the rim is empty; on the phantom's elliptical
+    # sitting support it is live, so this battery holds the guarantee for
+    # the region the pipeline actually analyzes: each frame pair runs the
+    # pipeline's chain (one fit per mask, refit per pair) at the default rim.
+    support = blob_field(PhantomSpec())[0] > 0
+    n_runs = 1000
+    fit, hits, scales = None, [], []
+    for seed in range(n_runs):
+        g0 = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        g1 = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        before = Frame(np.where(support, 30.0 + g0.standard_normal(support.shape), 0.0),
+                       support_mask=support)
+        after = Frame(np.where(support, 30.0 + g1.standard_normal(support.shape), 0.0),
+                      support_mask=support)
+        diff = difference_map(after, before)
+        if fit is None:
+            fit = local_quadratic_smooth(diff, h=BANDWIDTH, kernel="tgauss",
+                                         rim=int(math.ceil(BANDWIDTH)))
+        else:
+            fit = refit(fit, diff)
+        pv = p_map(t_map(fit))
+        rejected, _ = bh_adjust(pv[support], FdrConfig(q=0.05, mode="bh"))
+        hits.append(rejected.any())
+        scales.append(fit.sigma_hat / math.sqrt(2.0))
+    frac = float(np.mean(hits))
+    bound = 0.05 + 2.0 * math.sqrt(0.05 * 0.95 / n_runs)
+    assert frac <= bound, f"{frac:.3f} of masked null runs rejected something (bound {bound:.4f})"
+    scale = float(np.mean(scales))
+    assert 0.97 <= scale <= 1.03, f"mean sigma_hat/sqrt(2) = {scale:.4f} on unit-sd noise"
 
 
 def test_hat_row_products_nonnegative():

@@ -25,8 +25,6 @@ from lasr import (
     load_movie,
     local_quadratic_smooth,
     p_map,
-    pad_rim,
-    restrict_tmap,
     run_lasr,
     save_movie,
     t_map,
@@ -255,8 +253,8 @@ class TestCompareMovies:
         assert report["n_pairs"] == len(masks)
         for k, (b, a) in enumerate(zip(before.frames, after.frames)):
             diff = difference_map(a, b)
-            fit = local_quadratic_smooth(pad_rim(diff, cfg.rim), h=cfg.bandwidth, kernel=cfg.kernel)
-            tm = restrict_tmap(t_map(fit), diff.support_mask)
+            fit = local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
+            tm = t_map(fit)
             pv = p_map(tm)
             rejected, critical = bh_adjust(pv[tm.mask], FdrConfig(cfg.q, cfg.fdr_mode))
             grid = np.zeros(tm.mask.shape, dtype=bool)

@@ -247,6 +247,67 @@ class TestLocalQuadraticSmooth:
             local_quadratic_smooth(empty, h=1.0)
 
 
+class TestFoldedRim:
+    """The rim is a column map inside the hat matrix: H = R L P, support -> support."""
+
+    @staticmethod
+    def ragged_mask(rng):
+        rows, cols = (int(v) for v in rng.integers(10, 14, 2))
+        mask = blob_mask(rows, cols, pad=int(rng.integers(2, 4)))
+        r0, c0 = np.argwhere(mask).min(axis=0)
+        r1, c1 = np.argwhere(mask).max(axis=0)
+        for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)):  # bite the corners
+            mask[r, c] = rng.random() < 0.3
+        mask[r0, c0 + int(rng.integers(1, 3))] = False     # and notch an edge
+        return mask
+
+    @staticmethod
+    def dense_folded_hat(mask, rim, h, kernel):
+        """Dense R L P from the loop oracles: pad an index map, smooth the padded grid."""
+        n = int(mask.sum())
+        index = np.zeros(mask.shape)
+        index[mask] = np.arange(n)
+        src, padded = orc.nearest_padding_loop(index, mask, rim)
+        assert padded.sum() > n  # the rim holds pixels within the kernel's reach
+        pix, L, _, _ = orc.dense_smooth(src, padded, h, kernel)
+        P = np.zeros((len(pix), n))
+        for j, p in enumerate(pix):
+            P[j, int(src[p])] = 1.0
+        R = np.array([mask[p] for p in pix])
+        return L[R] @ P
+
+    def test_matches_dense_oracle_on_ragged_masks(self):
+        rng = np.random.default_rng(23)
+        for trial in range(6):
+            mask = self.ragged_mask(rng)
+            rim = 1 + trial % 3
+            h, kernel = (2.5, "tgauss") if trial % 2 == 0 else (2.2, "tricube")
+            vals = np.where(mask, rng.normal(0, 2, mask.shape), 0.0)
+            diff = Frame(vals, support_mask=mask, signed=True)
+            fit = local_quadratic_smooth(diff, h=h, kernel=kernel, rim=rim)
+            H = self.dense_folded_hat(mask, rim, h, kernel)
+            n = H.shape[0]
+            d1, d2 = residual_traces(H)
+            assert fit.hat.shape == (n, n) and np.array_equal(fit.mask, mask)
+            assert np.abs(fit.hat.toarray() - H).max() < 1e-9
+            assert np.abs(H.sum(axis=1) - 1.0).max() < 1e-9
+            assert np.abs(np.asarray(fit.hat.sum(axis=1)).ravel() - 1.0).max() < 1e-9
+            assert np.abs(fit.m_hat[mask] - H @ vals[mask]).max() < 1e-9
+            assert np.abs(fit.hat_norm[mask] - np.sqrt((H * H).sum(axis=1))).max() < 1e-9
+            assert abs(fit.delta1 - d1) < 1e-9 * d1
+            assert abs(fit.delta2 - d2) < 1e-9 * d2
+
+    def test_full_grid_has_no_rim(self):
+        full = noisy_diff(8, 9, seed=25)
+        a, b = local_quadratic_smooth(full, h=2.5), local_quadratic_smooth(full, h=2.5, rim=3)
+        assert np.array_equal(a.m_hat, b.m_hat) and a.delta2 == b.delta2
+
+    def test_negative_rim_rejected(self):
+        with pytest.raises(ConfigError):
+            local_quadratic_smooth(noisy_diff(6, 6, seed=26, mask=blob_mask(6, 6, pad=1)),
+                                   h=2.0, rim=-1)
+
+
 class TestResidualTraces:
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(10)
