@@ -284,6 +284,9 @@ def run_lasr(config: RunConfig) -> dict:
             segmented, thr = _segment_movie(movie, cfg)
             seg_movies[which] = segmented
             report[f"{which}.mixture_m"] = thr.model.m
+            report[f"{which}.mixture_loglik"] = thr.model.loglik
+            report[f"{which}.mixture_converged"] = thr.model.converged
+            report[f"{which}.mixture_n_iter"] = thr.model.n_iter
             report[f"{which}.threshold"] = thr.t
             report[f"{which}.threshold_method"] = thr.method
             out.emit(f"{which}_segmented.lasr", fr.save_movie, segmented)
@@ -522,7 +525,9 @@ def _cmd_segment(ns) -> int:
     segmented, result = _segment_movie(fr.load_movie(ns.infile), cfg)
     os.makedirs(ns.out, exist_ok=True)
     fr.save_movie(segmented, os.path.join(ns.out, "segmented.lasr"))
-    rep = {"threshold": result.t, "method": result.method, "mixture_m": result.model.m}
+    rep = {"threshold": result.t, "method": result.method, "mixture_m": result.model.m,
+           "loglik": result.model.loglik, "converged": result.model.converged,
+           "n_iter": result.model.n_iter}
     for i in range(result.model.m):
         rep[f"component.{i}.weight"] = result.model.weights[i]
         rep[f"component.{i}.mean"] = result.model.means[i]

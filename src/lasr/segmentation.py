@@ -12,6 +12,13 @@ Segmentation keeps values strictly above ``T`` and zeroes the rest.
 
 Exact zeros are always background: they are excluded from the EM sample
 and can never exceed a positive threshold.
+
+EM runs the quantile start and its jittered restarts as one batch: one
+``(m, restarts, n)`` array, with a start dropped from it in the iteration
+where it converges or reaches ``max_iter``.  Each iteration evaluates the
+mixture density once, since the E-step normaliser at the new parameters is
+the log-likelihood at them.  Every sum keeps the order of running the
+starts one by one, so the fits are the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 from scipy.stats import norm
 
 from .errors import DataError, NumericError
@@ -108,43 +114,109 @@ def positive_samples(frame: Frame) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _log_density(x: np.ndarray, w, mu, sd) -> np.ndarray:
-    """Per-sample log mixture density, via logsumexp over components."""
-    z = (x[:, None] - mu[None, :]) / sd[None, :]
-    comp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi)
-    return logsumexp(comp + np.log(w)[None, :], axis=1)
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _em_run(x, w, mu, sd, floor, tol, max_iter):
-    """One EM run from the given start; the sd floor is kept in force throughout."""
+def _sum_columns(cols):
+    """Elementwise sum of equal-shape arrays, in numpy's order for a short axis.
+
+    numpy adds fewer than 8 terms left to right and switches to its blocked
+    pairwise order from 8 on, so longer lists go through ``np.sum``.
+    """
+    if len(cols) >= 8:
+        return np.sum(np.stack(cols, axis=-1), axis=-1)
+    total = cols[0]
+    for c in cols[1:]:
+        total = total + c
+    return total
+
+
+def _logsumexp(a):
+    """``log(sum_k exp(a[k]))`` over the leading (component) axis.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``, bit for bit:
+    the maxima are split off, the sum of the other terms is divided by the
+    number of tied maxima, and the result is ``log1p(s) + log(count) + max``.
+    The tied terms are zeroed instead of shifted from -inf, so a row whose
+    maximum is infinite already gives the +-inf that scipy's non-finite
+    fallback ``log(sum(exp(a)))`` puts there.  Every reduction runs column
+    by column over the few components, which is far cheaper than a numpy
+    reduction over a short axis.
+    """
+    top = a[0]
+    for c in a[1:]:
+        top = np.maximum(top, c)
+    count = np.zeros_like(top)
+    terms = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in a:
+            tied = c == top
+            count += tied
+            e = np.exp(c - top)
+            e[tied] = 0.0
+            terms.append(e)
+        return np.log1p(_sum_columns(terms) / count) + np.log(count) + top
+
+
+def _log_terms(x, w, mu, sd):
+    """``log w_k + log phi((x - mu_k) / sd_k) - log sd_k`` for ``(m, ...)`` parameters.
+
+    The samples run along the last axis of the result.
+    """
+    w, mu, sd = (np.asarray(p)[..., None] for p in (w, mu, sd))
+    z = (x - mu) / sd
+    return -0.5 * z * z - np.log(sd) - _HALF_LOG_2PI + np.log(w)
+
+
+def _seq_sum(a):
+    """Sums over the last axis, added strictly in sample order."""
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
+def _em_batch(x, w, mu, sd, floor, tol, max_iter):
+    """EM from R starts at once; ``w``, ``mu``, ``sd`` are ``(m, R)`` arrays.
+
+    Start ``j`` is column ``j``.  It leaves the batch in the iteration where
+    it converges or reaches ``max_iter``, and every step of it is the same
+    arithmetic as a run of its own, so the batch returns what R separate
+    runs would.  The sd floor is kept in force throughout.  Returns one
+    ``(w, mu, sd, loglik, converged, n_iter, trace)`` per start, in order.
+    """
     n = x.size
-    trace = []
-    ll = _log_density(x, w, mu, sd).sum()
-    trace.append(ll)
-    converged = False
-    it = 0
+    logp = _log_terms(x, w, mu, sd)
+    lse = _logsumexp(logp)
+    ll = lse.sum(axis=1)
+    trace = np.empty((ll.size, max_iter + 1))
+    trace[:, 0] = ll
+    rows = np.arange(ll.size)
+    runs = [None] * ll.size
     for it in range(1, max_iter + 1):
-        # E-step: responsibilities in log space
-        z = (x[:, None] - mu[None, :]) / sd[None, :]
-        logp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi) + np.log(w)[None, :]
-        logp -= logsumexp(logp, axis=1, keepdims=True)
-        r = np.exp(logp)
-        # M-step
-        nk = r.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
+        # E-step from the last density pass, then the M-step
+        r = np.exp(logp - lse)
+        nk = np.maximum(_seq_sum(r), 1e-12)
         w = nk / n
-        w = w / w.sum()
-        mu = (r * x[:, None]).sum(axis=0) / nk
-        var = (r * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        w = w / _sum_columns(w)
+        mu = _seq_sum(r * x) / nk
+        var = _seq_sum(r * (x - mu[..., None]) ** 2) / nk
         sd = np.maximum(np.sqrt(var), floor)
-        ll_new = _log_density(x, w, mu, sd).sum()
-        trace.append(ll_new)
-        if abs(ll_new - ll) <= tol * (1.0 + abs(ll_new)):
-            ll = ll_new
-            converged = True
-            break
-        ll = ll_new
-    return w, mu, sd, ll, converged, it, np.array(trace)
+        # one density pass: the log-likelihood now and the next E-step
+        logp = _log_terms(x, w, mu, sd)
+        lse = _logsumexp(logp)
+        ll_new = lse.sum(axis=1)
+        trace[rows, it] = ll_new
+        converged = np.abs(ll_new - ll) <= tol * (1.0 + np.abs(ll_new))
+        done = converged | (it == max_iter)
+        for j in np.flatnonzero(done):
+            runs[rows[j]] = (w[:, j], mu[:, j], sd[:, j], ll_new[j], bool(converged[j]), it,
+                             trace[rows[j], :it + 1].copy())
+        if done.all():
+            return runs
+        keep = ~done
+        rows, w, mu, sd = rows[keep], w[:, keep], mu[:, keep], sd[:, keep]
+        ll, logp, lse = ll_new[keep], logp[:, keep], lse[keep]
+    # max_iter < 1: every start is returned as it began
+    return [(w[:, j], mu[:, j], sd[:, j], ll[j], False, 0, trace[j, :1].copy())
+            for j in range(ll.size)]
 
 
 def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
@@ -154,10 +226,11 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
     Initialization places component means at the (2k-1)/(2m) sample
     quantiles with equal weights and sds = pooled sd / m, then adds
     ``init.n_restarts - 1`` restarts with jittered means; the best final
-    log-likelihood wins.  Deterministic given ``init.seed``.  Component
-    sds are floored at 1e-3 times the sample sd, so the floor is part of
-    the maximization and the per-iteration log-likelihood trace stays
-    nondecreasing.
+    log-likelihood wins (the first start among equals).  All starts run as
+    one batch, with the same results as running them one by one.
+    Deterministic given ``init.seed``.  Component sds are floored at 1e-3
+    times the sample sd, so the floor is part of the maximization and the
+    per-iteration log-likelihood trace stays nondecreasing.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
@@ -177,7 +250,7 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
         sd = max(sd_all, floor)
         if sd_all == 0.0:
             raise DataError("degenerate sample: all values identical")
-        ll = float(_log_density(x, np.array([1.0]), np.array([mu]), np.array([sd])).sum())
+        ll = float(_logsumexp(_log_terms(x, [1.0], [mu], [sd])).sum())
         return MixtureModel(1, np.array([1.0]), np.array([mu]), np.array([sd]),
                             ll, True, 0, np.array([ll]))
 
@@ -186,14 +259,13 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
 
     q = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
     mu0 = np.quantile(x, q)
-    sd0 = np.full(m, max(sd_all / m, floor))
-    w0 = np.full(m, 1.0 / m)
-
+    n_starts = max(1, init.n_restarts)
     rng = np.random.default_rng(init.seed)
+    starts = [mu0] + [np.sort(mu0 + init.jitter * sd_all * rng.standard_normal(m))
+                      for _ in range(n_starts - 1)]
     best = None
-    for rep in range(max(1, init.n_restarts)):
-        mu_start = mu0 if rep == 0 else np.sort(mu0 + init.jitter * sd_all * rng.standard_normal(m))
-        out = _em_run(x, w0.copy(), mu_start.astype(np.float64), sd0.copy(), floor, tol, max_iter)
+    for out in _em_batch(x, np.full((m, n_starts), 1.0 / m), np.stack(starts, axis=1),
+                         np.full((m, n_starts), max(sd_all / m, floor)), floor, tol, max_iter):
         if best is None or out[3] > best[3]:
             best = out
     w, mu, sd, ll, converged, it, trace = best

@@ -10,7 +10,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, logsumexp
 
 mpmath.mp.dps = 40
 
@@ -62,6 +62,69 @@ def mixture_loglik(x, weights, means, sds):
             dens += w * mpmath.exp(-z * z / 2) / (s * mpmath.sqrt(2 * mpmath.pi))
         out += mpmath.log(dens)
     return float(out)
+
+
+def _em_log_density(x, w, mu, sd):
+    z = (x[:, None] - mu[None, :]) / sd[None, :]
+    comp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi)
+    return logsumexp(comp + np.log(w)[None, :], axis=1)
+
+
+def _em_single_start(x, w, mu, sd, floor, tol, max_iter):
+    n = x.size
+    trace = []
+    ll = _em_log_density(x, w, mu, sd).sum()
+    trace.append(ll)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        z = (x[:, None] - mu[None, :]) / sd[None, :]
+        logp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi) + np.log(w)[None, :]
+        logp -= logsumexp(logp, axis=1, keepdims=True)
+        r = np.exp(logp)
+        nk = np.maximum(r.sum(axis=0), 1e-12)
+        w = nk / n
+        w = w / w.sum()
+        mu = (r * x[:, None]).sum(axis=0) / nk
+        var = (r * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        sd = np.maximum(np.sqrt(var), floor)
+        ll_new = _em_log_density(x, w, mu, sd).sum()
+        trace.append(ll_new)
+        if abs(ll_new - ll) <= tol * (1.0 + abs(ll_new)):
+            ll = ll_new
+            converged = True
+            break
+        ll = ll_new
+    return w, mu, sd, ll, converged, it, np.array(trace)
+
+
+def em_reference(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
+    """EM for an m >= 2 component 1-D mixture, one start after another.
+
+    The quantile start plus ``n_restarts - 1`` jittered ones, each run on its
+    own with two density evaluations per iteration through
+    ``scipy.special.logsumexp``; the first start with the strictly largest
+    final log-likelihood wins.  Returns ``(weights, means, sds, loglik,
+    converged, n_iter, trace)`` with the components sorted by mean, and the
+    iteration count of every start.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    sd_all = float(x.std())
+    floor = max(1e-3 * sd_all, 1e-300)
+    mu0 = np.quantile(x, (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
+    rng = np.random.default_rng(seed)
+    best, iters = None, []
+    for rep in range(max(1, n_restarts)):
+        start = mu0 if rep == 0 else np.sort(mu0 + jitter * sd_all * rng.standard_normal(m))
+        out = _em_single_start(x, np.full(m, 1.0 / m), start, np.full(m, max(sd_all / m, floor)),
+                               floor, tol, max_iter)
+        iters.append(out[5])
+        if best is None or out[3] > best[3]:
+            best = out
+    w, mu, sd, ll, converged, it, trace = best
+    order = np.argsort(mu, kind="stable")
+    fit = (w[order] / w[order].sum(), mu[order], sd[order], float(ll), converged, it, trace)
+    return fit, iters
 
 
 # ---------------------------------------------------------------------------

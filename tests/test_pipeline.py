@@ -11,6 +11,7 @@ from lasr import (
     DataError,
     FdrConfig,
     Frame,
+    InitSpec,
     Movie,
     NumericError,
     PhantomSpec,
@@ -25,8 +26,10 @@ from lasr import (
     load_movie,
     local_quadratic_smooth,
     p_map,
+    positive_samples,
     run_lasr,
     save_movie,
+    select_model,
     t_map,
 )
 from lasr import pipeline
@@ -101,6 +104,25 @@ class TestRunStatic:
         assert float(disk["before.threshold"]) > 0
         saved = load_movie(out / "before_registered.lasr")
         assert len(saved) == 3 and saved.shape == (24, 26)
+
+    def test_report_shows_the_chosen_mixture_fit(self, tmp_path):
+        before, after = session_pair()
+        cfg = quick_config(before, after, tmp_path / "run", candidates=(2, 3), seed=4)
+        report = run_lasr(cfg)
+        disk = read_report(tmp_path / "run" / "report.txt")
+        for which, session, index in (("before", before, cfg.before_segment),
+                                      ("after", after, cfg.after_segment)):
+            movie = session.segments[index][1]
+            ref = movie.frames[min(cfg.m0, len(movie) - 1)]
+            model = select_model(positive_samples(ref), cfg.candidates,
+                                 init=InitSpec(seed=cfg.seed))
+            assert report[f"{which}.mixture_m"] == model.m
+            assert report[f"{which}.mixture_loglik"] == model.loglik
+            assert report[f"{which}.mixture_converged"] == model.converged
+            assert report[f"{which}.mixture_n_iter"] == model.n_iter
+            assert disk[f"{which}.mixture_loglik"] == pipeline._fmt(model.loglik)
+            assert disk[f"{which}.mixture_converged"] == pipeline._fmt(model.converged)
+            assert int(disk[f"{which}.mixture_n_iter"]) == model.n_iter
 
     def test_rerun_is_byte_identical(self, tmp_path):
         before, after = session_pair()
@@ -356,6 +378,13 @@ class TestCli:
         rep = read_report(seg1 / "segment_report.txt")
         assert float(rep["threshold"]) > 0
         assert int(rep["mixture_m"]) >= 2
+        movie = load_movie(ph / "s1" / "seg0.lasr")
+        model = select_model(positive_samples(movie.frames[min(10, len(movie) - 1)]), (2, 3),
+                             init=InitSpec(seed=0))
+        assert int(rep["mixture_m"]) == model.m
+        assert rep["loglik"] == pipeline._fmt(model.loglik)
+        assert rep["converged"] == pipeline._fmt(model.converged)
+        assert int(rep["n_iter"]) == model.n_iter
         reg1 = tmp_path / "reg1"
         rc = cli_main(["register", "--in", str(seg1 / "segmented.lasr"), "--out", str(reg1)])
         assert rc == 0

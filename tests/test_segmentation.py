@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from lasr import (
     DataError,
     Frame,
@@ -21,6 +23,7 @@ from lasr import (
     segment_movie,
     select_model,
 )
+from lasr.segmentation import _logsumexp
 
 import _oracles as orc
 
@@ -204,6 +207,58 @@ class TestEm:
     def test_degenerate_inputs_rejected(self, x, m):
         with pytest.raises(DataError):
             fit_mixture(x, m)
+
+
+def assert_same_fit(model, ref):
+    w, mu, sd, ll, converged, n_iter, trace = ref
+    assert model.m == len(w)
+    assert (model.weights == w).all() and (model.means == mu).all() and (model.sds == sd).all()
+    assert model.loglik == ll and model.converged == converged and model.n_iter == n_iter
+    assert model.loglik_trace.shape == trace.shape and (model.loglik_trace == trace).all()
+
+
+class TestBatchedEm:
+    """The restarts run as one batch; every fit equals the one-by-one oracle bit for bit."""
+
+    SAMPLE = draw_mixture(np.random.default_rng(17), 400, [0.45, 0.35, 0.2], [0.0, 4.0, 9.0],
+                          [1.0, 1.3, 1.0])
+
+    @pytest.mark.parametrize("max_iter", [0, 3, 300])
+    @pytest.mark.parametrize("n_restarts", [0, 1, 5])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fit_equals_sequential_restarts(self, m, n_restarts, max_iter):
+        init = InitSpec(n_restarts=n_restarts, seed=m + 10 * n_restarts)
+        ref, iters = orc.em_reference(self.SAMPLE, m, n_restarts=n_restarts,
+                                      jitter=init.jitter, seed=init.seed, max_iter=max_iter)
+        if max_iter < 300:
+            assert not ref[4]  # every start stops unconverged
+        elif n_restarts == 5:
+            assert len(set(iters)) > 1  # starts leave the batch at different iterations
+        assert_same_fit(fit_mixture(self.SAMPLE, m, init=init, max_iter=max_iter), ref)
+
+    def test_point_mass_sample_equals_oracle(self):
+        x = np.array([1.0] * 100 + [9.0] * 100)
+        ref, _ = orc.em_reference(x, 2)
+        assert_same_fit(fit_mixture(x, 2), ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    def test_logsumexp_matches_scipy_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((4, 300, m)) * 10.0 ** rng.integers(-3, 4, (4, 300, 1))
+        a[0, :20] = np.round(a[0, :20])           # rounded rows: exact ties for the max
+        a[0, 20:40] = a[0, 20:40, :1]             # every term tied
+        # rows where scipy takes its non-finite fallback, and magnitudes near 1e308
+        a[1, :10] = -np.inf
+        a[1, 10:15, -1] = np.inf
+        if m > 1:
+            a[1, 15:20, 1:] = -np.inf
+            a[1, 20:25, 0] = -np.inf
+            a[1, 20:25, 1] = np.inf
+        a[1, 30:40] = rng.uniform(-1.0, 1.0, (10, m)) * 1.7e308
+        a[1, 40:50, 0] = 1.79e308
+        with np.errstate(over="ignore"):  # scipy's own shift overflows near 1e308
+            ref = logsumexp(a, axis=-1)
+        assert (_logsumexp(np.moveaxis(a, -1, 0)) == ref).all()
 
 
 class TestModelSelection:
