@@ -16,7 +16,16 @@ positive decimal.  Values are nonnegative decimals; they are written with
 representable at that precision.  The parser is strict: any deviation from
 the grammar (wrong row width, negative or non-numeric value, missing or
 extra separator line, trailing content) raises :class:`FormatError` with
-the offending line number.
+the offending line number.  A well-formed body is parsed a frame at a
+time; any deviation sends the file through a line walker that finds the
+first bad line.  The writers build one format string per call and apply
+it once per frame or map.
+
+A session directory is a ``session.txt`` manifest plus one movie file per
+segment.  ``lasr run`` checks the whole manifest (every segment needs a
+file entry and a known tag) but parses only the two segment files it
+compares, so a malformed movie file in an unselected segment does not fail
+a run; :func:`load_session` parses them all.
 
 Map images are written as plain (P2) PGM with maxval 255, and maps can
 also be dumped as one-line-per-row CSV.
@@ -136,6 +145,11 @@ class Movie:
         return np.stack([f.values for f in self.frames])
 
 
+def _check_tag(tag) -> None:
+    if tag not in SEGMENT_TAGS:
+        raise DataError(f"unknown segment tag {tag!r}; expected one of {SEGMENT_TAGS}")
+
+
 @dataclass(frozen=True)
 class SessionLayout:
     """A recording session: tagged movie segments from one subject."""
@@ -149,8 +163,7 @@ class SessionLayout:
         if not segs:
             raise DataError("session must contain at least one segment")
         for tag, movie in segs:
-            if tag not in SEGMENT_TAGS:
-                raise DataError(f"unknown segment tag {tag!r}; expected one of {SEGMENT_TAGS}")
+            _check_tag(tag)
             if not isinstance(movie, Movie):
                 raise DataError("segment payload must be a Movie")
         object.__setattr__(self, "segments", segs)
@@ -180,20 +193,38 @@ def _parse_header(line: str):
     return rows, cols, nframes, fps
 
 
-def load_movie(path, format: str = "lasr-text") -> Movie:
-    """Parse a movie file; strict about the grammar, never returns a partial movie."""
-    if format != "lasr-text":
-        raise DataError(f"unknown movie format {format!r}")
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
-    # a trailing newline produces one final empty chunk; drop only that one
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty file", line=1)
-    rows, cols, nframes, fps = _parse_header(lines[0])
+def _parse_fast(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarray]:
+    """The frame values of a well-formed body, or None to defer to the line walker.
 
-    frames = []
+    Accepts exactly what the walker accepts (same line layout, same
+    ``float`` tokens, finite and nonnegative), one frame per step.
+    """
+    step = rows + 1
+    if len(lines) != nframes * step:
+        return None
+    out = np.empty((nframes, rows * cols), dtype=np.float64)
+    for k in range(nframes):
+        start = k * step
+        if k > 0 and lines[start].strip() != "":
+            return None
+        tokens = []
+        for line in lines[start + 1:start + step]:
+            tok = line.split()
+            if len(tok) != cols:
+                return None
+            tokens += tok
+        try:
+            out[k] = list(map(float, tokens))
+        except ValueError:
+            return None
+    if not np.isfinite(out).all() or (out < 0).any():
+        return None
+    return out
+
+
+def _parse_walk(lines, rows: int, cols: int, nframes: int) -> list:
+    """Line-by-line parse that names the first offending line."""
+    grids = []
     ln = 1  # 1-based number of the last consumed line
     for k in range(nframes):
         if k > 0:
@@ -217,23 +248,46 @@ def load_movie(path, format: str = "lasr-text") -> Movie:
             if (row < 0).any():
                 raise FormatError("negative value", line=ln)
             grid[r] = row
-        frames.append(Frame(grid))
+        grids.append(grid)
     if ln < len(lines):
         raise FormatError("trailing content after last frame", line=ln + 1)
-    return Movie(tuple(frames), fps=fps)
+    return grids
+
+
+def load_movie(path, format: str = "lasr-text") -> Movie:
+    """Parse a movie file; strict about the grammar, never returns a partial movie."""
+    if format != "lasr-text":
+        raise DataError(f"unknown movie format {format!r}")
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    # a trailing newline produces one final empty chunk; drop only that one
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise FormatError("empty file", line=1)
+    rows, cols, nframes, fps = _parse_header(lines[0])
+    values = _parse_fast(lines, rows, cols, nframes)
+    if values is None:
+        grids = _parse_walk(lines, rows, cols, nframes)
+    else:
+        grids = values.reshape(nframes, rows, cols)
+    return Movie(tuple(Frame(g) for g in grids), fps=fps)
+
+
+def _row_format(spec: str, sep: str, cols: int) -> str:
+    return sep.join([spec] * cols) + "\n"
 
 
 def save_movie(movie: Movie, path) -> None:
     """Write a movie in the text format (values at 6 significant digits)."""
     rows, cols = movie.shape
-    out = ["%s %d %d %d %s" % (_MAGIC, rows, cols, len(movie), "%g" % movie.fps)]
-    for k, f in enumerate(movie.frames):
-        if k > 0:
-            out.append("")
-        for r in range(rows):
-            out.append(" ".join(_VALUE_FMT % v for v in f.values[r]))
+    frame_fmt = _row_format(_VALUE_FMT, " ", cols) * rows
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("%s %d %d %d %s\n" % (_MAGIC, rows, cols, len(movie), "%g" % movie.fps))
+        for k, f in enumerate(movie.frames):
+            if k > 0:
+                fh.write("\n")
+            fh.write(frame_fmt % tuple(f.values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +322,9 @@ def save_map_image(frame_or_values, path, scale: str = "unit-interval") -> None:
         raise DataError(f"unknown PGM scale {scale!r}")
     pix = np.floor(255.0 * scaled + 0.5).astype(np.int64)
     rows, cols = v.shape
-    out = ["P2", f"{cols} {rows}", "255"]
-    for r in range(rows):
-        out.append(" ".join(str(p) for p in pix[r]))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("P2\n%d %d\n255\n" % (cols, rows))
+        fh.write((_row_format("%d", " ", cols) * rows) % tuple(pix.ravel().tolist()))
 
 
 def save_map_csv(values, path) -> None:
@@ -281,8 +333,7 @@ def save_map_csv(values, path) -> None:
     if v.ndim != 2:
         raise DataError("map must be 2-D")
     with open(path, "w", encoding="ascii") as fh:
-        for r in range(v.shape[0]):
-            fh.write(",".join("%.10g" % x for x in v[r]) + "\n")
+        fh.write((_row_format("%.10g", ",", v.shape[1]) * v.shape[0]) % tuple(v.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +354,12 @@ def save_session(layout: SessionLayout, directory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_session(directory) -> SessionLayout:
-    """Read a session directory written by :func:`save_session`."""
+def _manifest(directory):
+    """Check ``session.txt`` and list its segments without parsing any movie.
+
+    Returns ``([(tag, path), ...], session_id, subject_id)``; every declared
+    segment must have a file entry and a known tag.
+    """
     manifest = os.path.join(directory, "session.txt")
     if not os.path.isfile(manifest):
         raise DataError(f"no session.txt in {directory}")
@@ -318,19 +373,26 @@ def load_session(directory) -> SessionLayout:
                 raise FormatError("expected 'key = value'", line=ln)
             key, _, val = line.partition("=")
             kv[key.strip()] = val.strip()
-    segments = []
+    entries = []
     k = 0
     while f"segment.{k}.tag" in kv:
         tag = kv[f"segment.{k}.tag"]
         fname = kv.get(f"segment.{k}.file")
         if fname is None:
             raise DataError(f"segment {k} has a tag but no file entry")
-        segments.append((tag, load_movie(os.path.join(directory, fname))))
+        _check_tag(tag)
+        entries.append((tag, os.path.join(directory, fname)))
         k += 1
-    if not segments:
+    if not entries:
         raise DataError(f"session.txt in {directory} declares no segments")
-    return SessionLayout(tuple(segments), session_id=kv.get("session_id", ""),
-                         subject_id=kv.get("subject_id", ""))
+    return entries, kv.get("session_id", ""), kv.get("subject_id", "")
+
+
+def load_session(directory) -> SessionLayout:
+    """Read a session directory written by :func:`save_session`."""
+    entries, session_id, subject_id = _manifest(directory)
+    return SessionLayout(tuple((tag, load_movie(path)) for tag, path in entries),
+                         session_id=session_id, subject_id=subject_id)
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,11 @@ def _write_report(report: dict, path: str) -> None:
             fh.write(f"{k} = {_fmt(v)}\n")
 
 
-def _select_segment(layout: fr.SessionLayout, index: int, which: str):
-    n = len(layout.segments)
+def _select_segment(segments: Sequence, index: int, which: str):
+    n = len(segments)
     if not (-n <= index < n):
         raise DataError(f"{which} segment index {index} out of range for {n} segments")
-    return layout.segments[index]
+    return segments[index]
 
 
 def _mean_movie(movie: fr.Movie) -> fr.Movie:
@@ -249,12 +249,16 @@ def run_lasr(config: RunConfig) -> dict:
         cfg = _validate(config)
 
         out.stage = "load"
-        sessions = {}
+        picked = {}
         for which in ("before", "after"):
-            src = getattr(cfg, which)
-            sessions[which] = fr.load_session(src) if isinstance(src, str) else src
-        tag_b, movie_b = _select_segment(sessions["before"], cfg.before_segment, "before")
-        tag_a, movie_a = _select_segment(sessions["after"], cfg.after_segment, "after")
+            src, index = getattr(cfg, which), getattr(cfg, f"{which}_segment")
+            if isinstance(src, str):
+                # the whole manifest is checked, but only the compared movie is parsed
+                tag, path = _select_segment(fr._manifest(src)[0], index, which)
+                picked[which] = (tag, fr.load_movie(path))
+            else:
+                picked[which] = _select_segment(src.segments, index, which)
+        (tag_b, movie_b), (tag_a, movie_a) = picked["before"], picked["after"]
         if movie_b.shape != movie_a.shape:
             raise DataError("before/after frame dimensions differ")
         dynamic = (tag_b == "Stim" and tag_a == "Stim") if cfg.mode == "auto" else cfg.mode == "dynamic"

@@ -322,3 +322,94 @@ def bh_oracle(pvals, q, mode="bh"):
     rejected[order[:k]] = True
     critical = k * q / (m * c) if k else 0.0
     return rejected, float(critical)
+
+
+# ---------------------------------------------------------------------------
+# text formats
+# ---------------------------------------------------------------------------
+
+
+def save_movie_reference(stack, fps, path):
+    """Movie text writer, one ``%`` format per value; ``stack`` is (n, rows, cols)."""
+    nframes, rows, cols = stack.shape
+    out = ["%s %d %d %d %s" % ("LASR1", rows, cols, nframes, "%g" % fps)]
+    for k in range(nframes):
+        if k > 0:
+            out.append("")
+        for r in range(rows):
+            out.append(" ".join("%.6g" % v for v in stack[k, r]))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def save_map_csv_reference(values, path):
+    with open(path, "w", encoding="ascii") as fh:
+        for r in range(values.shape[0]):
+            fh.write(",".join("%.10g" % x for x in values[r]) + "\n")
+
+
+def save_map_image_reference(values, path, scale="unit-interval"):
+    """Plain PGM writer for valid input, one ``str`` per pixel."""
+    if scale == "max-normalized":
+        mx = values.max()
+        values = values / mx if mx > 0 else np.zeros_like(values)
+    pix = np.floor(255.0 * values + 0.5).astype(np.int64)
+    rows, cols = values.shape
+    out = ["P2", f"{cols} {rows}", "255"]
+    for r in range(rows):
+        out.append(" ".join(str(p) for p in pix[r]))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+class ParseError(Exception):
+    def __init__(self, message, line):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def parse_reference(text):
+    """Line walker for the movie text format: ``(stack, fps)`` or ParseError."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty file", 1)
+    tok = lines[0].split()
+    if len(tok) != 5 or tok[0] != "LASR1":
+        raise ParseError("expected 'LASR1 <rows> <cols> <nframes> <fps>'", 1)
+    try:
+        rows, cols, nframes = int(tok[1]), int(tok[2]), int(tok[3])
+        fps = float(tok[4])
+    except ValueError:
+        raise ParseError("header fields must be numeric", 1) from None
+    if rows <= 0 or cols <= 0 or nframes <= 0:
+        raise ParseError("rows, cols and nframes must be positive", 1)
+    if not (math.isfinite(fps) and fps > 0):
+        raise ParseError("fps must be a positive finite number", 1)
+    stack = np.empty((nframes, rows, cols))
+    ln = 1
+    for k in range(nframes):
+        if k > 0:
+            ln += 1
+            if ln > len(lines) or lines[ln - 1].strip() != "":
+                raise ParseError("expected blank line between frames", min(ln, len(lines) + 1))
+        for r in range(rows):
+            ln += 1
+            if ln > len(lines):
+                raise ParseError(f"unexpected end of file in frame {k}", len(lines) + 1)
+            tok = lines[ln - 1].split()
+            if len(tok) != cols:
+                raise ParseError(f"expected {cols} values, got {len(tok)}", ln)
+            try:
+                row = [float(t) for t in tok]
+            except ValueError:
+                raise ParseError("non-numeric value", ln) from None
+            if not all(math.isfinite(x) for x in row):
+                raise ParseError("non-finite value", ln)
+            if any(x < 0 for x in row):
+                raise ParseError("negative value", ln)
+            stack[k, r] = row
+    if ln < len(lines):
+        raise ParseError("trailing content after last frame", ln + 1)
+    return stack, fps

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import _oracles
+from lasr import frames as fr
 from lasr import (
     DataError,
     Frame,
@@ -186,6 +188,148 @@ class TestParserErrors:
         p = write(tmp_path, "LASR1 2 2 2 1\n1 2\n3 4\n\n5 6\nbroken!\n")
         with pytest.raises(FormatError):
             load_movie(p)
+
+
+# every value of these kinds must come out of the one-format-per-frame
+# writers exactly as out of the per-value reference writers
+FORMAT_PROBES = [0.0, -0.0, 1.0, 7.0, 250.0, 1e-300, 1e300, 5e-324,
+                 1.2345649999, 1.2345650001, 0.99999951, 999999.5, 1234567.0,
+                 1.234567890449, 1.234567890551, 9.9999999995, 1e-5, 0.5, 0.125]
+
+
+def probe_grid(rng, rows, cols, probes=FORMAT_PROBES, start=0):
+    """A rows x cols grid of the probe values from ``start`` on, then random ones."""
+    n = rows * cols
+    head = np.roll(np.asarray(probes, dtype=float), -start)[:n]
+    tail = rng.uniform(0.0, 9.0, n - head.size) * 10.0 ** rng.integers(-3, 4, n - head.size)
+    return np.concatenate([head, tail]).reshape(rows, cols)
+
+
+def starts(shape, probes):
+    """Probe offsets that together put every probe into a grid of ``shape``."""
+    return range(0, len(probes), shape[0] * shape[1])
+
+
+GRID_SHAPES = [(1, 1), (1, 7), (7, 1), (38, 41)]
+CSV_PROBES = [np.nan, -3.5, -1e300, -0.0, -1.2345650001] + FORMAT_PROBES
+UNIT_PROBES = [0.0, -0.0, 1.0, 0.5, 1 / 510, 0.5 / 255, 1.5 / 255, 1e-300, 0.99999]
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_save_movie(self, tmp_path, shape, n):
+        rng = np.random.default_rng(n * 100 + shape[1])
+        for s0 in starts(shape, FORMAT_PROBES):
+            stack = np.stack([probe_grid(rng, *shape, start=s0 + k * shape[0] * shape[1])
+                              for k in range(n)])
+            save_movie(Movie(tuple(Frame(g) for g in stack), fps=12.5), tmp_path / "new.lasr")
+            _oracles.save_movie_reference(stack, 12.5, tmp_path / "ref.lasr")
+            assert (tmp_path / "new.lasr").read_bytes() == (tmp_path / "ref.lasr").read_bytes()
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_save_map_csv(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for s0 in starts(shape, CSV_PROBES):
+            v = probe_grid(rng, *shape, probes=CSV_PROBES, start=s0)
+            if v.size > len(CSV_PROBES):
+                v[rng.random(shape) < 0.2] = np.nan  # off-mask pixels of a t-map
+            save_map_csv(v, tmp_path / "new.csv")
+            _oracles.save_map_csv_reference(v, tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    @pytest.mark.parametrize("scale", ["unit-interval", "max-normalized"])
+    def test_save_map_image(self, tmp_path, shape, scale):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        probes = UNIT_PROBES if scale == "unit-interval" else FORMAT_PROBES
+        for s0 in starts(shape, probes):
+            v = probe_grid(rng, *shape, probes=probes, start=s0)
+            if scale == "unit-interval":
+                v = np.where(v > 1.0, rng.random(shape), v)
+            save_map_image(v, tmp_path / "new.pgm", scale=scale)
+            _oracles.save_map_image_reference(v, tmp_path / "ref.pgm", scale=scale)
+            assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
+def body(*frames, sep="\n", eol="\n"):
+    """Movie text from frames given as lists of row strings."""
+    blocks = [eol.join(rows) for rows in frames]
+    return (eol + sep + eol).join(blocks) + eol
+
+
+HEAD = "LASR1 2 3 2 2.5\n"
+F1 = ["1 2 3", "4 5 6"]
+F2 = ["7 8 9", "10 11 12"]
+LONG = "LASR1 3 4 6 1\n" + body(*[[" ".join(str(k * 12 + r * 4 + c) for c in range(4))
+                                  for r in range(3)] for k in range(6)], sep="")
+
+
+def last_frame_broken(token):
+    lines = LONG.split("\n")
+    lines[-2] = lines[-2].rsplit(" ", 1)[0] + " " + token
+    return "\n".join(lines)
+
+
+# The reader opens files in text mode, so "\r\n" and a lone "\r" end a line;
+# read_text hands the reference the same lines.
+WELL_FORMED = {
+    "plain": HEAD + body(F1, F2, sep=""),
+    "spaces-separator": HEAD + body(F1, F2, sep="   "),
+    "tab-separator": HEAD + body(F1, F2, sep="\t \t"),
+    "cr-separator": HEAD + body(F1, F2, sep="\r"),
+    "tab-values": HEAD + body(["1\t2\t3", "4 \t5\t\t6"], F2, sep=""),
+    "crlf": HEAD.replace("\n", "\r\n") + body(F1, F2, sep="", eol="\r\n"),
+    "padded-rows": HEAD + body(["  1 2 3  ", "\t4 5 6"], F2, sep=""),
+    "tokens": HEAD + body(["+1 1e3 .5", "5. 1_0 -0"], ["0 -0.0 1E-3", "+.5 00 1_0.5"], sep=""),
+    "no-final-newline": (HEAD + body(F1, F2, sep=""))[:-1],
+    "long": LONG,
+}
+
+MALFORMED = {
+    "cr-space-separator": HEAD + body(F1, F2, sep=" \r "),
+    "bad-tokens": HEAD + body(["+1 1e3 .5", "5. 1_0 -0"], ["0 -0.0 1E-3", "+.5 0x1 1__0"], sep=""),
+    "last-frame-nan": last_frame_broken("nan"),
+    "last-frame-negative": last_frame_broken("-2"),
+    "last-frame-word": last_frame_broken("x1"),
+    "last-frame-short": last_frame_broken(""),
+    "last-frame-long": last_frame_broken("1 2"),
+    "last-frame-inf": last_frame_broken("1e999"),
+    "missing-separator": HEAD + "\n".join(F1 + F2) + "\n",
+    "separator-not-blank": HEAD + body(F1, F2, sep=" . "),
+    "truncated": HEAD + body(F1, F2[:1], sep=""),
+    "trailing-blank": HEAD + body(F1, F2, sep="") + "\n",
+    "trailing-row": HEAD + body(F1, F2, sep="") + "1 2 3\n",
+    "two-trailing-newlines": LONG + "\n\n",
+    "blank-row": HEAD + body(F1, ["", "10 11 12"], sep=""),
+    "token-moved-to-next-row": HEAD + body(F1, ["7 8 9 10", "11 12"], sep=""),
+}
+
+
+class TestParserMatchesReference:
+    @pytest.mark.parametrize("name", sorted(WELL_FORMED))
+    def test_same_movie_without_the_line_walker(self, tmp_path, monkeypatch, name):
+        def walker(*args):
+            raise AssertionError("line walker used on a well-formed file")
+
+        p = tmp_path / "m.lasr"
+        p.write_bytes(WELL_FORMED[name].encode("ascii"))
+        ref_stack, ref_fps = _oracles.parse_reference(p.read_text(encoding="ascii"))
+        monkeypatch.setattr(fr, "_parse_walk", walker)
+        movie = load_movie(p)
+        assert movie.fps == ref_fps
+        assert movie.stack().tobytes() == ref_stack.tobytes()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_same_error(self, tmp_path, name):
+        p = tmp_path / "m.lasr"
+        p.write_bytes(MALFORMED[name].encode("ascii"))
+        with pytest.raises(_oracles.ParseError) as ref:
+            _oracles.parse_reference(p.read_text(encoding="ascii"))
+        with pytest.raises(FormatError) as err:
+            load_movie(p)
+        assert err.value.line == ref.value.line
+        assert str(err.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from lasr import (
     ConfigError,
     DataError,
     FdrConfig,
+    FormatError,
     Frame,
     InitSpec,
     Movie,
@@ -29,6 +30,7 @@ from lasr import (
     positive_samples,
     run_lasr,
     save_movie,
+    save_session,
     select_model,
     t_map,
 )
@@ -233,6 +235,73 @@ class TestRunFailures:
         assert isinstance(exc.value.cause, NumericError)
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert sentinel.read_text() == "untouched"
+
+
+class TestSelectedSegmentLoading:
+    """A session directory is parsed only for the segment the run compares."""
+
+    def saved_pair(self, tmp_path):
+        before, after = session_pair()
+        for name, layout in (("s1", before), ("s2", after)):
+            save_session(layout, tmp_path / name)
+        return tmp_path / "s1", tmp_path / "s2"
+
+    def test_unselected_segments_are_not_parsed(self, tmp_path):
+        s1, s2 = self.saved_pair(tmp_path)
+        intact = tmp_path / "intact"
+        run_lasr(quick_config(str(s1), str(s2), intact))
+        # defaults compare segment 0 before and segment -1 (seg2) after
+        (s1 / "seg1.lasr").write_text("LASR1 2 2 1 1\n1 2\nbroken\n")
+        (s1 / "seg2.lasr").unlink()
+        (s2 / "seg0.lasr").write_text("")
+        (s2 / "seg1.lasr").unlink()
+        damaged = tmp_path / "damaged"
+        run_lasr(quick_config(str(s1), str(s2), damaged))
+        want, got = tree_bytes(intact), tree_bytes(damaged)
+        assert sorted(want) == sorted(got) and len(want) > 5
+        for name in want:
+            if name != "report.txt":
+                assert got[name] == want[name], name
+        paths = ("before.path", "after.path")
+        a, b = read_report(intact / "report.txt"), read_report(damaged / "report.txt")
+        assert {k: v for k, v in a.items() if k not in paths} == \
+            {k: v for k, v in b.items() if k not in paths}
+
+    def test_corrupt_selected_segment_fails_at_load_with_its_line(self, tmp_path):
+        s1, s2 = self.saved_pair(tmp_path)
+        lines = (s2 / "seg2.lasr").read_text().split("\n")
+        lines[4] = lines[4].replace(" ", " oops ", 1)
+        (s2 / "seg2.lasr").write_text("\n".join(lines))
+        with pytest.raises(StageError) as exc:
+            run_lasr(quick_config(str(s1), str(s2), tmp_path / "x"))
+        assert exc.value.stage == "load"
+        assert isinstance(exc.value.cause, FormatError)
+        assert exc.value.cause.line == 5
+        assert str(exc.value.cause) == "line 5: expected 26 values, got 27"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (("segment.1.tag = Stim", "segment.1.tag = Warmup"),
+         "unknown segment tag 'Warmup'; expected one of ('NoStim', 'Stim')"),
+        (("segment.1.file = seg1.lasr\n", ""), "segment 1 has a tag but no file entry"),
+    ])
+    def test_manifest_is_checked_in_full(self, tmp_path, edit, message):
+        s1, s2 = self.saved_pair(tmp_path)
+        manifest = s1 / "session.txt"
+        assert edit[0] in manifest.read_text()
+        manifest.write_text(manifest.read_text().replace(*edit))
+        with pytest.raises(StageError) as exc:
+            run_lasr(quick_config(str(s1), str(s2), tmp_path / "x"))
+        assert exc.value.stage == "load"
+        assert type(exc.value.cause) is DataError
+        assert str(exc.value.cause) == message
+
+    def test_segment_index_out_of_range_on_a_directory(self, tmp_path):
+        s1, s2 = self.saved_pair(tmp_path)
+        with pytest.raises(StageError) as exc:
+            run_lasr(quick_config(str(s1), str(s2), tmp_path / "x", after_segment=3))
+        assert exc.value.stage == "load"
+        assert str(exc.value.cause) == "after segment index 3 out of range for 3 segments"
 
 
 class TestCompareMovies:
