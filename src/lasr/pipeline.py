@@ -3,11 +3,13 @@
 A run compares one movie segment from a "before" session against one from
 an "after" session: segment each movie (mixture threshold from its first
 stable frame, majority-vote sitting region for the whole segment),
-self-register every frame, optionally align the movies in time (dynamic
-mode, when both selected segments are stimulation blocks),
-then difference paired frames, smooth, and screen the t-map at FDR level
-q.  Every artifact lands in the output directory together with a
-line-oriented ``report.txt`` of thresholds, transforms, lag, smoothing
+self-register every frame (one SRLP transform per group of frames sharing
+a support mask and quarter turn; the result is the per-frame result),
+optionally align the movies in time (dynamic mode, when both selected
+segments are stimulation blocks), then difference paired frames, smooth
+(one fit and one stacked t/p pass per run of pairs on one mask), and
+screen each pair's t-map at FDR level q.  Every artifact lands in the
+output directory together with a line-oriented ``report.txt`` of thresholds, transforms, lag, smoothing
 traces, and rejection counts.  Runs are deterministic given the
 configuration and seed; on failure, partially written outputs are removed
 and the failing stage is named.
@@ -111,9 +113,10 @@ def _mean_movie(movie: fr.Movie) -> fr.Movie:
     return fr.Movie((fr.Frame(movie.stack().mean(axis=0)),), fps=movie.fps)
 
 
-def _consensus_region(movie: fr.Movie, t: float) -> np.ndarray:
-    """One sitting region for a whole segment: majority vote of the
-    per-frame thresholded masks, then the largest 4-connected component.
+def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
+    """One sitting region for a whole (frames, rows, cols) segment: majority
+    vote of the per-frame thresholded masks, then the largest 4-connected
+    component.
 
     Per-frame masks flicker at the contact rim and the occasional noise
     pixel pops above the cut; a stray supported column would tilt the
@@ -121,10 +124,7 @@ def _consensus_region(movie: fr.Movie, t: float) -> np.ndarray:
     column).  The sitting region cannot move between frames of one
     segment, so the vote pins it down once.
     """
-    votes = np.zeros(movie.shape, dtype=np.int64)
-    for f in movie.frames:
-        votes += f.values > t
-    region = votes * 2 > len(movie)
+    region = (stack > t).sum(axis=0) * 2 > len(stack)
     labels, n = ndimage.label(region)
     if n > 1:
         sizes = np.bincount(labels.ravel())[1:]
@@ -134,10 +134,10 @@ def _consensus_region(movie: fr.Movie, t: float) -> np.ndarray:
 
 def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     """Zero everything outside the consensus sitting region of the movie."""
-    region = _consensus_region(movie, t)
-    frames = tuple(fr.with_positive_mask(fr.Frame(np.where(region, f.values, 0.0)))
-                   for f in movie.frames)
-    return fr.Movie(frames, fps=movie.fps)
+    stack = movie.stack()
+    cut = np.where(_consensus_region(stack, t), stack, 0.0)
+    del stack
+    return fr.Movie(tuple(fr.with_positive_mask(fr.Frame(v)) for v in cut), fps=movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
@@ -150,11 +150,31 @@ def _segment_movie(movie: fr.Movie, cfg: RunConfig):
 
 
 def _register_movie(movie: fr.Movie):
-    out, transforms = [], []
-    for f in movie.frames:
-        g, t = reg.srlp_register(f)
-        out.append(g)
-        transforms.append(t)
+    """SRLP-register every frame; returns the movie and the per-frame transforms.
+
+    A frame's transform depends only on its support mask and quarter turn,
+    so ``srlp_register`` runs once per (turn, mask) group, on the group's
+    first frame, and the group's other frames are resampled with its
+    transform in one pass.  Frames, masks, transforms and errors equal
+    those of ``srlp_register`` applied frame by frame: the first failing
+    frame raises.
+    """
+    out, transforms = [None] * len(movie), [None] * len(movie)
+    groups = {}  # (turn, mask bytes) -> (transform, indices of the later frames)
+    for i, f in enumerate(movie.frames):
+        key = (reg._quarter_turns(f), f.support_mask.tobytes())
+        if key in groups:
+            groups[key][1].append(i)
+        else:
+            out[i], t = reg.srlp_register(f)
+            groups[key] = (t, [])
+        transforms[i] = groups[key][0]
+    for t, idx in groups.values():
+        if idx:
+            values, mask = reg._resample(np.stack([movie[i].values for i in idx]),
+                                         movie[idx[0]].support_mask, t)
+            for i, v in zip(idx, values):
+                out[i] = fr.Frame(v, support_mask=mask, signed=movie[i].signed)
     return fr.Movie(tuple(out), fps=movie.fps), transforms
 
 
@@ -208,39 +228,49 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     pair's maps and report keys.  Frame k of one movie pairs with frame k of
     the other; ``first`` holds the source frame numbers of pair 0.  The
     smoother (rim padding included) depends only on the support mask, which
-    all pairs of a segment share, so a pair reuses the previous pair's fit
-    on an equal mask.
+    all pairs of a segment share, so each run of consecutive pairs on one
+    mask gets one fit and one stacked t/p pass; the step-up screen stays per
+    pair.  Maps, report keys and errors equal those of the per-pair chain:
+    the first failing pair raises.
     """
     pairs = list(zip(before.frames, after.frames))
     report["n_pairs"] = len(pairs)
     fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
-    fit = None
+
+    def emit_run(start, fit, diffs):
+        sigma, tmaps, pgrids = ssm._stacked_tests(
+            fit, np.stack([d.values[fit.mask] for d in diffs]), cfg.two_sided)
+        for k, (diff, s, tmap, pvals) in enumerate(zip(diffs, sigma, tmaps, pgrids), start):
+            rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
+            rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
+            rej_grid[tmap.mask] = rejected
+            pmap = ssm.fdr_map(pvals, rej_grid, critical)
+            report.update({
+                f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
+                f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
+                f"pair.{k}.df": tmap.df, f"pair.{k}.sigma_hat": float(s),
+                f"pair.{k}.critical_p": pmap.critical_p, f"pair.{k}.n_rejected": pmap.n_rejected,
+                f"pair.{k}.n_pixels": int(tmap.mask.sum()),
+            })
+            base = f"pair{k:04d}"
+            out.emit(f"{base}_diff.csv", fr.save_map_csv, diff.values)
+            out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
+            out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
+            out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
+
+    fit, start, diffs = None, 0, []
     for k, (b, a) in enumerate(pairs):
         diff = ssm.difference_map(a, b)
+        if fit is not None and np.array_equal(fit.mask, diff.support_mask):
+            diffs.append(diff)
+            continue
+        if diffs:
+            emit_run(start, fit, diffs)
         if not diff.support_mask.any():
             raise DataError("registered supports do not overlap")
-        if fit is not None and np.array_equal(fit.mask, diff.support_mask):
-            fit = ssm.refit(fit, diff)
-        else:
-            fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
-        tmap = ssm.t_map(fit)
-        pvals = ssm.p_map(tmap, two_sided=cfg.two_sided)
-        rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
-        rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
-        rej_grid[tmap.mask] = rejected
-        pmap = ssm.fdr_map(pvals, rej_grid, critical)
-        report.update({
-            f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
-            f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
-            f"pair.{k}.df": tmap.df, f"pair.{k}.sigma_hat": fit.sigma_hat,
-            f"pair.{k}.critical_p": pmap.critical_p, f"pair.{k}.n_rejected": pmap.n_rejected,
-            f"pair.{k}.n_pixels": int(tmap.mask.sum()),
-        })
-        base = f"pair{k:04d}"
-        out.emit(f"{base}_diff.csv", fr.save_map_csv, diff.values)
-        out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
-        out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
-        out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
+        fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
+        start, diffs = k, [diff]
+    emit_run(start, fit, diffs)
 
 
 def run_lasr(config: RunConfig) -> dict:

@@ -16,7 +16,10 @@ poses of one object land in the same place.  Frames whose support is
 taller than wide, or whose intensity
 mass sits toward high columns, are first brought to the canonical
 orientation by an exact quarter-turn, so 90/180-degree posture changes
-register to the same pose.
+register to the same pose.  The transform depends on a frame's values
+only through that quarter turn, so the frames of a segment, which share
+one support mask, are registered by one transform per (mask, turn) group
+and one stacked resampling; the result is the per-frame result.
 
 ICR aligns two movies in time by the average frame correlation
 
@@ -191,6 +194,10 @@ def _quarter_turns(frame: Frame) -> int:
     intensity mass is put toward low columns (possibly 2 more turns).
     """
     mask = frame.support_mask
+    if mask is None:
+        raise DataError("frame has no support mask; segment it first")
+    if not mask.any():
+        raise DataError("empty support")
     rr, cc = np.nonzero(mask)
     k = 1 if (rr.max() - rr.min()) > (cc.max() - cc.min()) else 0
     vals = np.rot90(frame.values, k) if k else frame.values
@@ -221,12 +228,9 @@ def srlp_params(frame: Frame) -> RigidTransform:
     rows/2, with the midline's endpoint (its value at the last supported
     column) moved to the last image column.  A frame whose midline is
     already horizontal at rows/2 and ends at the image edge gets the
-    identity transform.
+    identity transform.  It depends on the frame's values only through the
+    quarter turn, so frames sharing a support mask and a turn share it.
     """
-    if frame.support_mask is None:
-        raise DataError("frame has no support mask; segment it first")
-    if not frame.support_mask.any():
-        raise DataError("empty support")
     k = _quarter_turns(frame)
     if k:
         turn, _ = _turn_transform(frame.shape, k)
@@ -250,16 +254,18 @@ def srlp_params(frame: Frame) -> RigidTransform:
     return compose(reg, turn) if turn is not None else reg
 
 
-def apply_rigid(frame: Frame, t: RigidTransform, interp: str = "bilinear") -> Frame:
-    """Resample a frame under a rigid transform (inverse mapping).
+def _resample(stack: np.ndarray, mask: Optional[np.ndarray], t: RigidTransform,
+              interp: str = "bilinear") -> Tuple[np.ndarray, np.ndarray]:
+    """Resample a (frames, rows, cols) stack sharing one support mask (or
+    none) under one rigid transform; returns the stack and its new mask.
 
-    Output pixels whose source coordinate falls outside the input domain
-    are zero and excluded from the support mask; regions leaving the
-    canvas are chopped.  ``interp`` is "bilinear" or "nearest".
+    The sample coordinates and interpolation weights are computed once and
+    applied to every frame, each frame getting exactly the arithmetic a
+    lone frame would.
     """
     if interp not in ("bilinear", "nearest"):
         raise DataError(f"unknown interpolation {interp!r}")
-    rows, cols = frame.shape
+    _, rows, cols = stack.shape
     inv = t.inverse()
     rr, cc = np.meshgrid(np.arange(rows, dtype=np.float64),
                          np.arange(cols, dtype=np.float64), indexing="ij")
@@ -272,8 +278,9 @@ def apply_rigid(frame: Frame, t: RigidTransform, interp: str = "bilinear") -> Fr
     in_dom = (sr >= -eps) & (sr <= rows - 1 + eps) & (sc >= -eps) & (sc <= cols - 1 + eps)
     sr_c = np.clip(sr, 0, rows - 1)
     sc_c = np.clip(sc, 0, cols - 1)
+    rn = np.clip(np.rint(sr_c).astype(np.intp), 0, rows - 1)
+    cn = np.clip(np.rint(sc_c).astype(np.intp), 0, cols - 1)
 
-    v = frame.values
     if interp == "bilinear":
         r0 = np.clip(np.floor(sr_c).astype(np.intp), 0, max(rows - 2, 0))
         c0 = np.clip(np.floor(sc_c).astype(np.intp), 0, max(cols - 2, 0))
@@ -281,21 +288,24 @@ def apply_rigid(frame: Frame, t: RigidTransform, interp: str = "bilinear") -> Fr
         c1 = np.minimum(c0 + 1, cols - 1)
         fr = sr_c - r0
         fc = sc_c - c0
-        out = ((1 - fr) * (1 - fc) * v[r0, c0] + (1 - fr) * fc * v[r0, c1]
-               + fr * (1 - fc) * v[r1, c0] + fr * fc * v[r1, c1])
+        out = ((1 - fr) * (1 - fc) * stack[:, r0, c0] + (1 - fr) * fc * stack[:, r0, c1]
+               + fr * (1 - fc) * stack[:, r1, c0] + fr * fc * stack[:, r1, c1])
     else:
-        rn = np.clip(np.rint(sr_c).astype(np.intp), 0, rows - 1)
-        cn = np.clip(np.rint(sc_c).astype(np.intp), 0, cols - 1)
-        out = v[rn, cn]
+        out = stack[:, rn, cn]
 
-    if frame.support_mask is not None:
-        rn = np.clip(np.rint(sr_c).astype(np.intp), 0, rows - 1)
-        cn = np.clip(np.rint(sc_c).astype(np.intp), 0, cols - 1)
-        mask = in_dom & frame.support_mask[rn, cn]
-    else:
-        mask = in_dom
-    out = np.where(mask, out, 0.0)
-    return Frame(out, support_mask=mask, signed=frame.signed)
+    out_mask = in_dom & mask[rn, cn] if mask is not None else in_dom
+    return np.where(out_mask, out, 0.0), out_mask
+
+
+def apply_rigid(frame: Frame, t: RigidTransform, interp: str = "bilinear") -> Frame:
+    """Resample a frame under a rigid transform (inverse mapping).
+
+    Output pixels whose source coordinate falls outside the input domain
+    are zero and excluded from the support mask; regions leaving the
+    canvas are chopped.  ``interp`` is "bilinear" or "nearest".
+    """
+    out, mask = _resample(frame.values[None], frame.support_mask, t, interp)
+    return Frame(out[0], support_mask=mask, signed=frame.signed)
 
 
 def srlp_register(frame: Frame, interp: str = "bilinear") -> Tuple[Frame, RigidTransform]:

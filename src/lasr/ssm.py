@@ -29,6 +29,7 @@ residuals, traces and ||p(x)|| count only the independent support values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -332,6 +333,32 @@ def t_map(fit: SmoothFit) -> TMap:
     return TMap(vals, float(d1 * d1 / d2), fit.mask.copy())
 
 
+def _stacked_tests(fit: SmoothFit, Y: np.ndarray,
+                   two_sided: bool = False) -> Tuple[np.ndarray, list, np.ndarray]:
+    """``refit`` -> ``t_map`` -> ``p_map`` for a stack of maps on ``fit.mask``.
+
+    Row j of ``Y`` holds map j's values at ``fit.pixels``.  Returns each
+    map's sigma_hat, its TMap and its p-value grid (NaN off the mask), each
+    equal bit for bit to the one-map chain, and raises that chain's error
+    for the first map that fails.  Every map shares the fit's df, so one
+    ``sf`` call serves the whole stack.
+    """
+    d1, d2 = degrees_of_freedom(fit)
+    m_hat = fit.hat @ Y.T                  # column j equals fit.hat @ Y[j]
+    resid = Y - m_hat.T                    # contiguous rows: the dot refit takes
+    sigma = np.sqrt(np.array([r @ r for r in resid]) / fit.delta1)
+    if (sigma == 0.0).any():
+        raise NumericError("sigma_hat is zero (noiseless data); no t-map produced")
+    df = float(d1 * d1 / d2)
+    t = m_hat.T / (sigma[:, None] * fit.hat_norm[fit.mask])
+    p = 2.0 * student_t.sf(np.abs(t), df=df) if two_sided else student_t.sf(t, df=df)
+    tgrid = np.full((Y.shape[0],) + fit.mask.shape, np.nan)
+    tgrid[:, fit.mask] = t
+    pgrid = np.full(tgrid.shape, np.nan)
+    pgrid[:, fit.mask] = p
+    return sigma, [TMap(v, df, fit.mask) for v in tgrid], pgrid
+
+
 def restrict_tmap(tmap: TMap, mask: np.ndarray) -> TMap:
     """Chop a t-map to a sub-mask (drops padded rim estimates)."""
     mask = np.asarray(mask, dtype=bool)
@@ -354,6 +381,12 @@ def p_map(tmap: TMap, two_sided: bool = False) -> np.ndarray:
     return p
 
 
+@functools.lru_cache(maxsize=64)
+def _by_constant(m: int) -> float:
+    """The Benjamini-Yekutieli constant sum_{i=1}^m 1/i, summed once per m."""
+    return math.fsum(1.0 / i for i in range(1, m + 1))
+
+
 def bh_adjust(pvalues, config: FdrConfig = FdrConfig()) -> Tuple[np.ndarray, float]:
     """Step-up FDR screen; returns (rejected mask, critical p).
 
@@ -367,7 +400,7 @@ def bh_adjust(pvalues, config: FdrConfig = FdrConfig()) -> Tuple[np.ndarray, flo
     if np.isnan(p).any() or (p < 0).any() or (p > 1).any():
         raise DataError("p-values must lie in [0, 1]")
     m = p.size
-    c = 1.0 if config.mode == "bh" else math.fsum(1.0 / i for i in range(1, m + 1))
+    c = 1.0 if config.mode == "bh" else _by_constant(m)
     ps = np.sort(p)
     thresh = np.arange(1, m + 1) * config.q / (m * c)
     ok = np.nonzero(ps <= thresh)[0]

@@ -188,6 +188,18 @@ def pearson_union(va, ma, vb, mb):
     return float((xm * ym).sum() / denom)
 
 
+def register_reference(frames, srlp_register):
+    """Self-registration one frame at a time: ``srlp_register`` on every frame
+    in order, so the first failing frame raises.  The per-frame function is
+    passed in; returns the registered frames and their transforms."""
+    out, transforms = [], []
+    for f in frames:
+        g, t = srlp_register(f)
+        out.append(g)
+        transforms.append(t)
+    return out, transforms
+
+
 def lag_profile_loop(frames_a, masks_a, frames_b, masks_b, m0, max_lag):
     """CorAvg_j for j in [-max_lag, max_lag] by direct looping."""
     fa, ma = frames_a[m0:], masks_a[m0:]

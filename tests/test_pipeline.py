@@ -34,7 +34,9 @@ from lasr import (
     select_model,
     t_map,
 )
-from lasr import pipeline
+from lasr import pipeline, srlp_register
+
+import _oracles as orc
 
 
 BASE_SPEC = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
@@ -314,7 +316,9 @@ class TestCompareMovies:
         def emit(self, name, writer, values):
             self.maps[name] = values
 
-    def test_fit_reuse_is_bit_identical_to_the_unshared_chain(self, monkeypatch):
+    @pytest.mark.parametrize("two_sided", [False, True])
+    @pytest.mark.parametrize("fdr_mode", ["bh", "by"])
+    def test_fit_reuse_is_bit_identical_to_the_unshared_chain(self, monkeypatch, fdr_mode, two_sided):
         rng = np.random.default_rng(5)
         wide = np.zeros((16, 18), dtype=bool)
         wide[3:13, 3:15] = True
@@ -330,7 +334,8 @@ class TestCompareMovies:
         effect = np.zeros_like(wide)
         effect[7:11, 8:12] = True
         after = movie(4.0 * effect)
-        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5))
+        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5,
+                                           fdr_mode=fdr_mode, two_sided=two_sided))
         builds = []
 
         def counting(*args, **kwargs):
@@ -346,7 +351,7 @@ class TestCompareMovies:
             diff = difference_map(a, b)
             fit = local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
             tm = t_map(fit)
-            pv = p_map(tm)
+            pv = p_map(tm, two_sided=two_sided)
             rejected, critical = bh_adjust(pv[tm.mask], FdrConfig(cfg.q, cfg.fdr_mode))
             grid = np.zeros(tm.mask.shape, dtype=bool)
             grid[tm.mask] = rejected
@@ -360,6 +365,125 @@ class TestCompareMovies:
             assert report[f"pair.{k}.delta2"] == fit.delta2
             assert report[f"pair.{k}.n_rejected"] == pm.n_rejected
         assert report["pair.0.n_rejected"] > 0
+
+    def test_first_failing_pair_raises_its_error(self, tmp_path, capsys):
+        # six pairs: pair 2 has identical frames (sigma_hat = 0), pair 4 has
+        # disjoint supports (no overlap); pairs 0-3 share one mask
+        rng = np.random.default_rng(8)
+        left = np.zeros((16, 18), dtype=bool)
+        left[3:13, 2:9] = True
+        right = np.zeros_like(left)
+        right[3:13, 10:16] = True
+        wide = left | right
+
+        def frame(m):
+            return Frame(np.where(m, 20.0 + rng.normal(0, 1, m.shape), 0.0), support_mask=m)
+
+        shared = frame(wide)
+        before = [frame(wide), frame(wide), shared, frame(wide), frame(left), frame(wide)]
+        after = [frame(wide), frame(wide), shared, frame(wide), frame(right), frame(wide)]
+        before, after = Movie(tuple(before), fps=2.0), Movie(tuple(after), fps=2.0)
+        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5))
+        # the per-pair chain meets pair 2's zero sigma_hat before pair 4's empty overlap
+        with pytest.raises(NumericError) as ref:
+            for b, a in zip(before.frames, after.frames):
+                diff = difference_map(a, b)
+                if not diff.support_mask.any():
+                    raise DataError("registered supports do not overlap")
+                t_map(local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim))
+        with pytest.raises(NumericError) as got:
+            pipeline._compare_movies(before, after, cfg, self.Capture(), {})
+        assert str(got.value) == str(ref.value)
+        assert "sigma_hat" in str(got.value)
+
+        save_movie(before, tmp_path / "b.lasr")
+        save_movie(after, tmp_path / "a.lasr")
+        maps = tmp_path / "maps"
+        assert cli_main(["ssm", "--before", str(tmp_path / "b.lasr"), "--after", str(tmp_path / "a.lasr"),
+                         "--out", str(maps), "--bandwidth", "2.5"]) == 4
+        assert "sigma_hat" in capsys.readouterr().err
+        assert not maps.exists()
+
+
+class TestRegisterMovie:
+    """One SRLP transform per (mask, quarter turn) group, one stacked
+    resampling per group: the result is the per-frame loop's, bit for bit."""
+
+    @staticmethod
+    def tilted(rng, mask, heavy="low"):
+        """Positive values on ``mask`` with the mass at low (or high) columns."""
+        cols = np.arange(mask.shape[1])[None, :]
+        ramp = 3.0 - 2.0 * cols / mask.shape[1] if heavy == "low" else 1.0 + 2.0 * cols / mask.shape[1]
+        return Frame(np.where(mask, 10.0 * ramp + rng.uniform(0.5, 2.0, mask.shape), 0.0),
+                     support_mask=mask)
+
+    @staticmethod
+    def band(shape, r0, r1, c0, c1, tilt=0.0):
+        rr, cc = np.indices(shape)
+        centre = r0 + tilt * (cc - c0)
+        return (rr >= centre) & (rr < centre + (r1 - r0)) & (cc >= c0) & (cc < c1)
+
+    def assert_matches_reference(self, frames):
+        movie = Movie(tuple(frames), fps=2.0)
+        got, got_t = pipeline._register_movie(movie)
+        ref, ref_t = orc.register_reference(movie.frames, srlp_register)
+        assert len(got) == len(ref)
+        for g, r in zip(got.frames, ref):
+            assert np.array_equal(g.values, r.values)
+            assert np.array_equal(g.support_mask, r.support_mask)
+            assert g.signed == r.signed
+        assert [(t.theta, t.u, t.v) for t in got_t] == [(t.theta, t.u, t.v) for t in ref_t]
+        return got_t
+
+    def test_two_masks_interleaved(self):
+        rng = np.random.default_rng(1)
+        # bands above row rows/2, so the midline tilts with them
+        a = self.band((20, 24), 1, 5, 2, 21, tilt=0.15)
+        b = self.band((20, 24), 4, 8, 3, 22, tilt=-0.1)
+        ts = self.assert_matches_reference([self.tilted(rng, m) for m in (a, b, a, a, b, a, b)])
+        assert len({(t.theta, t.u, t.v) for t in ts}) == 2
+        assert ts[0].theta != 0.0 and ts[1].theta != 0.0
+
+    def test_half_turn_on_the_same_mask(self):
+        rng = np.random.default_rng(2)
+        mask = self.band((20, 24), 7, 13, 3, 21)  # symmetric under a half turn
+        frames = [self.tilted(rng, mask) for _ in range(5)]
+        frames[2] = self.tilted(rng, mask, heavy="high")
+        ts = self.assert_matches_reference(frames)
+        assert ts[2] != ts[1] and ts[1] == ts[3]
+
+    def test_quarter_turn(self):
+        rng = np.random.default_rng(3)
+        mask = self.band((22, 22), 2, 6, 2, 20, tilt=0.1)
+        frames = [self.tilted(rng, mask) for _ in range(4)]
+        turned = self.tilted(rng, mask)
+        frames[1] = Frame(np.ascontiguousarray(np.rot90(turned.values)),
+                          support_mask=np.ascontiguousarray(np.rot90(mask)))
+        ts = self.assert_matches_reference(frames)
+        assert ts[1] != ts[0] and ts[0].theta != 0.0
+
+    def test_single_frame(self):
+        rng = np.random.default_rng(4)
+        ts = self.assert_matches_reference([self.tilted(rng, self.band((12, 15), 0, 3, 1, 14, tilt=0.15))])
+        assert ts[0].theta != 0.0
+
+    @pytest.mark.parametrize("bad_first", ["empty", "one column"])
+    def test_first_failing_frame_raises_the_reference_error(self, bad_first):
+        rng = np.random.default_rng(5)
+        mask = self.band((12, 15), 3, 8, 1, 14, tilt=0.2)
+        empty = Frame(np.zeros(mask.shape), support_mask=np.zeros(mask.shape, dtype=bool))
+        column = np.zeros(mask.shape, dtype=bool)
+        column[5, 6] = True  # a taller column would be quarter-turned into a row
+        bad = {"empty": empty, "one column": self.tilted(rng, column)}
+        other = "one column" if bad_first == "empty" else "empty"
+        frames = [self.tilted(rng, mask) for _ in range(3)] + [bad[bad_first], self.tilted(rng, mask),
+                                                                bad[other]]
+        with pytest.raises(DataError) as ref:
+            orc.register_reference(frames, srlp_register)
+        with pytest.raises(DataError) as got:
+            pipeline._register_movie(Movie(tuple(frames), fps=2.0))
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,18 @@ class TestBhAdjust:
             assert np.array_equal(rej, ref_rej)
             assert crit == ref_crit
 
+    @pytest.mark.parametrize("m", [1, 2, 590, 1558])
+    def test_by_critical_value_equals_the_harmonic_sum_form(self, m):
+        p = np.ones(m)
+        k = max(1, m // 10)
+        p[:k] = 0.0
+        q = 0.05
+        c = math.fsum(1.0 / i for i in range(1, m + 1))
+        for _ in range(2):  # the second call reads the cached constant
+            rej, crit = bh_adjust(p, FdrConfig(q=q, mode="by"))
+            assert crit == float(k * q / (m * c))
+            assert rej.sum() == k
+
     def test_ties_at_threshold(self):
         rej, crit = bh_adjust([0.05, 0.05], FdrConfig(q=0.05))
         ref_rej, ref_crit = orc.bh_oracle([0.05, 0.05], 0.05, "bh")
