@@ -354,6 +354,22 @@ def save_session(layout: SessionLayout, directory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_kv(path) -> list:
+    """The ``(key, value)`` pairs of a ``key = value`` text file, in file
+    order; blank lines and ``#`` comments are skipped."""
+    pairs = []
+    with open(path, "r", encoding="ascii") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise FormatError("expected 'key = value'", line=ln)
+            key, _, val = line.partition("=")
+            pairs.append((key.strip(), val.strip()))
+    return pairs
+
+
 def _manifest(directory):
     """Check ``session.txt`` and list its segments without parsing any movie.
 
@@ -363,16 +379,7 @@ def _manifest(directory):
     manifest = os.path.join(directory, "session.txt")
     if not os.path.isfile(manifest):
         raise DataError(f"no session.txt in {directory}")
-    kv = {}
-    with open(manifest, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected 'key = value'", line=ln)
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
+    kv = dict(_read_kv(manifest))
     entries = []
     k = 0
     while f"segment.{k}.tag" in kv:

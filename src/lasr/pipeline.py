@@ -14,9 +14,12 @@ traces, and rejection counts.  Runs are deterministic given the
 configuration and seed; on failure, partially written outputs are removed
 and the failing stage is named.
 
-Exit codes of the CLI: 0 success, 2 usage or configuration error, 3 data
-error, 4 numeric failure.  The environment variable ``LASR_SEED``
-overrides the configured seed.
+The CLI's run options live in one table, ``_OPTIONS``, of which each
+subcommand exposes a subset; ``_validate`` alone judges the values.  Every
+file-writing subcommand names the failing stage and removes its partial
+files.  CLI exit codes: 0 success, 2 usage or configuration error, 3 data
+error, 4 numeric failure.  ``LASR_SEED`` overrides the seed of every
+command that takes one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from . import registration as reg
 from . import segmentation as seg
 from . import ssm
 from . import synthgen
-from .errors import ConfigError, DataError, FormatError, LasrError, NumericError, StageError
+from .errors import ConfigError, DataError, LasrError, NumericError, StageError
 
 __all__ = ["RunConfig", "run_lasr", "cli_main", "main"]
 
@@ -102,6 +105,21 @@ def _write_report(report: dict, path: str) -> None:
             fh.write(f"{k} = {_fmt(v)}\n")
 
 
+def _compare_keys(cfg: RunConfig) -> dict:
+    """The report header shared by ``run`` and ``ssm``."""
+    return {"q": cfg.q, "bandwidth": cfg.bandwidth, "kernel": cfg.kernel, "rim": cfg.rim,
+            "fdr_mode": cfg.fdr_mode, "two_sided": cfg.two_sided}
+
+
+def _transform_keys(prefix: str, transforms) -> dict:
+    """``{prefix}.{i}.theta / .u / .v`` for each frame's SRLP transform."""
+    keys = {}
+    for i, t in enumerate(transforms):
+        keys.update({f"{prefix}.{i}.theta": t.theta, f"{prefix}.{i}.u": t.u,
+                     f"{prefix}.{i}.v": t.v})
+    return keys
+
+
 def _select_segment(segments: Sequence, index: int, which: str):
     n = len(segments)
     if not (-n <= index < n):
@@ -137,7 +155,7 @@ def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     stack = movie.stack()
     cut = np.where(_consensus_region(stack, t), stack, 0.0)
     del stack
-    return fr.Movie(tuple(fr.with_positive_mask(fr.Frame(v)) for v in cut), fps=movie.fps)
+    return fr.Movie(tuple(fr.Frame(v, support_mask=v > 0) for v in cut), fps=movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
@@ -300,12 +318,9 @@ def run_lasr(config: RunConfig) -> dict:
             movie_b, movie_a = _mean_movie(movie_b), _mean_movie(movie_a)
 
         out.makedirs()
-        report = {
-            "mode": "dynamic" if dynamic else "static",
-            "q": cfg.q, "bandwidth": cfg.bandwidth, "kernel": cfg.kernel, "rim": cfg.rim,
-            "fdr_mode": cfg.fdr_mode, "two_sided": cfg.two_sided, "mean_frame": cfg.mean_frame,
-            "m0": cfg.m0, "max_lag": cfg.max_lag, "seed": cfg.seed, "workers": cfg.workers,
-        }
+        report = {"mode": "dynamic" if dynamic else "static", **_compare_keys(cfg),
+                  "mean_frame": cfg.mean_frame, "m0": cfg.m0, "max_lag": cfg.max_lag,
+                  "seed": cfg.seed, "workers": cfg.workers}
 
         out.stage = "segment"
         seg_movies, reg_movies = {}, {}
@@ -329,10 +344,7 @@ def run_lasr(config: RunConfig) -> dict:
         for which in ("before", "after"):
             registered, transforms = _register_movie(seg_movies[which])
             reg_movies[which] = registered
-            for i, t in enumerate(transforms):
-                report[f"{which}.srlp.{i}.theta"] = t.theta
-                report[f"{which}.srlp.{i}.u"] = t.u
-                report[f"{which}.srlp.{i}.v"] = t.v
+            report.update(_transform_keys(f"{which}.srlp", transforms))
             out.emit(f"{which}_registered.lasr", fr.save_movie, registered)
 
         out.stage = "align"
@@ -369,6 +381,80 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _switch(text: str) -> bool:
+    return text.lower() == "true"
+
+
+def _components(text: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"bad --components value {text!r}") from None
+
+
+# The one option table: flag --key (and config-file key) -> (RunConfig
+# field, parser of its text, help).  ``_switch`` options are on/off flags.
+# A subcommand exposes a subset; an option left unset keeps the RunConfig
+# default, and _validate alone judges the values.
+_OPTIONS = {
+    "before-segment": ("before_segment", int, "segment index in the before session (default 0)"),
+    "after-segment": ("after_segment", int, "segment index in the after session (default -1, the last)"),
+    "mode": ("mode", str, None), "q": ("q", float, None),
+    "bandwidth": ("bandwidth", float, None), "kernel": ("kernel", str, None),
+    "rim": ("rim", int, None), "m0": ("m0", int, None),
+    "max-lag": ("max_lag", int, None), "fdr": ("fdr_mode", str, None),
+    "two-sided": ("two_sided", _switch, None), "mean-frame": ("mean_frame", _switch, None),
+    "seed": ("seed", int, None), "workers": ("workers", int, "accepted for compatibility and ignored"),
+    "components": ("candidates", _components, "candidate mixture sizes"),
+}
+_RUN_KEYS = tuple(k for k in _OPTIONS if k != "components")  # also the config-file keys
+_SSM_KEYS = ("q", "bandwidth", "kernel", "rim", "fdr", "two-sided", "mean-frame")
+_SEGMENT_KEYS = ("components", "seed")
+
+
+def _add_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
+    for key in keys:
+        field, parse, text = _OPTIONS[key]
+        kind = (dict(action="store_true") if parse is _switch
+                else dict(type=parse, metavar=key.upper().replace("-", "_")))
+        parser.add_argument(f"--{key}", dest=field, default=None, help=text, **kind)
+
+
+def _env_seed(seed: int) -> int:
+    """``LASR_SEED`` when set, else ``seed``."""
+    raw = os.environ.get("LASR_SEED", seed)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"LASR_SEED must be an integer, got {raw!r}") from None
+
+
+def _run_config(ns, keys: Sequence[str], **kwargs) -> RunConfig:
+    """``RunConfig(**kwargs)`` with every option of ``keys`` given on the
+    command line set over it, and ``LASR_SEED`` over that when the command
+    takes a seed."""
+    for key in keys:
+        field = _OPTIONS[key][0]
+        if getattr(ns, field) is not None:
+            kwargs[field] = getattr(ns, field)
+    if "seed" in keys:
+        kwargs["seed"] = _env_seed(kwargs.get("seed", RunConfig.seed))
+    return RunConfig(**kwargs)
+
+
+def _read_config_file(path: str) -> dict:
+    out = {}
+    for key, val in fr._read_kv(path):
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        field, parse, _ = _OPTIONS[key]
+        try:
+            out[field] = parse(val)
+        except ValueError:
+            raise ConfigError(f"bad value for config key {key!r}: {val!r}") from None
+    return out
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="lasr", description="Pressure-map comparison pipeline")
     sub = p.add_subparsers(dest="command", required=True)
@@ -397,14 +483,12 @@ def _build_parser() -> _Parser:
     rn.add_argument("--after", required=True, help="after session directory")
     rn.add_argument("--out", default="lasr_out")
     rn.add_argument("--config", default=None, help="key = value file with run options")
-    for name, kw in _RUN_OPTIONS:
-        rn.add_argument(name, **dict(kw, default=None))
+    _add_options(rn, _RUN_KEYS)
 
     sg = sub.add_parser("segment", help="threshold one movie")
     sg.add_argument("--in", dest="infile", required=True)
     sg.add_argument("--out", required=True)
-    sg.add_argument("--components", default="2,3", help="candidate mixture sizes")
-    sg.add_argument("--seed", type=int, default=0)
+    _add_options(sg, _SEGMENT_KEYS)
 
     rg = sub.add_parser("register", help="self-register each frame of a segmented movie")
     rg.add_argument("--in", dest="infile", required=True)
@@ -414,73 +498,8 @@ def _build_parser() -> _Parser:
     sm.add_argument("--before", required=True)
     sm.add_argument("--after", required=True)
     sm.add_argument("--out", required=True)
-    sm.add_argument("--q", type=float, default=0.05)
-    sm.add_argument("--bandwidth", type=float, default=3.0)
-    sm.add_argument("--kernel", default="tgauss", choices=sorted(ssm.KERNELS))
-    sm.add_argument("--rim", type=int, default=None)
-    sm.add_argument("--fdr", default="bh", choices=("bh", "by"))
-    sm.add_argument("--two-sided", action="store_true")
-    sm.add_argument("--mean-frame", action="store_true")
+    _add_options(sm, _SSM_KEYS)
     return p
-
-
-_RUN_OPTIONS = [
-    ("--before-segment", dict(type=int, help="segment index in the before session (default 0)")),
-    ("--after-segment", dict(type=int, help="segment index in the after session (default -1, the last)")),
-    ("--mode", dict(choices=("auto", "static", "dynamic"))),
-    ("--q", dict(type=float)),
-    ("--bandwidth", dict(type=float)),
-    ("--kernel", dict(choices=("tgauss", "tricube"))),
-    ("--rim", dict(type=int)),
-    ("--m0", dict(type=int)),
-    ("--max-lag", dict(type=int)),
-    ("--fdr", dict(choices=("bh", "by"))),
-    ("--two-sided", dict(action="store_true")),
-    ("--mean-frame", dict(action="store_true")),
-    ("--seed", dict(type=int)),
-    ("--workers", dict(type=int, help="accepted for compatibility and ignored")),
-]
-
-_CONFIG_KEYS = {
-    "before-segment": ("before_segment", int), "after-segment": ("after_segment", int),
-    "mode": ("mode", str), "q": ("q", float), "bandwidth": ("bandwidth", float),
-    "kernel": ("kernel", str), "rim": ("rim", int), "m0": ("m0", int),
-    "max-lag": ("max_lag", int), "fdr": ("fdr_mode", str),
-    "two-sided": ("two_sided", lambda s: s.lower() == "true"),
-    "mean-frame": ("mean_frame", lambda s: s.lower() == "true"),
-    "seed": ("seed", int), "workers": ("workers", int),
-}
-
-
-def _read_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected 'key = value'", line=ln)
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            attr, conv = _CONFIG_KEYS[key]
-            try:
-                out[attr] = conv(val)
-            except ValueError:
-                raise ConfigError(f"bad value for config key {key!r}: {val!r}") from None
-    return out
-
-
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("LASR_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"LASR_SEED must be an integer, got {raw!r}") from None
 
 
 def _span(text: Optional[str], limit: int, default: Tuple[int, int]) -> Tuple[int, int]:
@@ -497,8 +516,7 @@ def _span(text: Optional[str], limit: int, default: Tuple[int, int]) -> Tuple[in
 
 
 def _cmd_phantom(ns) -> int:
-    seed = _env_seed()
-    seed = ns.seed if seed is None else seed
+    seed = _env_seed(ns.seed)
     effect = None
     if ns.effect_delta != 0.0:
         r0, r1 = _span(ns.effect_rows, ns.rows, (ns.rows // 2 - 3, ns.rows // 2 + 3))
@@ -530,74 +548,60 @@ def _cmd_phantom(ns) -> int:
 
 
 def _cmd_run(ns) -> int:
-    kwargs = dict(before=ns.before, after=ns.after, out_dir=ns.out)
-    if ns.config is not None:
-        kwargs.update(_read_config_file(ns.config))
-    cli_map = {
-        "before_segment": ns.before_segment, "after_segment": ns.after_segment,
-        "mode": ns.mode, "q": ns.q, "bandwidth": ns.bandwidth, "kernel": ns.kernel,
-        "rim": ns.rim, "m0": ns.m0, "max_lag": ns.max_lag, "fdr_mode": ns.fdr,
-        "two_sided": ns.two_sided or None, "mean_frame": ns.mean_frame or None,
-        "seed": ns.seed, "workers": ns.workers,
-    }
-    kwargs.update({k: v for k, v in cli_map.items() if v is not None})
-    env = _env_seed()
-    if env is not None:
-        kwargs["seed"] = env
-    report = run_lasr(RunConfig(**kwargs))
+    options = _read_config_file(ns.config) if ns.config is not None else {}
+    report = run_lasr(_run_config(ns, _RUN_KEYS, before=ns.before, after=ns.after,
+                                  out_dir=ns.out, **options))
     print(f"wrote {report['n_pairs']} pair map(s) and report.txt to {ns.out}")
     return 0
 
 
 def _cmd_segment(ns) -> int:
-    try:
-        cand = tuple(int(tok) for tok in ns.components.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"bad --components value {ns.components!r}") from None
-    cfg = _validate(RunConfig(before=ns.infile, after=ns.infile, out_dir=ns.out,
-                              candidates=cand, seed=ns.seed))
-    segmented, result = _segment_movie(fr.load_movie(ns.infile), cfg)
-    os.makedirs(ns.out, exist_ok=True)
-    fr.save_movie(segmented, os.path.join(ns.out, "segmented.lasr"))
-    rep = {"threshold": result.t, "method": result.method, "mixture_m": result.model.m,
-           "loglik": result.model.loglik, "converged": result.model.converged,
-           "n_iter": result.model.n_iter}
-    for i in range(result.model.m):
-        rep[f"component.{i}.weight"] = result.model.weights[i]
-        rep[f"component.{i}.mean"] = result.model.means[i]
-        rep[f"component.{i}.sd"] = result.model.sds[i]
-    _write_report(rep, os.path.join(ns.out, "segment_report.txt"))
+    with _Outputs(ns.out) as out:
+        cfg = _validate(_run_config(ns, _SEGMENT_KEYS, before=ns.infile, after=ns.infile,
+                                    out_dir=ns.out))
+        out.stage = "load"
+        movie = fr.load_movie(cfg.before)
+        out.stage = "segment"
+        segmented, result = _segment_movie(movie, cfg)
+        out.makedirs()
+        out.emit("segmented.lasr", fr.save_movie, segmented)
+        rep = {"threshold": result.t, "method": result.method, "mixture_m": result.model.m,
+               "loglik": result.model.loglik, "converged": result.model.converged,
+               "n_iter": result.model.n_iter}
+        for i in range(result.model.m):
+            rep[f"component.{i}.weight"] = result.model.weights[i]
+            rep[f"component.{i}.mean"] = result.model.means[i]
+            rep[f"component.{i}.sd"] = result.model.sds[i]
+        out.stage = "report"
+        out.emit("segment_report.txt", _write_report, rep)
     print(f"threshold {result.t:.6g} ({result.method}); wrote {ns.out}/segmented.lasr")
     return 0
 
 
 def _cmd_register(ns) -> int:
-    registered, transforms = _register_movie(_load_masked(ns.infile))
-    os.makedirs(ns.out, exist_ok=True)
-    fr.save_movie(registered, os.path.join(ns.out, "registered.lasr"))
-    rep = {}
-    for i, t in enumerate(transforms):
-        rep[f"frame.{i}.theta"] = t.theta
-        rep[f"frame.{i}.u"] = t.u
-        rep[f"frame.{i}.v"] = t.v
-    _write_report(rep, os.path.join(ns.out, "register_report.txt"))
+    with _Outputs(ns.out) as out:
+        out.stage = "load"
+        movie = _load_masked(ns.infile)
+        out.stage = "register"
+        registered, transforms = _register_movie(movie)
+        out.makedirs()
+        out.emit("registered.lasr", fr.save_movie, registered)
+        out.stage = "report"
+        out.emit("register_report.txt", _write_report, _transform_keys("frame", transforms))
     print(f"registered {len(registered)} frame(s); wrote {ns.out}/registered.lasr")
     return 0
 
 
 def _cmd_ssm(ns) -> int:
     with _Outputs(ns.out) as out:
-        cfg = _validate(RunConfig(before=ns.before, after=ns.after, out_dir=ns.out, q=ns.q,
-                                  bandwidth=ns.bandwidth, kernel=ns.kernel, rim=ns.rim,
-                                  fdr_mode=ns.fdr, two_sided=ns.two_sided,
-                                  mean_frame=ns.mean_frame))
+        cfg = _validate(_run_config(ns, _SSM_KEYS, before=ns.before, after=ns.after,
+                                    out_dir=ns.out))
         out.stage = "load"
         before, after = (_load_masked(p, cfg.mean_frame) for p in (cfg.before, cfg.after))
         if before.shape != after.shape:
             raise DataError("before/after frame dimensions differ")
         out.makedirs()
-        report = {"q": cfg.q, "bandwidth": cfg.bandwidth, "kernel": cfg.kernel, "rim": cfg.rim,
-                  "fdr_mode": cfg.fdr_mode, "two_sided": cfg.two_sided}
+        report = _compare_keys(cfg)
         out.stage = "compare"
         _compare_movies(before, after, cfg, out, report)
         out.stage = "report"
@@ -616,23 +620,12 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         handler = {"phantom": _cmd_phantom, "run": _cmd_run, "segment": _cmd_segment,
                    "register": _cmd_register, "ssm": _cmd_ssm}[ns.command]
         return handler(ns)
-    except StageError as e:
+    except (LasrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        cause = e.cause
+        cause = e.cause if isinstance(e, StageError) else e
         if isinstance(cause, ConfigError):
             return 2
-        if isinstance(cause, NumericError):
-            return 4
-        return 3
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (DataError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(cause, NumericError) else 3
 
 
 def main() -> None:

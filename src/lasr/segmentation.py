@@ -323,19 +323,16 @@ def pmc_oracle(model: MixtureModel, grid: Optional[np.ndarray] = None) -> float:
         lo, hi = mu[0], mu.max()
         grid = np.linspace(lo, hi, 100001)
     grid = np.asarray(grid, dtype=np.float64)
-    w, sd = model.weights, model.sds
-    pmc = w[0] * norm.sf(grid, loc=mu[0], scale=sd[0])
-    for i in range(1, model.m):
-        pmc = pmc + w[i] * norm.cdf(grid, loc=mu[i], scale=sd[i])
-    return float(grid[int(np.argmin(pmc))])
+    return float(grid[int(np.argmin(_pmc(model, grid)))])
 
 
-def _pmc_value(model: MixtureModel, t: float) -> float:
+def _pmc(model: MixtureModel, t):
+    """PMC at ``t`` (a scalar or an array of thresholds)."""
     w, mu, sd = model.weights, model.means, model.sds
-    v = w[0] * norm.sf(t, loc=mu[0], scale=sd[0])
+    pmc = w[0] * norm.sf(t, loc=mu[0], scale=sd[0])
     for i in range(1, model.m):
-        v += w[i] * norm.cdf(t, loc=mu[i], scale=sd[i])
-    return float(v)
+        pmc = pmc + w[i] * norm.cdf(t, loc=mu[i], scale=sd[i])
+    return pmc
 
 
 def optimal_threshold(model: MixtureModel) -> SegmentationResult:
@@ -355,7 +352,7 @@ def optimal_threshold(model: MixtureModel) -> SegmentationResult:
         t = float(brentq(lambda s: _density_gap(model, s), lo, hi, xtol=1e-14, rtol=8.9e-16))
         # accept the root only if it is a local PMC minimum
         eps = 1e-6 * max(1.0, hi - lo)
-        if _pmc_value(model, t) <= min(_pmc_value(model, t - eps), _pmc_value(model, t + eps)) + 1e-15:
+        if _pmc(model, t) <= min(_pmc(model, t - eps), _pmc(model, t + eps)) + 1e-15:
             return SegmentationResult(t, model, "root")
     return SegmentationResult(pmc_oracle(model), model, "grid-fallback")
 

@@ -654,3 +654,197 @@ class TestCli:
         names = sorted(n for n in staged if n.startswith("pair"))
         assert len(names) == 12
         assert all(run[n] == staged[n] for n in names)
+
+
+# flag / config key, value text (None: an on/off flag), field, value
+RUN_OPTIONS = [
+    ("before-segment", "1", "before_segment", 1),
+    ("after-segment", "2", "after_segment", 2),
+    ("mode", "dynamic", "mode", "dynamic"),
+    ("q", "0.1", "q", 0.1),
+    ("bandwidth", "2.5", "bandwidth", 2.5),
+    ("kernel", "tricube", "kernel", "tricube"),
+    ("rim", "4", "rim", 4),
+    ("m0", "3", "m0", 3),
+    ("max-lag", "7", "max_lag", 7),
+    ("fdr", "by", "fdr_mode", "by"),
+    ("two-sided", None, "two_sided", True),
+    ("mean-frame", None, "mean_frame", True),
+    ("seed", "5", "seed", 5),
+    ("workers", "2", "workers", 2),
+]
+SSM_KEYS = ("q", "bandwidth", "kernel", "rim", "fdr", "two-sided", "mean-frame")
+HELP_FLAGS = {
+    "phantom": {"--out", "--seed", "--rows", "--cols", "--frames", "--fps", "--noise-bg",
+                "--noise-signal", "--effect-delta", "--effect-rows", "--effect-cols",
+                "--stim-period", "--stim-left", "--stim-right", "--lag"},
+    "run": {"--before", "--after", "--out", "--config"} | {f"--{k}" for k, *_ in RUN_OPTIONS},
+    "segment": {"--in", "--out", "--components", "--seed"},
+    "register": {"--in", "--out"},
+    "ssm": {"--before", "--after", "--out"} | {f"--{k}" for k in SSM_KEYS},
+}
+
+
+class TestCliOptions:
+    """One option table: every flag and config key lands on its RunConfig
+    field, unset options keep the RunConfig defaults, and the file-writing
+    subcommands share one output context."""
+
+    class Captured(Exception):
+        pass
+
+    @staticmethod
+    def flag_args(key, text):
+        return [f"--{key}"] + ([text] if text is not None else [])
+
+    @staticmethod
+    def assert_only(cfg, **fields):
+        """``cfg`` holds ``fields`` and the RunConfig default everywhere else."""
+        default = RunConfig(before=cfg.before, after=cfg.after, out_dir=cfg.out_dir)
+        assert cfg == replace(default, **fields)
+
+    def capture_run(self, monkeypatch):
+        seen = []
+        monkeypatch.delenv("LASR_SEED", raising=False)
+        monkeypatch.setattr(pipeline, "run_lasr", lambda cfg: seen.append(cfg) or {"n_pairs": 0})
+        return seen
+
+    def capture_validate(self, monkeypatch):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise self.Captured
+
+        monkeypatch.delenv("LASR_SEED", raising=False)
+        monkeypatch.setattr(pipeline, "_validate", capture)
+        return seen
+
+    def test_the_table_lists_the_run_keys(self):
+        assert list(pipeline._RUN_KEYS) == [k for k, *_ in RUN_OPTIONS]
+
+    @pytest.mark.parametrize("key,text,field,value", RUN_OPTIONS, ids=[k for k, *_ in RUN_OPTIONS])
+    def test_run_flag_and_config_key_land_on_the_field(self, tmp_path, monkeypatch, key, text, field, value):
+        seen = self.capture_run(monkeypatch)
+        base = ["run", "--before", "b", "--after", "a", "--out", "o"]
+        assert cli_main(base + self.flag_args(key, text)) == 0
+        cfgfile = tmp_path / "opts.cfg"
+        cfgfile.write_text(f"{key} = {'true' if text is None else text}\n")
+        assert cli_main(base + ["--config", str(cfgfile)]) == 0
+        assert len(seen) == 2
+        for cfg in seen:
+            assert (cfg.before, cfg.after, cfg.out_dir) == ("b", "a", "o")
+            self.assert_only(cfg, **{field: value})
+
+    def test_run_without_options_keeps_the_defaults(self, monkeypatch):
+        seen = self.capture_run(monkeypatch)
+        assert cli_main(["run", "--before", "b", "--after", "a"]) == 0
+        assert seen == [RunConfig(before="b", after="a", out_dir="lasr_out")]
+
+    @pytest.mark.parametrize("key,text,field,value",
+                             [o for o in RUN_OPTIONS if o[0] in SSM_KEYS],
+                             ids=list(SSM_KEYS))
+    def test_ssm_flag_lands_on_the_field(self, monkeypatch, key, text, field, value):
+        seen = self.capture_validate(monkeypatch)
+        with pytest.raises(self.Captured):
+            cli_main(["ssm", "--before", "b", "--after", "a", "--out", "o"] + self.flag_args(key, text))
+        self.assert_only(seen[0], **{field: value})
+
+    def test_segment_flags_land_on_their_fields(self, monkeypatch):
+        seen = self.capture_validate(monkeypatch)
+        for args, fields in ((["--components", "2,4"], dict(candidates=(2, 4))),
+                             (["--seed", "5"], dict(seed=5)), ([], {})):
+            with pytest.raises(self.Captured):
+                cli_main(["segment", "--in", "m.lasr", "--out", "o"] + args)
+            cfg = seen.pop()
+            assert (cfg.before, cfg.out_dir) == ("m.lasr", "o")
+            self.assert_only(cfg, **fields)
+
+    def test_segment_applies_lasr_seed(self, tmp_path, monkeypatch):
+        ph = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS) == 0
+        seeds = []
+
+        def select(samples, candidates, init):
+            seeds.append(init.seed)
+            return select_model(samples, candidates, init=init)
+
+        monkeypatch.setattr(pipeline.seg, "select_model", select)
+        monkeypatch.setenv("LASR_SEED", "9")
+        assert cli_main(["segment", "--in", str(ph / "s1" / "seg0.lasr"),
+                         "--out", str(tmp_path / "seg"), "--seed", "1"]) == 0
+        assert seeds == [9]
+
+    @pytest.mark.parametrize("cmd", sorted(HELP_FLAGS))
+    def test_help_lists_the_same_flags(self, cmd, capsys):
+        assert cli_main([cmd, "--help"]) == 0
+        listed = {tok.strip("[],") for tok in capsys.readouterr().out.split() if tok.startswith(("--", "[--"))}
+        assert listed == HELP_FLAGS[cmd] | {"--help"}
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "both"], ["run", "--kernel", "box"], ["run", "--fdr", "xx"],
+        ["ssm", "--kernel", "box"], ["ssm", "--fdr", "xx"],
+    ], ids=["run-mode", "run-kernel", "run-fdr", "ssm-kernel", "ssm-fdr"])
+    def test_bad_choice_exits_2_at_stage_config(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli_main(argv + ["--before", "b", "--after", "a", "--out", str(out)]) == 2
+        assert "stage 'config'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["segment", "register"])
+    def test_missing_input_fails_at_load(self, tmp_path, capsys, cmd):
+        out = tmp_path / "o"
+        assert cli_main([cmd, "--in", str(tmp_path / "nope.lasr"), "--out", str(out)]) == 3
+        assert "stage 'load'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_register_empty_support_fails_at_register(self, tmp_path, capsys):
+        save_movie(Movie((Frame(np.zeros((8, 9))),) * 2, fps=2.0), tmp_path / "empty.lasr")
+        out = tmp_path / "o"
+        assert cli_main(["register", "--in", str(tmp_path / "empty.lasr"), "--out", str(out)]) == 3
+        assert "stage 'register'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["segment", "register"])
+    def test_failed_report_removes_the_stage_outputs(self, tmp_path, monkeypatch, capsys, cmd):
+        ph = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS) == 0
+
+        def full(report, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "_write_report", full)
+        out = tmp_path / "o"
+        assert cli_main([cmd, "--in", str(ph / "s1" / "seg0.lasr"), "--out", str(out)]) == 3
+        assert "stage 'report'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ssm_mean_frame_compares_the_mean_registered_frames(self, tmp_path):
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph), "--effect-delta", "4.0"] + PHANTOM_ARGS)
+        registered = []
+        for which, path in (("b", ph / "s1" / "seg0.lasr"), ("a", ph / "s2" / "seg2.lasr")):
+            assert cli_main(["segment", "--in", str(path), "--out", str(tmp_path / f"seg_{which}")]) == 0
+            assert cli_main(["register", "--in", str(tmp_path / f"seg_{which}" / "segmented.lasr"),
+                             "--out", str(tmp_path / f"reg_{which}")]) == 0
+            registered.append(str(tmp_path / f"reg_{which}" / "registered.lasr"))
+        maps = tmp_path / "maps"
+        assert cli_main(["ssm", "--before", registered[0], "--after", registered[1],
+                         "--out", str(maps), "--mean-frame"]) == 0
+
+        def mean(path):
+            v = load_movie(path).stack().mean(axis=0)
+            return Movie((Frame(v, support_mask=v > 0),), fps=2.0)
+
+        ref = pipeline._Outputs(str(tmp_path / "ref"))
+        ref.makedirs()
+        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", mean_frame=True))
+        report = {}
+        pipeline._compare_movies(mean(registered[0]), mean(registered[1]), cfg, ref, report)
+        got = tree_bytes(maps)
+        disk = read_report(maps / "report.txt")
+        del got["report.txt"]
+        assert got == tree_bytes(tmp_path / "ref")
+        assert sorted(got) == [f"pair0000_{n}" for n in ("diff.csv", "pmap.csv", "pmap.pgm", "tmap.csv")]
+        assert disk["n_pairs"] == "1"
+        assert all(disk[k] == pipeline._fmt(v) for k, v in report.items())
