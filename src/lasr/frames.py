@@ -18,8 +18,15 @@ the grammar (wrong row width, negative or non-numeric value, missing or
 extra separator line, trailing content) raises :class:`FormatError` with
 the offending line number.  A well-formed body is parsed a frame at a
 time; any deviation sends the file through a line walker that finds the
-first bad line.  The writers build one format string per call and apply
-it once per frame or map.
+first bad line.
+
+The writers format only the values that vary.  Segmented movies and
+per-pair maps repeat the same exact zeros (and, in t-maps, NaNs) in the
+same positions grid after grid, so a pattern of ``+0.0`` and NaN
+positions seen a second time gets a cached format string with those
+positions spelled out (``0``, ``nan``), and ``%`` is applied only to the
+other values.  A grid whose pattern is new goes through one plain format
+string per call; the bytes written are the same either way.
 
 A session directory is a ``session.txt`` manifest plus one movie file per
 segment.  ``lasr run`` checks the whole manifest (every segment needs a
@@ -34,6 +41,8 @@ also be dumped as one-line-per-row CSV.
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -274,20 +283,63 @@ def load_movie(path, format: str = "lasr-text") -> Movie:
     return Movie(tuple(Frame(g) for g in grids), fps=fps)
 
 
-def _row_format(spec: str, sep: str, cols: int) -> str:
-    return sep.join([spec] * cols) + "\n"
+# Templates of repeated grid patterns, least recently used evicted first:
+# key -> format string, or None for a pattern seen once.  The key is
+# (spec, separator, shape, +0.0 positions, NaN positions as bytes).
+_TEMPLATE_SLOTS = 16
+_templates: OrderedDict = OrderedDict()
+_templates_lock = threading.Lock()
+_UNSEEN = object()
+
+
+class _GridFormat:
+    """Formats ``shape`` grids as ``spec`` values joined by ``sep``, one line
+    per row.  Positions holding ``+0.0`` (or integer 0) or NaN in a pattern
+    seen before are literals of a cached template; every other value,
+    ``-0.0`` included, goes through ``%``."""
+
+    def __init__(self, spec: str, sep: str, shape: tuple):
+        self.spec, self.sep, self.shape = spec, sep, shape
+        self._plain = None
+
+    def _template(self, cells: list) -> str:
+        rows, cols = self.shape
+        return "".join(self.sep.join(cells[r * cols:(r + 1) * cols]) + "\n" for r in range(rows))
+
+    def __call__(self, grid: np.ndarray) -> str:
+        flat = grid.ravel()
+        zero = flat.view(np.uint64) == 0  # -0.0 has its sign bit set
+        nan = np.isnan(flat) if flat.dtype.kind == "f" else np.zeros_like(zero)
+        key = (self.spec, self.sep, self.shape, zero.tobytes(), nan.tobytes())
+        with _templates_lock:
+            template = _templates.pop(key, _UNSEEN)
+            if template is None:  # second sighting
+                cells = [self.spec] * flat.size
+                for i in np.flatnonzero(zero).tolist():
+                    cells[i] = "0"
+                for i in np.flatnonzero(nan).tolist():
+                    cells[i] = "nan"
+                template = self._template(cells)
+            _templates[key] = None if template is _UNSEEN else template
+            if len(_templates) > _TEMPLATE_SLOTS:
+                _templates.popitem(last=False)
+        if template is _UNSEEN:
+            if self._plain is None:
+                self._plain = self._template([self.spec] * flat.size)
+            return self._plain % tuple(flat.tolist())
+        return template % tuple(flat[~(zero | nan)].tolist())
 
 
 def save_movie(movie: Movie, path) -> None:
     """Write a movie in the text format (values at 6 significant digits)."""
     rows, cols = movie.shape
-    frame_fmt = _row_format(_VALUE_FMT, " ", cols) * rows
+    fmt = _GridFormat(_VALUE_FMT, " ", movie.shape)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%s %d %d %d %s\n" % (_MAGIC, rows, cols, len(movie), "%g" % movie.fps))
         for k, f in enumerate(movie.frames):
             if k > 0:
                 fh.write("\n")
-            fh.write(frame_fmt % tuple(f.values.ravel().tolist()))
+            fh.write(fmt(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +376,7 @@ def save_map_image(frame_or_values, path, scale: str = "unit-interval") -> None:
     rows, cols = v.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n%d %d\n255\n" % (cols, rows))
-        fh.write((_row_format("%d", " ", cols) * rows) % tuple(pix.ravel().tolist()))
+        fh.write(_GridFormat("%d", " ", pix.shape)(pix))
 
 
 def save_map_csv(values, path) -> None:
@@ -333,7 +385,7 @@ def save_map_csv(values, path) -> None:
     if v.ndim != 2:
         raise DataError("map must be 2-D")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write((_row_format("%.10g", ",", v.shape[1]) * v.shape[0]) % tuple(v.ravel().tolist()))
+        fh.write(_GridFormat("%.10g", ",", v.shape)(v))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from . import registration as reg
 from . import segmentation as seg
 from . import ssm
 from . import synthgen
-from .errors import ConfigError, DataError, LasrError, NumericError, StageError
+from .errors import ConfigError, DataError, FormatError, LasrError, NumericError, StageError
 
 __all__ = ["RunConfig", "run_lasr", "cli_main", "main"]
 
@@ -443,15 +443,24 @@ def _run_config(ns, keys: Sequence[str], **kwargs) -> RunConfig:
 
 
 def _read_config_file(path: str) -> dict:
+    """The RunConfig fields a ``key = value`` file sets; every error names the file."""
+    try:
+        pairs = fr._read_kv(path)
+    except OSError as e:
+        raise DataError(f"config file {path}: {e.strerror}") from None
+    except FormatError as e:
+        raise FormatError(f"config file {path}: {e}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"config file {path}: not ASCII text") from None
     out = {}
-    for key, val in fr._read_kv(path):
+    for key, val in pairs:
         if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"config file {path}: unknown config key {key!r}")
         field, parse, _ = _OPTIONS[key]
         try:
             out[field] = parse(val)
         except ValueError:
-            raise ConfigError(f"bad value for config key {key!r}: {val!r}") from None
+            raise ConfigError(f"config file {path}: bad value for config key {key!r}: {val!r}") from None
     return out
 
 
@@ -548,7 +557,10 @@ def _cmd_phantom(ns) -> int:
 
 
 def _cmd_run(ns) -> int:
-    options = _read_config_file(ns.config) if ns.config is not None else {}
+    options = {}
+    if ns.config is not None:
+        with _Outputs(ns.out):  # stage 'config'; nothing is written yet
+            options = _read_config_file(ns.config)
     report = run_lasr(_run_config(ns, _RUN_KEYS, before=ns.before, after=ns.after,
                                   out_dir=ns.out, **options))
     print(f"wrote {report['n_pairs']} pair map(s) and report.txt to {ns.out}")

@@ -1,6 +1,7 @@
 """Containers, the movie text format, and map export."""
 
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -250,6 +251,117 @@ class TestWritersMatchReference:
             save_map_image(v, tmp_path / "new.pgm", scale=scale)
             _oracles.save_map_image_reference(v, tmp_path / "ref.pgm", scale=scale)
             assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
+def same_as_reference(tmp_path, kind, v, **kw):
+    """Write ``v`` with the writer of ``kind`` twice (the second write takes
+    the template path) and compare each write with the reference writer."""
+    new, ref = tmp_path / f"new.{kind}", tmp_path / f"ref.{kind}"
+    if kind == "lasr":
+        writer = lambda g, p: save_movie(Movie(tuple(Frame(x) for x in g), fps=2.0), p)
+        reference = lambda g, p: _oracles.save_movie_reference(g, 2.0, p)
+    elif kind == "csv":
+        writer, reference = save_map_csv, _oracles.save_map_csv_reference
+    else:
+        writer = lambda g, p: save_map_image(g, p, **kw)
+        reference = lambda g, p: _oracles.save_map_image_reference(g, p, **kw)
+    reference(v, ref)
+    for _ in range(2):
+        writer(v, new)
+        assert new.read_bytes() == ref.read_bytes()
+
+
+def masked_grid(rng, mask, fill=0.0, shape=(6, 7)):
+    """Random values where ``mask`` holds, ``fill`` elsewhere."""
+    return np.where(mask, rng.uniform(0.5, 9.0, shape), fill)
+
+
+class TestWriterTemplates:
+    """The writers' repeated-pattern templates give the per-value reference
+    writers' bytes; every grid is written at least twice."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(fr, "_templates", OrderedDict())
+
+    def built(self):
+        return sum(isinstance(t, str) for t in fr._templates.values())
+
+    def test_patterns_change_within_one_movie(self, tmp_path):
+        rng = np.random.default_rng(1)
+        masks = [rng.random((6, 7)) < 0.5 for _ in range(3)]
+        order = [0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1]
+        stack = np.stack([masked_grid(rng, masks[i]) for i in order])
+        same_as_reference(tmp_path, "lasr", stack)
+        assert self.built() == 3
+
+    def test_negative_zero_where_the_cached_pattern_had_positive_zero(self, tmp_path):
+        rng = np.random.default_rng(2)
+        v = masked_grid(rng, rng.random((6, 7)) < 0.5)
+        w = v.copy()
+        w.flat[np.flatnonzero(v == 0)[[0, -1]]] = -0.0
+        same_as_reference(tmp_path, "csv", v)
+        same_as_reference(tmp_path, "csv", w)
+        same_as_reference(tmp_path, "lasr", np.stack([v, v, w, v, w]))
+        assert self.built() == 4
+
+    def test_nan_and_zero_swapped_at_one_position(self, tmp_path):
+        rng = np.random.default_rng(3)
+        v = masked_grid(rng, rng.random((6, 7)) < 0.5, fill=np.nan)
+        v[0, 0], v[0, 1] = 0.0, np.nan
+        swapped = v.copy()
+        swapped[0, 0], swapped[0, 1] = np.nan, 0.0
+        no_nan = v.copy()
+        no_nan[0, 1] = 4.25  # same zero positions, one NaN fewer
+        for g in (v, swapped, v, no_nan, v, swapped):
+            same_as_reference(tmp_path, "csv", g)
+        assert self.built() == 3
+
+    def test_all_zero_maps(self, tmp_path):
+        for shape in GRID_SHAPES:
+            z = np.zeros(shape)
+            same_as_reference(tmp_path, "csv", z)
+            same_as_reference(tmp_path, "pgm", z)
+            same_as_reference(tmp_path, "pgm", z, scale="max-normalized")
+            same_as_reference(tmp_path, "lasr", np.stack([z, z, z]))
+
+    def test_shape_is_part_of_the_pattern(self, tmp_path):
+        for shape in [(2, 3), (3, 2), (1, 6), (6, 1)]:
+            z = np.zeros(shape)
+            same_as_reference(tmp_path, "csv", z)
+            same_as_reference(tmp_path, "lasr", np.stack([z, z]))
+
+    def test_pgm_zero_pixels(self, tmp_path):
+        rng = np.random.default_rng(4)
+        mask = rng.random((6, 7)) < 0.4
+        for _ in range(3):
+            # exact zeros and values below half a grey level both become pixel 0
+            v = np.where(mask, rng.uniform(1 / 255, 1.0, mask.shape),
+                         rng.choice([0.0, -0.0, 1e-300, 0.99 / 510], mask.shape))
+            same_as_reference(tmp_path, "pgm", v)
+            same_as_reference(tmp_path, "pgm", v * 7.0, scale="max-normalized")
+        assert self.built() >= 1
+
+    def test_pattern_seen_again_after_eviction(self, tmp_path):
+        rng = np.random.default_rng(5)
+        v = masked_grid(rng, rng.random((6, 7)) < 0.5, fill=np.nan)
+        same_as_reference(tmp_path, "csv", v)
+        first = set(fr._templates)
+        for k in range(fr._TEMPLATE_SLOTS):
+            other = v.copy()
+            other.flat[k] = 0.0 if np.isnan(other.flat[k]) else np.nan
+            same_as_reference(tmp_path, "csv", other)
+        assert not first & set(fr._templates)
+        assert len(fr._templates) == fr._TEMPLATE_SLOTS
+        v = np.where(np.isnan(v), v, v + 1.0)
+        same_as_reference(tmp_path, "csv", v)
+        assert first <= set(fr._templates)
+
+    def test_patterns_that_never_repeat_stay_bounded(self, tmp_path):
+        rng = np.random.default_rng(6)
+        stack = np.where(rng.random((40, 6, 7)) < 0.3, 0.0, rng.uniform(0.5, 9.0, (40, 6, 7)))
+        same_as_reference(tmp_path, "lasr", stack)
+        assert len(fr._templates) == fr._TEMPLATE_SLOTS
 
 
 def body(*frames, sep="\n", eol="\n"):

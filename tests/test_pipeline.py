@@ -1,6 +1,8 @@
 """End-to-end runs, artifacts, determinism, and CLI exit codes."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -538,6 +540,24 @@ class TestCli:
                        "--out", str(tmp_path / "o"), "--config", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text,code,needle", [
+        ("q = 0.1\nbroken\n", 3, "line 2: expected 'key = value'"),
+        ("qq = 0.1\n", 2, "unknown config key 'qq'"),
+        (None, 3, "No such file or directory"),
+        ("q = 0.1 # caf\u00e9\n", 3, "not ASCII text"),
+    ])
+    def test_config_file_errors_name_the_stage_and_the_file(self, tmp_path, capsys, text, code, needle):
+        cfgfile = tmp_path / "opts.cfg"
+        if text is not None:
+            cfgfile.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        rc = cli_main(["run", "--before", str(tmp_path / "s1"), "--after", str(tmp_path / "s2"),
+                       "--out", str(out), "--config", str(cfgfile)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert f"stage 'config' failed: config file {cfgfile}: " in err and needle in err
+        assert not out.exists()
+
     def test_env_seed_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LASR_SEED", "9")
         ph = tmp_path / "ph"
@@ -555,6 +575,17 @@ class TestCli:
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "phantom" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["ssm", "--before", "b", "--after", "a",
+                                                                 "--out", "o", "--kernel", "box"], 2)])
+    def test_python_m_lasr(self, tmp_path, argv, code):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lasr"] + argv, cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert ("phantom" in proc.stdout) if code == 0 else ("unknown kernel 'box'" in proc.stderr)
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_exits_3(self, tmp_path):
         rc = cli_main(["run", "--before", str(tmp_path / "nope1"),
