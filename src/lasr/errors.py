@@ -21,14 +21,18 @@ class DataError(LasrError):
 class FormatError(DataError):
     """A file does not conform to its declared grammar.
 
-    ``line`` is the 1-based line number at which parsing failed, when known.
+    ``line`` is the 1-based line number at which parsing failed, and
+    ``path`` the file, when known; the message starts with them.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class NumericError(LasrError):

@@ -16,9 +16,14 @@ positive decimal.  Values are nonnegative decimals; they are written with
 representable at that precision.  The parser is strict: any deviation from
 the grammar (wrong row width, negative or non-numeric value, missing or
 extra separator line, trailing content) raises :class:`FormatError` with
-the offending line number.  A well-formed body is parsed a frame at a
-time; any deviation sends the file through a line walker that finds the
-first bad line.
+the offending line number; a file that is not ASCII text raises it naming
+the file.  A body whose line count and blank separators fit the header is
+parsed by numpy's C reader in one call.  Where that reader refuses it (it
+rejects some tokens ``float`` accepts, such as ``1_0``), the body is
+parsed a frame at a time with ``float``; where that refuses too, or a
+value is negative or not finite, a line walker finds the first bad line.
+All three read every value as ``float`` does.  A parsed movie's frames
+are read-only views of one array.
 
 The writers format only the values that vary.  Segmented movies and
 per-pair maps repeat the same exact zeros (and, in t-maps, NaNs) in the
@@ -29,8 +34,9 @@ other values.  A grid whose pattern is new goes through one plain format
 string per call; the bytes written are the same either way.
 
 A session directory is a ``session.txt`` manifest plus one movie file per
-segment.  ``lasr run`` checks the whole manifest (every segment needs a
-file entry and a known tag) but parses only the two segment files it
+segment.  ``lasr run`` checks the whole manifest (no key given twice,
+segments numbered 0..n-1 without a gap, each with a file entry and a known
+tag) but parses only the two segment files it
 compares, so a malformed movie file in an unselected segment does not fail
 a run; :func:`load_session` parses them all.
 
@@ -80,8 +86,10 @@ class Frame:
     """A single rows x cols intensity image with an optional support mask.
 
     ``values`` must be finite, and nonnegative unless ``signed=True`` is
-    passed (difference maps are signed).  Arrays are copied and frozen, so
-    frames can be shared freely between workers.
+    passed (difference maps are signed).  ``Frame(...)`` copies and freezes
+    its arrays, so a frame never changes once made.  Movies built from one
+    array (a parsed file, a cut or resampled segment) check and freeze that
+    array once instead: their frames are read-only views of it.
     """
 
     values: np.ndarray
@@ -115,6 +123,38 @@ class Frame:
     @property
     def shape(self) -> tuple:
         return self.values.shape
+
+
+def _frames_of(stack: np.ndarray, masks: Optional[np.ndarray] = None,
+               signed: bool = False) -> tuple:
+    """The frames of a (nframes, rows, cols) float64 array, as read-only views.
+
+    The array and the (nframes, rows, cols) mask stack, if any, are checked
+    as ``Frame`` checks one frame, then frozen in place rather than copied:
+    the caller hands them over.  A shared mask may come as
+    ``np.broadcast_to(mask, stack.shape)``.
+    """
+    if stack.dtype != np.float64 or stack.ndim != 3 or stack.size == 0:
+        raise DataError(f"frame values must be a nonempty stack of 2-D grids, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise DataError("frame values must be finite")
+    if not signed and (stack < 0).any():
+        raise DataError("frame values must be nonnegative")
+    stack.setflags(write=False)
+    if masks is None:
+        masks = (None,) * len(stack)
+    elif masks.shape != stack.shape or masks.dtype != np.bool_:
+        raise DataError("support mask must be a boolean grid matching the frame shape")
+    else:
+        masks.setflags(write=False)
+    frames = []
+    for v, m in zip(stack, masks):
+        f = object.__new__(Frame)
+        object.__setattr__(f, "values", v)
+        object.__setattr__(f, "support_mask", m)
+        object.__setattr__(f, "signed", signed)
+        frames.append(f)
+    return tuple(frames)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,21 +243,43 @@ def _parse_header(line: str):
 
 
 def _parse_fast(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarray]:
-    """The frame values of a well-formed body, or None to defer to the line walker.
+    """The (nframes, rows, cols) values of a well-formed body, or None to
+    defer to the line walker.
 
-    Accepts exactly what the walker accepts (same line layout, same
-    ``float`` tokens, finite and nonnegative), one frame per step.
+    Checks the line count and the blank separators, then parses the rows
+    with numpy's C reader, or a frame at a time with ``float`` where numpy
+    refuses; either accepts exactly the values the walker accepts.
     """
     step = rows + 1
-    if len(lines) != nframes * step:
+    if len(lines) != nframes * step or any(lines[k * step].strip() for k in range(1, nframes)):
         return None
+    values = _parse_c(lines, rows, cols, nframes)
+    if values is None:
+        values = _parse_frames(lines, rows, cols, nframes)
+    if values is None or not np.isfinite(values).all() or (values < 0).any():
+        return None
+    return values.reshape(nframes, rows, cols)
+
+
+def _parse_c(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarray]:
+    """All rows in one ``np.loadtxt`` call, which skips the blank
+    separators; None where numpy refuses a token or a row is blank."""
+    if not lines[1].strip():  # also spares loadtxt's "no data" warning
+        return None
+    try:
+        values = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (nframes * rows, cols) else None
+
+
+def _parse_frames(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarray]:
+    """The rows parsed a frame at a time with ``float``, or None."""
+    step = rows + 1
     out = np.empty((nframes, rows * cols), dtype=np.float64)
     for k in range(nframes):
-        start = k * step
-        if k > 0 and lines[start].strip() != "":
-            return None
         tokens = []
-        for line in lines[start + 1:start + step]:
+        for line in lines[k * step + 1:(k + 1) * step]:
             tok = line.split()
             if len(tok) != cols:
                 return None
@@ -226,8 +288,6 @@ def _parse_fast(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarra
             out[k] = list(map(float, tokens))
         except ValueError:
             return None
-    if not np.isfinite(out).all() or (out < 0).any():
-        return None
     return out
 
 
@@ -267,8 +327,7 @@ def load_movie(path, format: str = "lasr-text") -> Movie:
     """Parse a movie file; strict about the grammar, never returns a partial movie."""
     if format != "lasr-text":
         raise DataError(f"unknown movie format {format!r}")
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path).split("\n")
     # a trailing newline produces one final empty chunk; drop only that one
     if lines and lines[-1] == "":
         lines.pop()
@@ -277,10 +336,17 @@ def load_movie(path, format: str = "lasr-text") -> Movie:
     rows, cols, nframes, fps = _parse_header(lines[0])
     values = _parse_fast(lines, rows, cols, nframes)
     if values is None:
-        grids = _parse_walk(lines, rows, cols, nframes)
-    else:
-        grids = values.reshape(nframes, rows, cols)
-    return Movie(tuple(Frame(g) for g in grids), fps=fps)
+        values = np.stack(_parse_walk(lines, rows, cols, nframes))
+    return Movie(_frames_of(values), fps=fps)
+
+
+def _read_text(path) -> str:
+    """A whole ASCII text file (universal newlines)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise FormatError("not ASCII text", path=path) from None
 
 
 # Templates of repeated grid patterns, least recently used evicted first:
@@ -408,25 +474,30 @@ def save_session(layout: SessionLayout, directory) -> None:
 
 def _read_kv(path) -> list:
     """The ``(key, value)`` pairs of a ``key = value`` text file, in file
-    order; blank lines and ``#`` comments are skipped."""
-    pairs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected 'key = value'", line=ln)
-            key, _, val = line.partition("=")
-            pairs.append((key.strip(), val.strip()))
+    order; blank lines and ``#`` comments are skipped, and a key may appear
+    once.  Every error names the file."""
+    pairs, seen = [], set()
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError("expected 'key = value'", line=ln, path=path)
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key in seen:
+            raise FormatError(f"key {key!r} given twice", line=ln, path=path)
+        seen.add(key)
+        pairs.append((key, val.strip()))
     return pairs
 
 
 def _manifest(directory):
     """Check ``session.txt`` and list its segments without parsing any movie.
 
-    Returns ``([(tag, path), ...], session_id, subject_id)``; every declared
-    segment must have a file entry and a known tag.
+    Returns ``([(tag, path), ...], session_id, subject_id)``.  The segments
+    are numbered 0..n-1 without a gap; each needs a file entry and a known
+    tag, and no ``segment.K.*`` key may lie outside that run.
     """
     manifest = os.path.join(directory, "session.txt")
     if not os.path.isfile(manifest):
@@ -444,6 +515,9 @@ def _manifest(directory):
         k += 1
     if not entries:
         raise DataError(f"session.txt in {directory} declares no segments")
+    for key in kv:
+        if key.startswith("segment.") and key.split(".")[1] not in map(str, range(k)):
+            raise DataError(f"{manifest}: key {key!r} lies outside segments 0..{k - 1}")
     return entries, kv.get("session_id", ""), kv.get("subject_id", "")
 
 

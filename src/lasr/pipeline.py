@@ -155,7 +155,7 @@ def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     stack = movie.stack()
     cut = np.where(_consensus_region(stack, t), stack, 0.0)
     del stack
-    return fr.Movie(tuple(fr.Frame(v, support_mask=v > 0) for v in cut), fps=movie.fps)
+    return fr.Movie(fr._frames_of(cut, cut > 0), fps=movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
@@ -173,26 +173,36 @@ def _register_movie(movie: fr.Movie):
     A frame's transform depends only on its support mask and quarter turn,
     so ``srlp_register`` runs once per (turn, mask) group, on the group's
     first frame, and the group's other frames are resampled with its
-    transform in one pass.  Frames, masks, transforms and errors equal
-    those of ``srlp_register`` applied frame by frame: the first failing
-    frame raises.
+    transform in one pass.  The quarter turns of all frames sharing a mask
+    are found in one pass too, when the mask first appears.  Frames, masks,
+    transforms and errors equal those of ``srlp_register`` applied frame by
+    frame: the first failing frame raises.
     """
+    mask_keys = [None if f.support_mask is None else f.support_mask.tobytes() for f in movie.frames]
+    by_mask = {}  # mask bytes -> indices of the frames with that mask
+    for i, mk in enumerate(mask_keys):
+        by_mask.setdefault(mk, []).append(i)
+    turns = {}  # frame index -> quarter turn, filled a mask at a time
     out, transforms = [None] * len(movie), [None] * len(movie)
-    groups = {}  # (turn, mask bytes) -> (transform, indices of the later frames)
+    groups = {}  # (turn, mask bytes, signed) -> (transform, indices of the later frames)
     for i, f in enumerate(movie.frames):
-        key = (reg._quarter_turns(f), f.support_mask.tobytes())
+        idx = by_mask[mask_keys[i]]
+        if i == idx[0]:
+            turns.update(zip(idx, reg._stack_quarter_turns(
+                np.stack([movie[j].values for j in idx]), f.support_mask)))
+        key = (turns[i], mask_keys[i], f.signed)
         if key in groups:
             groups[key][1].append(i)
         else:
             out[i], t = reg.srlp_register(f)
             groups[key] = (t, [])
         transforms[i] = groups[key][0]
-    for t, idx in groups.values():
+    for (_, _, signed), (t, idx) in groups.items():
         if idx:
             values, mask = reg._resample(np.stack([movie[i].values for i in idx]),
                                          movie[idx[0]].support_mask, t)
-            for i, v in zip(idx, values):
-                out[i] = fr.Frame(v, support_mask=mask, signed=movie[i].signed)
+            for i, frame in zip(idx, fr._frames_of(values, np.broadcast_to(mask, values.shape), signed)):
+                out[i] = frame
     return fr.Movie(tuple(out), fps=movie.fps), transforms
 
 
@@ -201,7 +211,8 @@ def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
     movie = fr.load_movie(path)
     if mean_frame:
         movie = _mean_movie(movie)
-    return fr.Movie(tuple(fr.with_positive_mask(f) for f in movie.frames), fps=movie.fps)
+    stack = movie.stack()
+    return fr.Movie(fr._frames_of(stack, stack > 0), fps=movie.fps)
 
 
 class _Outputs:
@@ -448,10 +459,8 @@ def _read_config_file(path: str) -> dict:
         pairs = fr._read_kv(path)
     except OSError as e:
         raise DataError(f"config file {path}: {e.strerror}") from None
-    except FormatError as e:
-        raise FormatError(f"config file {path}: {e}") from None
-    except UnicodeDecodeError:
-        raise FormatError(f"config file {path}: not ASCII text") from None
+    except FormatError as e:  # names the file already
+        raise FormatError(f"config file {e}") from None
     out = {}
     for key, val in pairs:
         if key not in _RUN_KEYS:

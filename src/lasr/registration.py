@@ -193,22 +193,26 @@ def _quarter_turns(frame: Frame) -> int:
     The long axis of the support goes horizontal (0 or 1 turns), then the
     intensity mass is put toward low columns (possibly 2 more turns).
     """
-    mask = frame.support_mask
+    return _stack_quarter_turns(frame.values[None], frame.support_mask)[0]
+
+
+def _stack_quarter_turns(stack: np.ndarray, mask: Optional[np.ndarray]) -> list:
+    """``_quarter_turns`` of each frame of a (frames, rows, cols) stack
+    sharing one support mask, in one pass over the stack."""
     if mask is None:
         raise DataError("frame has no support mask; segment it first")
     if not mask.any():
         raise DataError("empty support")
     rr, cc = np.nonzero(mask)
     k = 1 if (rr.max() - rr.min()) > (cc.max() - cc.min()) else 0
-    vals = np.rot90(frame.values, k) if k else frame.values
+    vals = np.rot90(stack, k, axes=(1, 2)) if k else stack
     m = np.rot90(mask, k) if k else mask
     _, c = np.nonzero(m)
-    w = vals[m]
-    total = w.sum()
-    centroid = (w * c).sum() / total if total > 0 else c.mean()
-    if centroid > 0.5 * (c.min() + c.max()):
-        k += 2
-    return k
+    w = vals[:, m]
+    total = w.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        centroid = np.where(total > 0, (w * c).sum(axis=1) / total, c.mean())
+    return [k + 2 if x > 0.5 * (c.min() + c.max()) else k for x in centroid.tolist()]
 
 
 def _turn_transform(shape: Tuple[int, int], k: int) -> Tuple[RigidTransform, Tuple[int, int]]:
@@ -340,13 +344,38 @@ def _flat_values_masks(movie: Movie, domain: str):
     return vals * masks, masks
 
 
+def _distinct_rows(m: np.ndarray):
+    """The distinct rows of ``m`` and, per row, its index among them.
+
+    Consecutive rows are compared first, so only the first row of each run
+    of equal rows is hashed.
+    """
+    heads = np.flatnonzero(np.concatenate([[True], (m[1:] != m[:-1]).any(axis=1)]))
+    seen, firsts, ids = {}, [], []
+    for h in heads.tolist():
+        key = m[h].tobytes()
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(h)
+        ids.append(seen[key])
+    return m[firsts], np.repeat(ids, np.diff(np.append(heads, len(m))))
+
+
+def _overlaps(ma, mb):
+    """``ma @ mb.T`` for 0/1 mask rows, one product per pair of distinct
+    masks: the counts are exact integers, so the expansion is exact."""
+    ua, ia = _distinct_rows(ma)
+    ub, ib = _distinct_rows(mb)
+    return (ua @ ub.T)[np.ix_(ia, ib)]
+
+
 def _pairwise_correlation(xa, ma, xb, mb):
     """Pearson matrix over per-pair union domains; undefined entries are NaN.
 
     Values are pre-zeroed off their own support, so plain sums equal
     union-domain sums.
     """
-    n = ma.sum(axis=1)[:, None] + mb.sum(axis=1)[None, :] - ma @ mb.T
+    n = ma.sum(axis=1)[:, None] + mb.sum(axis=1)[None, :] - _overlaps(ma, mb)
     sx, sy = xa.sum(axis=1), xb.sum(axis=1)
     sxx, syy = (xa * xa).sum(axis=1), (xb * xb).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

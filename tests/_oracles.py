@@ -200,6 +200,25 @@ def register_reference(frames, srlp_register):
     return out, transforms
 
 
+def quarter_turns_reference(values, mask):
+    """SRLP's quarter turns of one frame: 1 if the support is taller than
+    wide, plus 2 if the intensity centroid (the mean column where the values
+    sum to zero or less) lies right of the middle supported column."""
+    rr, cc = np.nonzero(mask)
+    k = 1 if (rr.max() - rr.min()) > (cc.max() - cc.min()) else 0
+    vals, m = np.rot90(values, k), np.rot90(mask, k)
+    _, c = np.nonzero(m)
+    w = vals[m]
+    total = w.sum()
+    centroid = (w * c).sum() / total if total > 0 else c.mean()
+    return k + 2 if centroid > 0.5 * (c.min() + c.max()) else k
+
+
+def mask_overlaps(ma, mb):
+    """Overlap counts of every pair of 0/1 mask rows: ``ma @ mb.T``."""
+    return ma @ mb.T
+
+
 def lag_profile_loop(frames_a, masks_a, frames_b, masks_b, m0, max_lag):
     """CorAvg_j for j in [-max_lag, max_lag] by direct looping."""
     fa, ma = frames_a[m0:], masks_a[m0:]

@@ -1,6 +1,7 @@
 """Containers, the movie text format, and map export."""
 
 import os
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -140,6 +141,25 @@ class TestMovieIO:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_movie(tmp_path / "x", format="binary")
+
+    def test_loaded_frames_are_read_only_views_and_stack_is_fresh(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = tmp_path / "m.lasr"
+        save_movie(rand_movie(rng, rows=3, cols=4, n=3), p)
+        m = load_movie(p)
+        for f in m.frames:
+            assert not f.values.flags.writeable and f.support_mask is None
+            with pytest.raises(ValueError):
+                f.values[0, 0] = 1.0
+        stack = m.stack()
+        assert stack.flags.writeable and not np.shares_memory(stack, m[0].values)
+
+    def test_non_ascii_file_names_the_file(self, tmp_path):
+        p = tmp_path / "u.lasr"
+        p.write_bytes(b"LASR1 1 1 1 2\n\xc3")
+        with pytest.raises(FormatError) as err:
+            load_movie(p)
+        assert str(err.value) == f"{p}: not ASCII text"
 
 
 def write(tmp_path, text):
@@ -415,6 +435,8 @@ MALFORMED = {
     "two-trailing-newlines": LONG + "\n\n",
     "blank-row": HEAD + body(F1, ["", "10 11 12"], sep=""),
     "token-moved-to-next-row": HEAD + body(F1, ["7 8 9 10", "11 12"], sep=""),
+    "all-blank-body": "LASR1 2 3 1 2\n\n\n",
+    "blank-first-row": HEAD + body(["", "4 5 6"], F2, sep=""),
 }
 
 
@@ -439,9 +461,61 @@ class TestParserMatchesReference:
         with pytest.raises(_oracles.ParseError) as ref:
             _oracles.parse_reference(p.read_text(encoding="ascii"))
         with pytest.raises(FormatError) as err:
-            load_movie(p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no reader tier may warn instead
+                load_movie(p)
         assert err.value.line == ref.value.line
         assert str(err.value) == str(ref.value)
+
+
+# Tokens for the C-reader fuzz: what numpy and ``float`` might read apart.
+ODD_TOKENS = ["-0", "+.5", "5.", "00", "1_0", "1_0.5", "0x10", "inf", "nan", "-inf", "+nan",
+              "Infinity", "-0.0", "0e0", "+0", "1e", ".", "e5", "1__0", "_1", "1_", "--1",
+              "1..2", "1e+", ".e1", "1e5.0", "0b1", "1j", "1,5", "١"]
+
+
+def fuzz_token(rng):
+    kind = int(rng.integers(0, 6))
+    if kind == 0:  # the shortest repr of a double
+        return repr(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+    if kind == 1:  # a decimal of 1-40 digits
+        digits = "".join(rng.choice(list("0123456789"), int(rng.integers(1, 41))))
+        cut = int(rng.integers(0, len(digits) + 1))
+        return digits if rng.random() < 0.3 else digits[:cut] + "." + digits[cut:]
+    if kind == 2:  # an exponent up to +-330
+        mant = "%d.%d" % (rng.integers(0, 100), rng.integers(0, 10 ** 6))
+        return "%s%s%d" % (mant, rng.choice(["e", "E", "e+", "e-"]), rng.integers(0, 331))
+    if kind == 3:  # a subnormal
+        return repr(float(rng.uniform(0.0, 1.0) * 2.2250738585072014e-308))
+    return ODD_TOKENS[int(rng.integers(0, len(ODD_TOKENS)))]
+
+
+class TestCReader:
+    """numpy's C reader returns exactly ``float``'s values or defers."""
+
+    def test_fuzzed_lines_read_as_float_reads_them(self):
+        rng = np.random.default_rng(2024)
+        deferred = 0
+        for _ in range(20000):
+            tokens = [fuzz_token(rng) for _ in range(int(rng.integers(1, 7)))]
+            line = rng.choice([" ", "\t", "  "]).join(tokens)
+            try:
+                want = np.array([float(t) for t in tokens])
+            except ValueError:
+                want = None
+            got = fr._parse_c(["LASR1 1 %d 1 1" % len(tokens), line], 1, len(tokens), 1)
+            if got is None:
+                deferred += 1
+            else:
+                assert want is not None, line  # never accepts what float rejects
+                assert got.tobytes() == want.tobytes(), line
+        assert 0 < deferred < 20000
+
+    def test_float_tier_takes_tokens_numpy_refuses(self, tmp_path):
+        p = tmp_path / "m.lasr"
+        p.write_text("LASR1 1 3 1 1\n1_0 2 3\n")
+        assert fr._parse_c(p.read_text().split("\n")[:2], 1, 3, 1) is None
+        assert load_movie(p)[0].values.tolist() == [[10.0, 2.0, 3.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +620,18 @@ class TestSession:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_session(str(tmp_path / "nope"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("a = 1\n\nb = 2\na = 3\n", "line 4: key 'a' given twice"),
+        ("a = 1\nbroken\n", "line 2: expected 'key = value'"),
+        ("a = caf\u00e9\n", "not ASCII text"),
+    ])
+    def test_key_value_errors_name_the_file(self, tmp_path, text, message):
+        p = tmp_path / "kv.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            fr._read_kv(p)
+        assert str(err.value) == f"{p}: {message}"
 
 
 class TestEquality:

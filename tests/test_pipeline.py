@@ -36,6 +36,7 @@ from lasr import (
     select_model,
     t_map,
 )
+from lasr import frames as fr
 from lasr import pipeline, srlp_register
 
 import _oracles as orc
@@ -284,12 +285,19 @@ class TestSelectedSegmentLoading:
         assert str(exc.value.cause) == "line 5: expected 26 values, got 27"
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("edit,message", [
+    @pytest.mark.parametrize("edit,message,kind", [
         (("segment.1.tag = Stim", "segment.1.tag = Warmup"),
-         "unknown segment tag 'Warmup'; expected one of ('NoStim', 'Stim')"),
-        (("segment.1.file = seg1.lasr\n", ""), "segment 1 has a tag but no file entry"),
+         "unknown segment tag 'Warmup'; expected one of ('NoStim', 'Stim')", DataError),
+        (("segment.1.file = seg1.lasr\n", ""), "segment 1 has a tag but no file entry", DataError),
+        (("segment.0.tag = NoStim\n", "segment.0.tag = NoStim\nsegment.0.tag = Stim\n"),
+         "{manifest}: line 4: key 'segment.0.tag' given twice", FormatError),
+        # segment 1 loses its tag: the full segment 2 behind it must not vanish
+        (("segment.1.tag = Stim\n", ""), "{manifest}: key 'segment.1.file' lies outside segments 0..0",
+         DataError),
+        (("segment.2.file = seg2.lasr\n", "segment.2.file = seg2.lasr\nsegment.3.file = seg3.lasr\n"),
+         "{manifest}: key 'segment.3.file' lies outside segments 0..2", DataError),
     ])
-    def test_manifest_is_checked_in_full(self, tmp_path, edit, message):
+    def test_manifest_is_checked_in_full(self, tmp_path, edit, message, kind):
         s1, s2 = self.saved_pair(tmp_path)
         manifest = s1 / "session.txt"
         assert edit[0] in manifest.read_text()
@@ -297,8 +305,8 @@ class TestSelectedSegmentLoading:
         with pytest.raises(StageError) as exc:
             run_lasr(quick_config(str(s1), str(s2), tmp_path / "x"))
         assert exc.value.stage == "load"
-        assert type(exc.value.cause) is DataError
-        assert str(exc.value.cause) == message
+        assert type(exc.value.cause) is kind
+        assert str(exc.value.cause) == message.format(manifest=manifest)
 
     def test_segment_index_out_of_range_on_a_directory(self, tmp_path):
         s1, s2 = self.saved_pair(tmp_path)
@@ -407,6 +415,42 @@ class TestCompareMovies:
         assert not maps.exists()
 
 
+class TestViewFrames:
+    """Movies built from one array hand out read-only view frames."""
+
+    def test_builders_hand_out_read_only_frames(self, tmp_path):
+        before, _ = session_pair(replace(BASE_SPEC, n_frames=6))
+        path = tmp_path / "m.lasr"
+        save_movie(before.segments[1][1], path)
+        loaded = load_movie(path)
+        cut = pipeline._cut_movie(loaded, 3.0)
+        registered, _ = pipeline._register_movie(cut)
+        masked = pipeline._load_masked(str(path))
+        for movie in (loaded, cut, registered, masked):
+            for f in movie.frames:
+                arrays = [f.values] + ([f.support_mask] if f.support_mask is not None else [])
+                for a in arrays:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0, 0] = a[0, 0]
+            assert movie.stack().flags.writeable
+        assert all(f.values.base is not None for f in registered.frames[1:])  # resampled as a group
+        for f in masked.frames:
+            assert np.array_equal(f.support_mask, f.values > 0)
+
+    def test_view_frames_are_checked_once(self):
+        stack = np.ones((3, 2, 2))
+        stack[2, 1, 1] = -1.0
+        with pytest.raises(DataError, match="nonnegative"):
+            fr._frames_of(stack)
+        frames = fr._frames_of(stack, signed=True)
+        assert [f.signed for f in frames] == [True] * 3
+        with pytest.raises(DataError, match="finite"):
+            fr._frames_of(np.full((1, 2, 2), np.nan))
+        with pytest.raises(DataError, match="support mask"):
+            fr._frames_of(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool))
+
+
 class TestRegisterMovie:
     """One SRLP transform per (mask, quarter turn) group, one stacked
     resampling per group: the result is the per-frame loop's, bit for bit."""
@@ -463,6 +507,27 @@ class TestRegisterMovie:
                           support_mask=np.ascontiguousarray(np.rot90(mask)))
         ts = self.assert_matches_reference(frames)
         assert ts[1] != ts[0] and ts[0].theta != 0.0
+
+    def test_one_turn_pass_per_mask(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        a = self.band((20, 24), 1, 5, 2, 21, tilt=0.15)
+        b = self.band((20, 24), 4, 8, 3, 22, tilt=-0.1)
+        frames = [self.tilted(rng, m, heavy) for m, heavy in
+                  ((a, "low"), (b, "low"), (a, "high"), (b, "low"), (a, "low"), (b, "high"))]
+        turns, passes = pipeline.reg._stack_quarter_turns, []
+
+        def counting(stack, mask):
+            passes.append(len(stack))
+            return turns(stack, mask)
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline.reg, "_stack_quarter_turns", counting)
+            pipeline._register_movie(Movie(tuple(frames), fps=2.0))
+        # one pass per mask when it first appears; the one-frame passes are
+        # srlp_register's own, once per (turn, mask) group
+        assert passes == [3, 1, 3, 1, 1, 1]
+        ts = self.assert_matches_reference(frames)
+        assert len({(t.theta, t.u, t.v) for t in ts}) == 4
 
     def test_single_frame(self):
         rng = np.random.default_rng(4)
@@ -545,6 +610,7 @@ class TestCli:
         ("qq = 0.1\n", 2, "unknown config key 'qq'"),
         (None, 3, "No such file or directory"),
         ("q = 0.1 # caf\u00e9\n", 3, "not ASCII text"),
+        ("q = 0.1\nbandwidth = 2\nq = 0.2\n", 3, "line 3: key 'q' given twice"),
     ])
     def test_config_file_errors_name_the_stage_and_the_file(self, tmp_path, capsys, text, code, needle):
         cfgfile = tmp_path / "opts.cfg"
@@ -586,6 +652,46 @@ class TestCli:
         assert proc.returncode == code, proc.stderr
         assert ("phantom" in proc.stdout) if code == 0 else ("unknown kernel 'box'" in proc.stderr)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["segment", "run"])
+    def test_non_ascii_input_exits_3_at_load(self, tmp_path, capsys, command):
+        if command == "segment":
+            bad = tmp_path / "u.lasr"
+            bad.write_bytes(b"LASR1 1 1 1 2\n\xc3")
+            argv = ["segment", "--in", str(bad)]
+        else:
+            ph = tmp_path / "ph"
+            cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
+            bad = ph / "s2" / "session.txt"
+            bad.write_bytes(bad.read_bytes().replace(b"s2", b"s\xc32", 1))
+            argv = ["run", "--before", str(ph / "s1"), "--after", str(ph / "s2")]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert cli_main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: stage 'load' failed: {bad}: not ASCII text\n"
+        assert not out.exists()
+
+    def test_dev_mode_chain_raises_no_warning(self, tmp_path):
+        """``python -X dev -W error -m lasr``: an unclosed file or a numpy
+        deprecation anywhere in these commands fails them."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def lasr(*argv):
+            proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "lasr"] + list(argv),
+                                  cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0 and "Warning" not in proc.stderr, (argv, proc.stderr)
+
+        lasr("phantom", "--out", "ph", "--rows", "24", "--cols", "26", "--frames", "12", "--seed", "3")
+        lasr("run", "--before", "ph/s1", "--after", "ph/s2", "--out", "dyn", "--before-segment", "1",
+             "--after-segment", "1", "--m0", "2", "--max-lag", "3", "--bandwidth", "2.0")
+        assert read_report(tmp_path / "dyn" / "report.txt")["mode"] == "dynamic"
+        lasr("segment", "--in", "ph/s1/seg0.lasr", "--out", "seg")
+        lasr("register", "--in", "seg/segmented.lasr", "--out", "reg")
+        # the after side is a registered movie the run wrote
+        lasr("ssm", "--before", "reg/registered.lasr", "--after", "dyn/after_registered.lasr",
+             "--out", "maps", "--bandwidth", "2.0")
+        assert (tmp_path / "maps" / "report.txt").is_file()
 
     def test_missing_input_exits_3(self, tmp_path):
         rc = cli_main(["run", "--before", str(tmp_path / "nope1"),

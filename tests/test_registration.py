@@ -29,6 +29,7 @@ from lasr import (
 )
 
 import _oracles as orc
+from lasr import registration as reg
 
 
 def band_frame(rows=10, cols=14, r0=3, r1=7, value=6.0, heavy_low=False):
@@ -246,6 +247,67 @@ class TestSrlpParams:
         empty = Frame(np.zeros((4, 4)), support_mask=np.zeros((4, 4), dtype=bool))
         with pytest.raises(DataError):
             srlp_params(empty)
+
+
+class TestStackQuarterTurns:
+    """One pass over a stack sharing a mask gives each frame's quarter turns."""
+
+    @staticmethod
+    def frames(rng, mask, n):
+        """Mass toward low or high columns (and rows) at random, plus an
+        all-zero frame and a signed frame summing to zero."""
+        rr, cc = np.indices(mask.shape)
+        out = []
+        for _ in range(n):
+            ramp = cc if rng.random() < 0.5 else cc[:, ::-1]
+            ramp = ramp + (rr if rng.random() < 0.5 else rr[::-1])
+            out.append(np.where(mask, 1.0 + ramp * rng.uniform(0.5, 2.0) + rng.uniform(0, 1, mask.shape), 0.0))
+        out.append(np.zeros(mask.shape))
+        signed = np.zeros(mask.shape)
+        r, c = np.nonzero(mask)
+        signed[r[0], c[0]], signed[r[-1], c[-1]] = 2.5, -2.5
+        out.append(signed)
+        return np.stack(out)
+
+    def test_matches_the_per_frame_turns(self):
+        rng = np.random.default_rng(21)
+        wide = np.zeros((12, 17), dtype=bool)
+        wide[3:8, 1:16] = True
+        wide[2, 4:9] = True
+        seen = set()
+        for mask in (wide, np.ascontiguousarray(wide.T), np.ascontiguousarray(wide[::-1, ::-1])):
+            stack = self.frames(rng, mask, 12)
+            got = reg._stack_quarter_turns(stack, mask)
+            assert got == [reg._quarter_turns(Frame(v, support_mask=mask, signed=True)) for v in stack]
+            assert got == [orc.quarter_turns_reference(v, mask) for v in stack]
+            for k in range(len(stack)):  # one-frame groups
+                assert reg._stack_quarter_turns(stack[k:k + 1], mask) == [got[k]]
+            seen.update(got)
+        assert seen == {0, 1, 2, 3}
+
+    def test_needs_a_nonempty_mask(self):
+        stack = np.ones((2, 3, 4))
+        with pytest.raises(DataError, match="no support mask"):
+            reg._stack_quarter_turns(stack, None)
+        with pytest.raises(DataError, match="empty support"):
+            reg._stack_quarter_turns(stack, np.zeros((3, 4), dtype=bool))
+
+
+class TestMaskOverlaps:
+    """``ma @ mb.T`` from one product per pair of distinct masks."""
+
+    @pytest.mark.parametrize("layout", ["one mask", "two masks interleaved", "all distinct"])
+    def test_expansion_equals_the_product(self, layout):
+        rng = np.random.default_rng(22)
+        pool = rng.random((9, 40)) < 0.6
+        idx = {"one mask": [4] * 9, "two masks interleaved": [1, 3, 3, 1, 3, 1, 1, 3, 1],
+               "all distinct": list(range(9))}[layout]
+        ma = pool[idx].astype(np.float64)
+        mb = pool[idx[::-1][:7]].astype(np.float64)
+        got = reg._overlaps(ma, mb)
+        want = orc.mask_overlaps(ma, mb)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestApplyRigid:
