@@ -5,6 +5,8 @@ exit with 2, malformed or inconsistent input data with 3, and numerical
 failures (degenerate fits, zero residual variance, ...) with 4.
 """
 
+__all__ = ["LasrError", "ConfigError", "DataError", "FormatError", "NumericError", "StageError"]
+
 
 class LasrError(Exception):
     """Base class for all package-specific errors."""

@@ -17,13 +17,14 @@ representable at that precision.  The parser is strict: any deviation from
 the grammar (wrong row width, negative or non-numeric value, missing or
 extra separator line, trailing content) raises :class:`FormatError` with
 the offending line number; a file that is not ASCII text raises it naming
-the file.  A body whose line count and blank separators fit the header is
-parsed by numpy's C reader in one call.  Where that reader refuses it (it
-rejects some tokens ``float`` accepts, such as ``1_0``), the body is
-parsed a frame at a time with ``float``; where that refuses too, or a
-value is negative or not finite, a line walker finds the first bad line.
-All three read every value as ``float`` does.  A parsed movie's frames
-are read-only views of one array.
+the file.  There are two reader tiers.  A body whose line count and blank
+separators fit the header is parsed by numpy's C reader in one call.
+Anything else, including tokens numpy refuses but ``float`` accepts (such
+as ``1_0``), goes to a line walker, which reads every value with ``float``
+and finds the first bad line; the C reader reads every value as ``float``
+does.  The walker builds the array only from rows it has read, so a header
+that promises more than the body holds costs no memory.  A parsed movie's
+frames are read-only views of one array.
 
 The writers format only the values that vary.  Segmented movies and
 per-pair maps repeat the same exact zeros (and, in t-maps, NaNs) in the
@@ -47,10 +48,9 @@ also be dumped as one-line-per-row CSV.
 from __future__ import annotations
 
 import os
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -67,9 +67,6 @@ __all__ = [
     "save_map_csv",
     "load_session",
     "save_session",
-    "frames_equal",
-    "movies_equal",
-    "with_positive_mask",
 ]
 
 SEGMENT_TAGS = ("NoStim", "Stim")
@@ -247,15 +244,12 @@ def _parse_fast(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarra
     defer to the line walker.
 
     Checks the line count and the blank separators, then parses the rows
-    with numpy's C reader, or a frame at a time with ``float`` where numpy
-    refuses; either accepts exactly the values the walker accepts.
+    with numpy's C reader, which accepts only values the walker accepts.
     """
     step = rows + 1
     if len(lines) != nframes * step or any(lines[k * step].strip() for k in range(1, nframes)):
         return None
     values = _parse_c(lines, rows, cols, nframes)
-    if values is None:
-        values = _parse_frames(lines, rows, cols, nframes)
     if values is None or not np.isfinite(values).all() or (values < 0).any():
         return None
     return values.reshape(nframes, rows, cols)
@@ -273,35 +267,20 @@ def _parse_c(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarray]:
     return values if values.shape == (nframes * rows, cols) else None
 
 
-def _parse_frames(lines, rows: int, cols: int, nframes: int) -> Optional[np.ndarray]:
-    """The rows parsed a frame at a time with ``float``, or None."""
-    step = rows + 1
-    out = np.empty((nframes, rows * cols), dtype=np.float64)
-    for k in range(nframes):
-        tokens = []
-        for line in lines[k * step + 1:(k + 1) * step]:
-            tok = line.split()
-            if len(tok) != cols:
-                return None
-            tokens += tok
-        try:
-            out[k] = list(map(float, tokens))
-        except ValueError:
-            return None
-    return out
+def _parse_walk(lines, rows: int, cols: int, nframes: int) -> np.ndarray:
+    """Line-by-line parse that names the first offending line.
 
-
-def _parse_walk(lines, rows: int, cols: int, nframes: int) -> list:
-    """Line-by-line parse that names the first offending line."""
-    grids = []
+    Rows are collected as they are read and stacked at the end, so the
+    header's sizes never allocate anything by themselves.
+    """
+    parsed = []
     ln = 1  # 1-based number of the last consumed line
     for k in range(nframes):
         if k > 0:
             ln += 1
             if ln > len(lines) or lines[ln - 1].strip() != "":
                 raise FormatError("expected blank line between frames", line=min(ln, len(lines) + 1))
-        grid = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
+        for _ in range(rows):
             ln += 1
             if ln > len(lines):
                 raise FormatError(f"unexpected end of file in frame {k}", line=len(lines) + 1)
@@ -316,17 +295,14 @@ def _parse_walk(lines, rows: int, cols: int, nframes: int) -> list:
                 raise FormatError("non-finite value", line=ln)
             if (row < 0).any():
                 raise FormatError("negative value", line=ln)
-            grid[r] = row
-        grids.append(grid)
+            parsed.append(row)
     if ln < len(lines):
         raise FormatError("trailing content after last frame", line=ln + 1)
-    return grids
+    return np.stack(parsed).reshape(nframes, rows, cols)
 
 
-def load_movie(path, format: str = "lasr-text") -> Movie:
+def load_movie(path) -> Movie:
     """Parse a movie file; strict about the grammar, never returns a partial movie."""
-    if format != "lasr-text":
-        raise DataError(f"unknown movie format {format!r}")
     lines = _read_text(path).split("\n")
     # a trailing newline produces one final empty chunk; drop only that one
     if lines and lines[-1] == "":
@@ -336,7 +312,7 @@ def load_movie(path, format: str = "lasr-text") -> Movie:
     rows, cols, nframes, fps = _parse_header(lines[0])
     values = _parse_fast(lines, rows, cols, nframes)
     if values is None:
-        values = np.stack(_parse_walk(lines, rows, cols, nframes))
+        values = _parse_walk(lines, rows, cols, nframes)
     return Movie(_frames_of(values), fps=fps)
 
 
@@ -354,7 +330,6 @@ def _read_text(path) -> str:
 # (spec, separator, shape, +0.0 positions, NaN positions as bytes).
 _TEMPLATE_SLOTS = 16
 _templates: OrderedDict = OrderedDict()
-_templates_lock = threading.Lock()
 _UNSEEN = object()
 
 
@@ -377,18 +352,17 @@ class _GridFormat:
         zero = flat.view(np.uint64) == 0  # -0.0 has its sign bit set
         nan = np.isnan(flat) if flat.dtype.kind == "f" else np.zeros_like(zero)
         key = (self.spec, self.sep, self.shape, zero.tobytes(), nan.tobytes())
-        with _templates_lock:
-            template = _templates.pop(key, _UNSEEN)
-            if template is None:  # second sighting
-                cells = [self.spec] * flat.size
-                for i in np.flatnonzero(zero).tolist():
-                    cells[i] = "0"
-                for i in np.flatnonzero(nan).tolist():
-                    cells[i] = "nan"
-                template = self._template(cells)
-            _templates[key] = None if template is _UNSEEN else template
-            if len(_templates) > _TEMPLATE_SLOTS:
-                _templates.popitem(last=False)
+        template = _templates.pop(key, _UNSEEN)
+        if template is None:  # second sighting
+            cells = [self.spec] * flat.size
+            for i in np.flatnonzero(zero).tolist():
+                cells[i] = "0"
+            for i in np.flatnonzero(nan).tolist():
+                cells[i] = "nan"
+            template = self._template(cells)
+        _templates[key] = None if template is _UNSEEN else template
+        if len(_templates) > _TEMPLATE_SLOTS:
+            _templates.popitem(last=False)
         if template is _UNSEEN:
             if self._plain is None:
                 self._plain = self._template([self.spec] * flat.size)
@@ -413,32 +387,17 @@ def save_movie(movie: Movie, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def save_map_image(frame_or_values, path, scale: str = "unit-interval") -> None:
-    """Write a map as plain (P2) PGM, maxval 255.
-
-    ``scale`` selects the value -> pixel mapping:
-
-    * ``"unit-interval"``: values must lie in [0, 1]; pixel = round(255 * v).
-    * ``"max-normalized"``: nonnegative values divided by their maximum
-      first (an all-zero map stays all zeros).
-    """
+def save_map_image(frame_or_values, path) -> None:
+    """Write a map of values in [0, 1] as plain (P2) PGM, maxval 255;
+    pixel = round(255 * v)."""
     v = frame_or_values.values if isinstance(frame_or_values, Frame) else np.asarray(frame_or_values, dtype=np.float64)
     if v.ndim != 2:
         raise DataError("map must be 2-D")
     if not np.isfinite(v).all():
         raise DataError("map values must be finite")
-    if scale == "unit-interval":
-        if (v < 0).any() or (v > 1).any():
-            raise DataError("unit-interval scaling requires values in [0, 1]")
-        scaled = v
-    elif scale == "max-normalized":
-        if (v < 0).any():
-            raise DataError("max-normalized scaling requires nonnegative values")
-        mx = v.max()
-        scaled = v / mx if mx > 0 else np.zeros_like(v)
-    else:
-        raise DataError(f"unknown PGM scale {scale!r}")
-    pix = np.floor(255.0 * scaled + 0.5).astype(np.int64)
+    if (v < 0).any() or (v > 1).any():
+        raise DataError("map values must lie in [0, 1]")
+    pix = np.floor(255.0 * v + 0.5).astype(np.int64)
     rows, cols = v.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n%d %d\n255\n" % (cols, rows))
@@ -526,27 +485,3 @@ def load_session(directory) -> SessionLayout:
     entries, session_id, subject_id = _manifest(directory)
     return SessionLayout(tuple((tag, load_movie(path)) for tag, path in entries),
                          session_id=session_id, subject_id=subject_id)
-
-
-# ---------------------------------------------------------------------------
-# small helpers
-# ---------------------------------------------------------------------------
-
-
-def frames_equal(a: Frame, b: Frame) -> bool:
-    """Exact equality of values and masks (both-missing masks are equal)."""
-    if a.shape != b.shape or not np.array_equal(a.values, b.values):
-        return False
-    if (a.support_mask is None) != (b.support_mask is None):
-        return False
-    return a.support_mask is None or np.array_equal(a.support_mask, b.support_mask)
-
-
-def movies_equal(a: Movie, b: Movie) -> bool:
-    return (len(a) == len(b) and a.fps == b.fps
-            and all(frames_equal(x, y) for x, y in zip(a.frames, b.frames)))
-
-
-def with_positive_mask(frame: Frame) -> Frame:
-    """Attach ``values > 0`` as the support mask (segmented data convention)."""
-    return Frame(frame.values, support_mask=frame.values > 0, signed=frame.signed)

@@ -393,7 +393,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _switch(text: str) -> bool:
-    return text.lower() == "true"
+    """``true`` or ``false`` in any letter case; anything else is a ValueError."""
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ValueError(text)
+    return value == "true"
 
 
 def _components(text: str) -> Tuple[int, ...]:

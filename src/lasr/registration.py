@@ -28,7 +28,7 @@ ICR aligns two movies in time by the average frame correlation
 after discarding the first ``m0`` frames of each movie; the maximizing
 lag j0 is searched over signed lags (negative lags swap the roles of the
 movies).  Correlations are Pearson over the union of the two frames'
-supports by default.
+supports.
 
 Transforms act on (row, col) points: p' = R(theta) p + (u, v) with
 R(theta) = [[cos, -sin], [sin, cos]].
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -187,18 +187,14 @@ def fit_midline(midpoints) -> MidlineFit:
 # ---------------------------------------------------------------------------
 
 
-def _quarter_turns(frame: Frame) -> int:
-    """How many exact 90-degree turns bring the support to canonical orientation.
-
-    The long axis of the support goes horizontal (0 or 1 turns), then the
-    intensity mass is put toward low columns (possibly 2 more turns).
-    """
-    return _stack_quarter_turns(frame.values[None], frame.support_mask)[0]
-
-
 def _stack_quarter_turns(stack: np.ndarray, mask: Optional[np.ndarray]) -> list:
-    """``_quarter_turns`` of each frame of a (frames, rows, cols) stack
-    sharing one support mask, in one pass over the stack."""
+    """How many exact 90-degree turns bring each frame of a (frames, rows,
+    cols) stack sharing one support mask to canonical orientation.
+
+    The long axis of the support goes horizontal (0 or 1 turns), then each
+    frame's intensity mass is put toward low columns (possibly 2 more
+    turns).
+    """
     if mask is None:
         raise DataError("frame has no support mask; segment it first")
     if not mask.any():
@@ -235,7 +231,7 @@ def srlp_params(frame: Frame) -> RigidTransform:
     identity transform.  It depends on the frame's values only through the
     quarter turn, so frames sharing a support mask and a turn share it.
     """
-    k = _quarter_turns(frame)
+    k = _stack_quarter_turns(frame.values[None], frame.support_mask)[0]
     if k:
         turn, _ = _turn_transform(frame.shape, k)
         mask = np.rot90(frame.support_mask, k)
@@ -312,10 +308,10 @@ def apply_rigid(frame: Frame, t: RigidTransform, interp: str = "bilinear") -> Fr
     return Frame(out[0], support_mask=mask, signed=frame.signed)
 
 
-def srlp_register(frame: Frame, interp: str = "bilinear") -> Tuple[Frame, RigidTransform]:
-    """Estimate the canonical-pose transform and apply it."""
+def srlp_register(frame: Frame) -> Tuple[Frame, RigidTransform]:
+    """Estimate the canonical-pose transform and apply it (bilinear)."""
     t = srlp_params(frame)
-    return apply_rigid(frame, t, interp=interp), t
+    return apply_rigid(frame, t), t
 
 
 def registration_error(t: RigidTransform, pairs) -> float:
@@ -333,10 +329,8 @@ def registration_error(t: RigidTransform, pairs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _flat_values_masks(movie: Movie, domain: str):
+def _flat_values_masks(movie: Movie):
     vals = movie.stack().reshape(len(movie), -1)
-    if domain == "all":
-        return vals, np.ones_like(vals)
     masks = np.stack([
         f.support_mask if f.support_mask is not None else np.ones(f.shape, dtype=bool)
         for f in movie.frames
@@ -389,21 +383,15 @@ def _pairwise_correlation(xa, ma, xb, mb):
     return cor
 
 
-def frame_correlation(a: Frame, b: Frame, domain: str = "union") -> float:
-    """Pearson correlation of two frames over the union of their supports.
-
-    ``domain="all"`` uses every pixel instead.  Raises if the correlation
-    is undefined (either side constant over the domain).
+def frame_correlation(a: Frame, b: Frame) -> float:
+    """Pearson correlation of two frames over the union of their supports
+    (a frame without a mask counts as supported everywhere).  Raises if the
+    correlation is undefined (either side constant over the domain).
     """
     if a.shape != b.shape:
         raise DataError("frames must have equal shape")
-    if domain not in ("union", "all"):
-        raise DataError(f"unknown correlation domain {domain!r}")
     ma = (np.ones(a.shape, bool) if a.support_mask is None else a.support_mask)
     mb = (np.ones(b.shape, bool) if b.support_mask is None else b.support_mask)
-    if domain == "all":
-        ma = np.ones(a.shape, bool)
-        mb = np.ones(b.shape, bool)
     xa = (a.values * ma).reshape(1, -1)
     xb = (b.values * mb).reshape(1, -1)
     c = _pairwise_correlation(xa, ma.reshape(1, -1).astype(np.float64),
@@ -425,8 +413,7 @@ class LagAlignment:
     n_used: Tuple[int, int]   # frames of each movie after the m0 discard
 
 
-def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50,
-            domain: str = "union") -> LagAlignment:
+def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment:
     """Find the lag maximizing the average inter-movie frame correlation.
 
     The first ``m0`` (unstable) frames of each movie are discarded.  Lags
@@ -444,8 +431,8 @@ def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50,
         raise DataError("max_lag must be >= 0")
     lag_cap = min(max_lag, min(na, nb) - 1)
 
-    xa, ma = _flat_values_masks(Movie(a.frames[m0:], fps=a.fps), domain)
-    xb, mb = _flat_values_masks(Movie(b.frames[m0:], fps=b.fps), domain)
+    xa, ma = _flat_values_masks(Movie(a.frames[m0:], fps=a.fps))
+    xb, mb = _flat_values_masks(Movie(b.frames[m0:], fps=b.fps))
     cor = _pairwise_correlation(xa, ma, xb, mb)
 
     lags = np.arange(-lag_cap, lag_cap + 1)

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from .errors import DataError, NumericError
-from .frames import Frame, Movie
+from .frames import Frame
 
 __all__ = [
     "InitSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "pmc_oracle",
     "optimal_threshold",
     "segment_frame",
-    "segment_movie",
 ]
 
 _VAR_FLOOR_SCALE = 1e-3  # sd floor relative to the sample sd
@@ -368,7 +367,3 @@ def segment_frame(frame: Frame, t: float) -> Frame:
     out = np.where(keep, frame.values, 0.0)
     return Frame(out, support_mask=keep)
 
-
-def segment_movie(movie: Movie, t: float) -> Movie:
-    """Apply one threshold to every frame of a movie."""
-    return Movie(tuple(segment_frame(f, t) for f in movie.frames), fps=movie.fps)

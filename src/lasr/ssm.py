@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp

@@ -379,11 +379,8 @@ def save_map_csv_reference(values, path):
             fh.write(",".join("%.10g" % x for x in values[r]) + "\n")
 
 
-def save_map_image_reference(values, path, scale="unit-interval"):
-    """Plain PGM writer for valid input, one ``str`` per pixel."""
-    if scale == "max-normalized":
-        mx = values.max()
-        values = values / mx if mx > 0 else np.zeros_like(values)
+def save_map_image_reference(values, path):
+    """Plain PGM writer for values in [0, 1], one ``str`` per pixel."""
     pix = np.floor(255.0 * values + 0.5).astype(np.int64)
     rows, cols = values.shape
     out = ["P2", f"{cols} {rows}", "255"]
@@ -444,3 +441,22 @@ def parse_reference(text):
     if ln < len(lines):
         raise ParseError("trailing content after last frame", ln + 1)
     return stack, fps
+
+
+# ---------------------------------------------------------------------------
+# container equality
+# ---------------------------------------------------------------------------
+
+
+def frames_equal(a, b):
+    """Exact equality of values and masks (both-missing masks are equal)."""
+    if a.shape != b.shape or not np.array_equal(a.values, b.values):
+        return False
+    if (a.support_mask is None) != (b.support_mask is None):
+        return False
+    return a.support_mask is None or np.array_equal(a.support_mask, b.support_mask)
+
+
+def movies_equal(a, b):
+    return (len(a) == len(b) and a.fps == b.fps
+            and all(frames_equal(x, y) for x, y in zip(a.frames, b.frames)))

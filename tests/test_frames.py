@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from _oracles import frames_equal, movies_equal
 from lasr import frames as fr
 from lasr import (
     DataError,
@@ -15,15 +16,12 @@ from lasr import (
     FormatError,
     Movie,
     SessionLayout,
-    frames_equal,
     load_movie,
     load_session,
-    movies_equal,
     save_map_csv,
     save_map_image,
     save_movie,
     save_session,
-    with_positive_mask,
 )
 
 
@@ -74,10 +72,6 @@ class TestFrame:
             Frame(np.zeros((2, 2)), support_mask=np.zeros((2, 2)))
         f = Frame(np.ones((2, 2)), support_mask=np.ones((2, 2), dtype=bool))
         assert f.support_mask.dtype == bool
-
-    def test_with_positive_mask(self):
-        f = with_positive_mask(Frame(np.array([[0.0, 2.0], [3.5, 0.0]])))
-        assert f.support_mask.tolist() == [[False, True], [True, False]]
 
 
 class TestMovie:
@@ -138,10 +132,6 @@ class TestMovieIO:
         assert lines[3] == "" and lines[6] == ""
         assert lines[1] != "" and lines[2] != ""
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(DataError):
-            load_movie(tmp_path / "x", format="binary")
-
     def test_loaded_frames_are_read_only_views_and_stack_is_fresh(self, tmp_path):
         rng = np.random.default_rng(3)
         p = tmp_path / "m.lasr"
@@ -195,6 +185,9 @@ class TestParserErrors:
             ("LASR1 2 2 2 1\n1 2\n3 4\n\n5 6\n", 6, "end of file in frame 1"),
             (GOOD + "9 9\n", 7, "trailing content"),
             (GOOD + "\n\n", 7, "trailing content"),
+            # the header's sizes alone allocate nothing
+            ("LASR1 100000000 100000000 1 2\n", 2, "end of file in frame 0"),
+            ("LASR1 100000000 2 1 2\n1 2\n3 4\n", 4, "end of file in frame 0"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, text, line, needle):
@@ -262,18 +255,22 @@ class TestWritersMatchReference:
     @pytest.mark.parametrize("shape", GRID_SHAPES)
     @pytest.mark.parametrize("scale", ["unit-interval", "max-normalized"])
     def test_save_map_image(self, tmp_path, shape, scale):
+        """``max-normalized``: the format probes divided by their maximum, as
+        a caller brings a nonnegative map into [0, 1]."""
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         probes = UNIT_PROBES if scale == "unit-interval" else FORMAT_PROBES
         for s0 in starts(shape, probes):
             v = probe_grid(rng, *shape, probes=probes, start=s0)
             if scale == "unit-interval":
                 v = np.where(v > 1.0, rng.random(shape), v)
-            save_map_image(v, tmp_path / "new.pgm", scale=scale)
-            _oracles.save_map_image_reference(v, tmp_path / "ref.pgm", scale=scale)
+            elif v.max() > 0:
+                v = v / v.max()
+            save_map_image(v, tmp_path / "new.pgm")
+            _oracles.save_map_image_reference(v, tmp_path / "ref.pgm")
             assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
 
-def same_as_reference(tmp_path, kind, v, **kw):
+def same_as_reference(tmp_path, kind, v):
     """Write ``v`` with the writer of ``kind`` twice (the second write takes
     the template path) and compare each write with the reference writer."""
     new, ref = tmp_path / f"new.{kind}", tmp_path / f"ref.{kind}"
@@ -283,8 +280,7 @@ def same_as_reference(tmp_path, kind, v, **kw):
     elif kind == "csv":
         writer, reference = save_map_csv, _oracles.save_map_csv_reference
     else:
-        writer = lambda g, p: save_map_image(g, p, **kw)
-        reference = lambda g, p: _oracles.save_map_image_reference(g, p, **kw)
+        writer, reference = save_map_image, _oracles.save_map_image_reference
     reference(v, ref)
     for _ in range(2):
         writer(v, new)
@@ -342,7 +338,6 @@ class TestWriterTemplates:
             z = np.zeros(shape)
             same_as_reference(tmp_path, "csv", z)
             same_as_reference(tmp_path, "pgm", z)
-            same_as_reference(tmp_path, "pgm", z, scale="max-normalized")
             same_as_reference(tmp_path, "lasr", np.stack([z, z, z]))
 
     def test_shape_is_part_of_the_pattern(self, tmp_path):
@@ -359,7 +354,6 @@ class TestWriterTemplates:
             v = np.where(mask, rng.uniform(1 / 255, 1.0, mask.shape),
                          rng.choice([0.0, -0.0, 1e-300, 0.99 / 510], mask.shape))
             same_as_reference(tmp_path, "pgm", v)
-            same_as_reference(tmp_path, "pgm", v * 7.0, scale="max-normalized")
         assert self.built() >= 1
 
     def test_pattern_seen_again_after_eviction(self, tmp_path):
@@ -413,7 +407,6 @@ WELL_FORMED = {
     "tab-values": HEAD + body(["1\t2\t3", "4 \t5\t\t6"], F2, sep=""),
     "crlf": HEAD.replace("\n", "\r\n") + body(F1, F2, sep="", eol="\r\n"),
     "padded-rows": HEAD + body(["  1 2 3  ", "\t4 5 6"], F2, sep=""),
-    "tokens": HEAD + body(["+1 1e3 .5", "5. 1_0 -0"], ["0 -0.0 1E-3", "+.5 00 1_0.5"], sep=""),
     "no-final-newline": (HEAD + body(F1, F2, sep=""))[:-1],
     "long": LONG,
 }
@@ -453,6 +446,19 @@ class TestParserMatchesReference:
         movie = load_movie(p)
         assert movie.fps == ref_fps
         assert movie.stack().tobytes() == ref_stack.tobytes()  # -0.0 keeps its sign
+
+    def test_walker_reads_tokens_numpy_refuses(self, tmp_path):
+        """numpy's C reader refuses ``1_0``; the walker reads it as ``float`` does."""
+        p = tmp_path / "m.lasr"
+        p.write_text(HEAD + body(["+1 1e3 .5", "5. 1_0 -0"], ["0 -0.0 1E-3", "+.5 00 1_0.5"], sep=""))
+        text = p.read_text(encoding="ascii")
+        assert fr._parse_c(text.split("\n")[:-1], 2, 3, 2) is None
+        ref_stack, ref_fps = _oracles.parse_reference(text)
+        movie = load_movie(p)
+        assert movie.fps == ref_fps
+        assert movie.stack().tobytes() == ref_stack.tobytes()
+        p.write_text("LASR1 1 2 1 2\n1_0 2\n")
+        assert load_movie(p)[0].values.tolist() == [[10.0, 2.0]]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_same_error(self, tmp_path, name):
@@ -511,12 +517,6 @@ class TestCReader:
                 assert got.tobytes() == want.tobytes(), line
         assert 0 < deferred < 20000
 
-    def test_float_tier_takes_tokens_numpy_refuses(self, tmp_path):
-        p = tmp_path / "m.lasr"
-        p.write_text("LASR1 1 3 1 1\n1_0 2 3\n")
-        assert fr._parse_c(p.read_text().split("\n")[:2], 1, 3, 1) is None
-        assert load_movie(p)[0].values.tolist() == [[10.0, 2.0, 3.0]]
-
 
 # ---------------------------------------------------------------------------
 # map export
@@ -545,16 +545,9 @@ class TestMapImage:
         with pytest.raises(DataError):
             save_map_image(np.array([[-0.1]]), tmp_path / "m.pgm")
 
-    def test_max_normalized(self, tmp_path):
-        vals = np.array([[0.0, 5.0], [10.0, 2.5]])
-        p = tmp_path / "m.pgm"
-        save_map_image(vals, p, scale="max-normalized")
-        pix, _ = self.read_pgm(p)
-        assert pix.tolist() == [[0, 128], [255, 64]]
-
     def test_all_zero_stays_zero(self, tmp_path):
         p = tmp_path / "m.pgm"
-        save_map_image(np.zeros((2, 2)), p, scale="max-normalized")
+        save_map_image(np.zeros((2, 2)), p)
         pix, _ = self.read_pgm(p)
         assert pix.tolist() == [[0, 0], [0, 0]]
 
@@ -563,10 +556,6 @@ class TestMapImage:
         save_map_image(f, tmp_path / "m.pgm")
         pix, _ = self.read_pgm(tmp_path / "m.pgm")
         assert pix.tolist() == [[128]]
-
-    def test_unknown_scale(self, tmp_path):
-        with pytest.raises(DataError):
-            save_map_image(np.zeros((2, 2)), tmp_path / "m.pgm", scale="log")
 
 
 class TestMapCsv:

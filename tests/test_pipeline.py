@@ -611,6 +611,8 @@ class TestCli:
         (None, 3, "No such file or directory"),
         ("q = 0.1 # caf\u00e9\n", 3, "not ASCII text"),
         ("q = 0.1\nbandwidth = 2\nq = 0.2\n", 3, "line 3: key 'q' given twice"),
+        ("two-sided = yes\n", 2, "bad value for config key 'two-sided': 'yes'"),
+        ("mean-frame = 1\n", 2, "bad value for config key 'mean-frame': '1'"),
     ])
     def test_config_file_errors_name_the_stage_and_the_file(self, tmp_path, capsys, text, code, needle):
         cfgfile = tmp_path / "opts.cfg"
@@ -872,6 +874,14 @@ class TestCliOptions:
         for cfg in seen:
             assert (cfg.before, cfg.after, cfg.out_dir) == ("b", "a", "o")
             self.assert_only(cfg, **{field: value})
+
+    @pytest.mark.parametrize("text,value", [("TRUE", True), ("False", False)])
+    def test_config_switch_ignores_letter_case(self, tmp_path, monkeypatch, text, value):
+        seen = self.capture_run(monkeypatch)
+        cfgfile = tmp_path / "opts.cfg"
+        cfgfile.write_text(f"two-sided = {text}\nmean-frame = {text.lower()}\n")
+        assert cli_main(["run", "--before", "b", "--after", "a", "--config", str(cfgfile)]) == 0
+        self.assert_only(seen[0], two_sided=value, mean_frame=value)
 
     def test_run_without_options_keeps_the_defaults(self, monkeypatch):
         seen = self.capture_run(monkeypatch)

@@ -278,7 +278,6 @@ class TestStackQuarterTurns:
         for mask in (wide, np.ascontiguousarray(wide.T), np.ascontiguousarray(wide[::-1, ::-1])):
             stack = self.frames(rng, mask, 12)
             got = reg._stack_quarter_turns(stack, mask)
-            assert got == [reg._quarter_turns(Frame(v, support_mask=mask, signed=True)) for v in stack]
             assert got == [orc.quarter_turns_reference(v, mask) for v in stack]
             for k in range(len(stack)):  # one-frame groups
                 assert reg._stack_quarter_turns(stack[k:k + 1], mask) == [got[k]]
@@ -440,9 +439,10 @@ class TestFrameCorrelation:
             frame_correlation(a, b)
 
     def test_whole_grid_domain(self):
+        """A frame without a support mask counts as supported everywhere."""
         rng = np.random.default_rng(3)
-        a, b = noise_frame(rng, 5, 5), noise_frame(rng, 5, 5)
-        got = frame_correlation(a, b, domain="all")
+        a, b = (Frame(noise_frame(rng, 5, 5).values) for _ in range(2))
+        got = frame_correlation(a, b)
         full = np.ones((5, 5), dtype=bool)
         ref = orc.pearson_union(a.values, full, b.values, full)
         assert abs(got - ref) < 1e-12

@@ -12,7 +12,6 @@ from lasr import (
     Frame,
     InitSpec,
     MixtureModel,
-    Movie,
     NumericError,
     SegmentationResult,
     fit_mixture,
@@ -20,7 +19,6 @@ from lasr import (
     pmc_oracle,
     positive_samples,
     segment_frame,
-    segment_movie,
     select_model,
 )
 from lasr.segmentation import _logsumexp
@@ -320,14 +318,6 @@ class TestSegmenting:
     def test_threshold_is_strict(self):
         f = segment_frame(Frame(np.array([[3.0, 3.0001]])), 3.0)
         assert f.support_mask.tolist() == [[False, True]]
-
-    def test_segment_movie_applies_same_threshold(self):
-        a = Frame(np.array([[1.0, 10.0]]))
-        b = Frame(np.array([[10.0, 1.0]]))
-        out = segment_movie(Movie((a, b), fps=1.0), 5.0)
-        assert out[0].support_mask.tolist() == [[False, True]]
-        assert out[1].support_mask.tolist() == [[True, False]]
-        assert out.fps == 1.0
 
     def test_positive_samples_drops_exact_zeros(self):
         f = Frame(np.array([[0.0, 1.5], [2.5, 0.0]]))
