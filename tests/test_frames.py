@@ -407,6 +407,9 @@ WELL_FORMED = {
     "tab-values": HEAD + body(["1\t2\t3", "4 \t5\t\t6"], F2, sep=""),
     "crlf": HEAD.replace("\n", "\r\n") + body(F1, F2, sep="", eol="\r\n"),
     "padded-rows": HEAD + body(["  1 2 3  ", "\t4 5 6"], F2, sep=""),
+    # odd token forms numpy's C reader takes; ``1_0``, which it refuses, goes
+    # to the walker (TestCReader::test_float_tier_takes_tokens_numpy_refuses)
+    "tokens": HEAD + body(["+1 1e3 .5", "5. 1.e1 -0"], ["0 -0.0 1E-3", "+.5 00 10.50"], sep=""),
     "no-final-newline": (HEAD + body(F1, F2, sep=""))[:-1],
     "long": LONG,
 }
@@ -446,19 +449,6 @@ class TestParserMatchesReference:
         movie = load_movie(p)
         assert movie.fps == ref_fps
         assert movie.stack().tobytes() == ref_stack.tobytes()  # -0.0 keeps its sign
-
-    def test_walker_reads_tokens_numpy_refuses(self, tmp_path):
-        """numpy's C reader refuses ``1_0``; the walker reads it as ``float`` does."""
-        p = tmp_path / "m.lasr"
-        p.write_text(HEAD + body(["+1 1e3 .5", "5. 1_0 -0"], ["0 -0.0 1E-3", "+.5 00 1_0.5"], sep=""))
-        text = p.read_text(encoding="ascii")
-        assert fr._parse_c(text.split("\n")[:-1], 2, 3, 2) is None
-        ref_stack, ref_fps = _oracles.parse_reference(text)
-        movie = load_movie(p)
-        assert movie.fps == ref_fps
-        assert movie.stack().tobytes() == ref_stack.tobytes()
-        p.write_text("LASR1 1 2 1 2\n1_0 2\n")
-        assert load_movie(p)[0].values.tolist() == [[10.0, 2.0]]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_same_error(self, tmp_path, name):
@@ -516,6 +506,21 @@ class TestCReader:
                 assert want is not None, line  # never accepts what float rejects
                 assert got.tobytes() == want.tobytes(), line
         assert 0 < deferred < 20000
+
+    def test_float_tier_takes_tokens_numpy_refuses(self, tmp_path):
+        """numpy's C reader refuses ``1_0``; the line walker reads it as
+        ``float`` does, byte for byte equal to the reference parser."""
+        p = tmp_path / "m.lasr"
+        p.write_text("LASR1 1 3 1 1\n1_0 2 3\n")
+        assert fr._parse_c(p.read_text().split("\n")[:2], 1, 3, 1) is None
+        assert load_movie(p)[0].values.tolist() == [[10.0, 2.0, 3.0]]
+        p.write_text(HEAD + body(["+1 1e3 .5", "5. 1_0 -0"], ["0 -0.0 1E-3", "+.5 00 1_0.5"], sep=""))
+        text = p.read_text(encoding="ascii")
+        assert fr._parse_c(text.split("\n")[:-1], 2, 3, 2) is None
+        ref_stack, ref_fps = _oracles.parse_reference(text)
+        movie = load_movie(p)
+        assert movie.fps == ref_fps
+        assert movie.stack().tobytes() == ref_stack.tobytes()
 
 
 # ---------------------------------------------------------------------------
