@@ -408,7 +408,8 @@ def _components(text: str) -> Tuple[int, ...]:
 
 
 # The one option table: flag --key (and config-file key) -> (RunConfig
-# field, parser of its text, help).  ``_switch`` options are on/off flags.
+# field, parser of its text, help).  ``_switch`` options are on/off flags
+# with a ``--no-`` form, so a flag can turn off what a config file set.
 # A subcommand exposes a subset; an option left unset keeps the RunConfig
 # default, and _validate alone judges the values.
 _OPTIONS = {
@@ -430,7 +431,7 @@ _SEGMENT_KEYS = ("components", "seed")
 def _add_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
     for key in keys:
         field, parse, text = _OPTIONS[key]
-        kind = (dict(action="store_true") if parse is _switch
+        kind = (dict(action=argparse.BooleanOptionalAction) if parse is _switch
                 else dict(type=parse, metavar=key.upper().replace("-", "_")))
         parser.add_argument(f"--{key}", dest=field, default=None, help=text, **kind)
 

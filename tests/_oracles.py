@@ -98,33 +98,69 @@ def _em_single_start(x, w, mu, sd, floor, tol, max_iter):
     return w, mu, sd, ll, converged, it, np.array(trace)
 
 
-def em_reference(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
-    """EM for an m >= 2 component 1-D mixture, one start after another.
+def em_starts(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
+    """Every start of an m >= 2 component 1-D mixture fit, run on its own.
 
-    The quantile start plus ``n_restarts - 1`` jittered ones, each run on its
-    own with two density evaluations per iteration through
-    ``scipy.special.logsumexp``; the first start with the strictly largest
-    final log-likelihood wins.  Returns ``(weights, means, sds, loglik,
-    converged, n_iter, trace)`` with the components sorted by mean, and the
-    iteration count of every start.
+    The quantile start plus ``n_restarts - 1`` jittered ones, each run to its
+    own stop with two density evaluations per iteration through
+    ``scipy.special.logsumexp``.  One ``(w, mu, sd, loglik, converged,
+    n_iter, trace)`` per start, in order.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     sd_all = float(x.std())
     floor = max(1e-3 * sd_all, 1e-300)
     mu0 = np.quantile(x, (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
     rng = np.random.default_rng(seed)
-    best, iters = None, []
+    runs = []
     for rep in range(max(1, n_restarts)):
         start = mu0 if rep == 0 else np.sort(mu0 + jitter * sd_all * rng.standard_normal(m))
-        out = _em_single_start(x, np.full(m, 1.0 / m), start, np.full(m, max(sd_all / m, floor)),
-                               floor, tol, max_iter)
-        iters.append(out[5])
-        if best is None or out[3] > best[3]:
+        runs.append(_em_single_start(x, np.full(m, 1.0 / m), start, np.full(m, max(sd_all / m, floor)),
+                                     floor, tol, max_iter))
+    return runs
+
+
+def em_best(runs, max_iter=300, cut=True):
+    """The winning fit among ``em_starts`` runs, and every start's iteration count.
+
+    With ``cut``, the starts the library drops as hopeless are first cut
+    after the fact (``_cut_points``).  The first start not cut with
+    the strictly largest final log-likelihood wins.  Returns ``(weights,
+    means, sds, loglik, converged, n_iter, trace)`` with the components
+    sorted by mean, and each start's cut point or its own stop.
+    """
+    iters = _cut_points(runs, max_iter) if cut else [out[5] for out in runs]
+    best = None
+    for out, stop in zip(runs, iters):
+        if stop == out[5] and (best is None or out[3] > best[3]):
             best = out
     w, mu, sd, ll, converged, it, trace = best
     order = np.argsort(mu, kind="stable")
     fit = (w[order] / w[order].sum(), mu[order], sd[order], float(ll), converged, it, trace)
     return fit, iters
+
+
+def _cut_points(runs, max_iter):
+    """The iteration at which each start stops once hopeless starts are cut.
+
+    Walks k = 1, 2, ...: ``lead`` is the best final log-likelihood of the
+    starts that converged by k and were not cut, and a start still running
+    after k is cut there when ``ll_k + 2 * (max_iter - k) * (ll_k -
+    ll_{k-1}) < lead``.
+    """
+    stops = [out[5] for out in runs]
+    for k in range(1, max(stops) + 1):
+        lead = max((out[3] for out, stop in zip(runs, stops) if out[4] and stop == out[5] <= k),
+                   default=-np.inf)
+        for j, out in enumerate(runs):
+            trace = out[6]
+            if stops[j] == out[5] > k and trace[k] + 2.0 * (max_iter - k) * (trace[k] - trace[k - 1]) < lead:
+                stops[j] = k
+    return stops
+
+
+def em_reference(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
+    """``em_best`` of ``em_starts``: the fit the library must return, one start after another."""
+    return em_best(em_starts(x, m, n_restarts, jitter, seed, tol, max_iter), max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -813,14 +813,15 @@ RUN_OPTIONS = [
     ("workers", "2", "workers", 2),
 ]
 SSM_KEYS = ("q", "bandwidth", "kernel", "rim", "fdr", "two-sided", "mean-frame")
+NO_FLAGS = {"--no-two-sided", "--no-mean-frame"}  # the off forms of the on/off flags
 HELP_FLAGS = {
     "phantom": {"--out", "--seed", "--rows", "--cols", "--frames", "--fps", "--noise-bg",
                 "--noise-signal", "--effect-delta", "--effect-rows", "--effect-cols",
                 "--stim-period", "--stim-left", "--stim-right", "--lag"},
-    "run": {"--before", "--after", "--out", "--config"} | {f"--{k}" for k, *_ in RUN_OPTIONS},
+    "run": {"--before", "--after", "--out", "--config"} | {f"--{k}" for k, *_ in RUN_OPTIONS} | NO_FLAGS,
     "segment": {"--in", "--out", "--components", "--seed"},
     "register": {"--in", "--out"},
-    "ssm": {"--before", "--after", "--out"} | {f"--{k}" for k in SSM_KEYS},
+    "ssm": {"--before", "--after", "--out"} | {f"--{k}" for k in SSM_KEYS} | NO_FLAGS,
 }
 
 
@@ -882,6 +883,25 @@ class TestCliOptions:
         cfgfile.write_text(f"two-sided = {text}\nmean-frame = {text.lower()}\n")
         assert cli_main(["run", "--before", "b", "--after", "a", "--config", str(cfgfile)]) == 0
         self.assert_only(seen[0], two_sided=value, mean_frame=value)
+
+    @pytest.mark.parametrize("key,field", [("two-sided", "two_sided"), ("mean-frame", "mean_frame")])
+    def test_flag_turns_off_a_switch_the_config_file_sets(self, tmp_path, monkeypatch, key, field):
+        seen = self.capture_run(monkeypatch)
+        cfgfile = tmp_path / "opts.cfg"
+        cfgfile.write_text(f"{key} = true\n")
+        base = ["run", "--before", "b", "--after", "a", "--config", str(cfgfile)]
+        assert cli_main(base + [f"--no-{key}"]) == 0
+        assert cli_main(base + [f"--{key}"]) == 0
+        assert cli_main(base) == 0
+        assert [getattr(cfg, field) for cfg in seen] == [False, True, True]
+        self.assert_only(seen[0])
+
+    @pytest.mark.parametrize("key,field", [("two-sided", "two_sided"), ("mean-frame", "mean_frame")])
+    def test_ssm_off_flag_lands_on_the_field(self, monkeypatch, key, field):
+        seen = self.capture_validate(monkeypatch)
+        with pytest.raises(self.Captured):
+            cli_main(["ssm", "--before", "b", "--after", "a", "--out", "o", f"--no-{key}"])
+        self.assert_only(seen[0], **{field: False})
 
     def test_run_without_options_keeps_the_defaults(self, monkeypatch):
         seen = self.capture_run(monkeypatch)

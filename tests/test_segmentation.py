@@ -1,5 +1,6 @@
 """Mixture fitting, model choice, and the optimal threshold."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,14 +14,17 @@ from lasr import (
     InitSpec,
     MixtureModel,
     NumericError,
+    PhantomSpec,
     SegmentationResult,
     fit_mixture,
+    gen_session,
     optimal_threshold,
     pmc_oracle,
     positive_samples,
     segment_frame,
     select_model,
 )
+from lasr import segmentation
 from lasr.segmentation import _logsumexp
 
 import _oracles as orc
@@ -34,6 +38,48 @@ def model2(weights, means, sds):
 def draw_mixture(rng, n, weights, means, sds):
     comp = rng.choice(len(weights), size=n, p=weights)
     return rng.normal(np.asarray(means)[comp], np.asarray(sds)[comp])
+
+
+def battery_sample(rep):
+    """Replication ``rep`` of the BIC battery in test_acceptance (fit there with seed ``rep``)."""
+    rng = np.random.default_rng(rep)
+    n1 = int(rng.binomial(5000, 0.55))
+    return np.concatenate([rng.normal(0.0, 1.0, n1), rng.normal(6.0, 1.5, 5000 - n1)])
+
+
+def mean_frame_sample(seed):
+    """EM sample of the first segment's mean frame, as ``lasr run --mean-frame`` fits it."""
+    layout, _ = gen_session(PhantomSpec(seed=seed))
+    return positive_samples(Frame(layout.segments[0][1].stack().mean(axis=0)))
+
+
+# (sample, InitSpec seed) of the m = 3 fits where a hopeless start is cut
+CUT_CASES = {
+    "battery-12": (lambda: battery_sample(12), 12),
+    "battery-32": (lambda: battery_sample(32), 32),
+    "mean-frame-1": (lambda: mean_frame_sample(1), 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cut_case(name):
+    """The sample, its InitSpec, and the oracle's one-by-one m = 3 starts (slow, so shared)."""
+    make, seed = CUT_CASES[name]
+    x = make()
+    return x, InitSpec(seed=seed), orc.em_starts(x, 3, seed=seed)
+
+
+def record_batches(monkeypatch):
+    """Every ``_em_batch`` result of the fits that follow, one list per call."""
+    calls = []
+
+    def recording(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    real = segmentation._em_batch
+    monkeypatch.setattr(segmentation, "_em_batch", recording)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +284,42 @@ class TestBatchedEm:
         x = np.array([1.0] * 100 + [9.0] * 100)
         ref, _ = orc.em_reference(x, 2)
         assert_same_fit(fit_mixture(x, 2), ref)
+
+    @pytest.mark.parametrize("name", list(CUT_CASES))
+    def test_cut_starts_equal_oracle(self, name):
+        x, init, runs = cut_case(name)
+        ref, iters = orc.em_best(runs)
+        uncut, own = orc.em_best(runs, cut=False)
+        # the rule fires: some start stops before both the cap and its own stop
+        assert any(k < min(300, stop) for k, stop in zip(iters, own)), (iters, own)
+        model = fit_mixture(x, 3, init=init)
+        assert_same_fit(model, ref)
+        # no winner changes; at rate 1 the battery cases would fail here, as
+        # a start there gains faster again after that rule would cut it
+        assert_same_fit(model, uncut)
+
+    def test_cut_saves_work_and_keeps_the_fit(self, monkeypatch):
+        """A count of iterations, not a time: on the phantom mean frame at
+        m = 3 the batch runs 857 start-iterations where the uncut starts run
+        1268, and returns the uncut winner."""
+        x, init, runs = cut_case("mean-frame-1")
+        uncut, own = orc.em_best(runs, cut=False)
+        _, iters = orc.em_best(runs)
+        calls = record_batches(monkeypatch)
+        model = fit_mixture(x, 3, init=init)
+        (batch,) = calls
+        assert [out[5] for out in batch] == iters
+        assert sum(iters) < sum(own)
+        assert_same_fit(model, uncut)
+
+    @pytest.mark.parametrize("max_iter", [100, 300])
+    def test_never_returns_a_cut_start(self, monkeypatch, max_iter):
+        calls = record_batches(monkeypatch)
+        for rep in (0, 10, 12, 20, 32):
+            model = fit_mixture(battery_sample(rep), 3, init=InitSpec(seed=rep), max_iter=max_iter)
+            assert model.converged or model.n_iter == max_iter, rep
+        cut = [out for batch in calls for out in batch if not out[4] and out[5] < max_iter]
+        assert cut  # the samples do have starts that leave early
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     def test_logsumexp_matches_scipy_bit_for_bit(self, m):
