@@ -153,7 +153,10 @@ def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
 def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     """Zero everything outside the consensus sitting region of the movie."""
     stack = movie.stack()
-    cut = np.where(_consensus_region(stack, t), stack, 0.0)
+    region = _consensus_region(stack, t)
+    if not region.any():
+        raise DataError(f"empty sitting region: no pixel is above the threshold {t:.12g} in most frames")
+    cut = np.where(region, stack, 0.0)
     del stack
     return fr.Movie(fr._frames_of(cut, cut > 0), fps=movie.fps)
 
@@ -170,39 +173,31 @@ def _segment_movie(movie: fr.Movie, cfg: RunConfig):
 def _register_movie(movie: fr.Movie):
     """SRLP-register every frame; returns the movie and the per-frame transforms.
 
-    A frame's transform depends only on its support mask and quarter turn,
-    so ``srlp_register`` runs once per (turn, mask) group, on the group's
-    first frame, and the group's other frames are resampled with its
-    transform in one pass.  The quarter turns of all frames sharing a mask
-    are found in one pass too, when the mask first appears.  Frames, masks,
-    transforms and errors equal those of ``srlp_register`` applied frame by
-    frame: the first failing frame raises.
+    A frame's transform depends only on its support mask and quarter turn.
+    So the frames are grouped by mask, in order of first appearance; each
+    mask's quarter turns take one pass, and each (mask, turn) group takes
+    the transform ``srlp_register`` finds for its first frame and one
+    stacked resampling.  Frames, masks, transforms and errors equal those of
+    ``srlp_register`` applied frame by frame: every error depends on the
+    mask alone, so the first failing frame raises.  Frames sharing a mask
+    take the first one's ``signed`` flag; stage movies are all unsigned.
     """
-    mask_keys = [None if f.support_mask is None else f.support_mask.tobytes() for f in movie.frames]
     by_mask = {}  # mask bytes -> indices of the frames with that mask
-    for i, mk in enumerate(mask_keys):
-        by_mask.setdefault(mk, []).append(i)
-    turns = {}  # frame index -> quarter turn, filled a mask at a time
-    out, transforms = [None] * len(movie), [None] * len(movie)
-    groups = {}  # (turn, mask bytes, signed) -> (transform, indices of the later frames)
     for i, f in enumerate(movie.frames):
-        idx = by_mask[mask_keys[i]]
-        if i == idx[0]:
-            turns.update(zip(idx, reg._stack_quarter_turns(
-                np.stack([movie[j].values for j in idx]), f.support_mask)))
-        key = (turns[i], mask_keys[i], f.signed)
-        if key in groups:
-            groups[key][1].append(i)
-        else:
-            out[i], t = reg.srlp_register(f)
-            groups[key] = (t, [])
-        transforms[i] = groups[key][0]
-    for (_, _, signed), (t, idx) in groups.items():
-        if idx:
-            values, mask = reg._resample(np.stack([movie[i].values for i in idx]),
-                                         movie[idx[0]].support_mask, t)
-            for i, frame in zip(idx, fr._frames_of(values, np.broadcast_to(mask, values.shape), signed)):
-                out[i] = frame
+        by_mask.setdefault(None if f.support_mask is None else f.support_mask.tobytes(), []).append(i)
+    out, transforms = [None] * len(movie), [None] * len(movie)
+    for idx in by_mask.values():
+        first = movie[idx[0]]
+        stack = np.stack([movie[i].values for i in idx])
+        turns = reg._stack_quarter_turns(stack, first.support_mask)
+        for k in dict.fromkeys(turns):
+            pick = [j for j, turn in enumerate(turns) if turn == k]
+            t = reg.srlp_register(movie[idx[pick[0]]])[1]
+            values, mask = reg._resample(stack if len(pick) == len(idx) else stack[pick],
+                                         first.support_mask, t)
+            for j, frame in zip(pick, fr._frames_of(values, np.broadcast_to(mask, values.shape),
+                                                    first.signed)):
+                out[idx[j]], transforms[idx[j]] = frame, t
     return fr.Movie(tuple(out), fps=movie.fps), transforms
 
 
@@ -262,14 +257,19 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     pair.  Maps, report keys and errors equal those of the per-pair chain:
     the first failing pair raises.
     """
-    pairs = list(zip(before.frames, after.frames))
-    report["n_pairs"] = len(pairs)
+    diffs = [ssm.difference_map(a, b) for b, a in zip(before.frames, after.frames)]
+    report["n_pairs"] = len(diffs)
     fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
-
-    def emit_run(start, fit, diffs):
+    start = 0
+    for end in range(1, len(diffs) + 1):
+        if end < len(diffs) and np.array_equal(diffs[end].support_mask, diffs[start].support_mask):
+            continue
+        if not diffs[start].support_mask.any():
+            raise DataError("registered supports do not overlap")
+        fit = ssm.local_quadratic_smooth(diffs[start], h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
         sigma, tmaps, pgrids = ssm._stacked_tests(
-            fit, np.stack([d.values[fit.mask] for d in diffs]), cfg.two_sided)
-        for k, (diff, s, tmap, pvals) in enumerate(zip(diffs, sigma, tmaps, pgrids), start):
+            fit, np.stack([d.values[fit.mask] for d in diffs[start:end]]), cfg.two_sided)
+        for k, s, tmap, pvals in zip(range(start, end), sigma, tmaps, pgrids):
             rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
             rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
             rej_grid[tmap.mask] = rejected
@@ -282,24 +282,11 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
                 f"pair.{k}.n_pixels": int(tmap.mask.sum()),
             })
             base = f"pair{k:04d}"
-            out.emit(f"{base}_diff.csv", fr.save_map_csv, diff.values)
+            out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k].values)
             out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
             out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
             out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
-
-    fit, start, diffs = None, 0, []
-    for k, (b, a) in enumerate(pairs):
-        diff = ssm.difference_map(a, b)
-        if fit is not None and np.array_equal(fit.mask, diff.support_mask):
-            diffs.append(diff)
-            continue
-        if diffs:
-            emit_run(start, fit, diffs)
-        if not diff.support_mask.any():
-            raise DataError("registered supports do not overlap")
-        fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
-        start, diffs = k, [diff]
-    emit_run(start, fit, diffs)
+        start = end
 
 
 def run_lasr(config: RunConfig) -> dict:

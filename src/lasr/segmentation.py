@@ -32,7 +32,7 @@ of 100 m = 3 fits of the BIC test battery, at 2 on none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -55,6 +55,8 @@ __all__ = [
 
 _VAR_FLOOR_SCALE = 1e-3  # sd floor relative to the sample sd
 _CUT_RATE = 2.0  # a start is cut when even this multiple of its gain cannot reach the lead
+_TOL = 1e-8  # EM stops when the log-likelihood gain is at most this, relative
+_PMC_GRID = 100001  # points of the PMC fallback grid
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def _seq_sum(a):
     return np.cumsum(a, axis=-1)[..., -1]
 
 
-def _em_batch(x, w, mu, sd, floor, tol, max_iter):
+def _em_batch(x, w, mu, sd, floor, max_iter):
     """EM from R starts at once; ``w``, ``mu``, ``sd`` are ``(m, R)`` arrays.
 
     Start ``j`` is column ``j``.  It leaves the batch in the iteration where
@@ -221,7 +223,7 @@ def _em_batch(x, w, mu, sd, floor, tol, max_iter):
         lse = _logsumexp(logp)
         ll_new = lse.sum(axis=1)
         trace[rows, it] = ll_new
-        converged = np.abs(ll_new - ll) <= tol * (1.0 + np.abs(ll_new))
+        converged = np.abs(ll_new - ll) <= _TOL * (1.0 + np.abs(ll_new))
         if converged.any():
             lead = max(lead, float(ll_new[converged].max()))
         done = converged | (it == max_iter)
@@ -239,8 +241,7 @@ def _em_batch(x, w, mu, sd, floor, tol, max_iter):
             for j in range(ll.size)]
 
 
-def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
-                tol: float = 1e-8, max_iter: int = 300) -> MixtureModel:
+def fit_mixture(samples, m: int, init: InitSpec = InitSpec(), max_iter: int = 300) -> MixtureModel:
     """Fit an m-component 1-D Gaussian mixture by EM.
 
     Initialization places component means at the (2k-1)/(2m) sample
@@ -288,7 +289,7 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
                       for _ in range(n_starts - 1)]
     best = None
     for out in _em_batch(x, np.full((m, n_starts), 1.0 / m), np.stack(starts, axis=1),
-                         np.full((m, n_starts), max(sd_all / m, floor)), floor, tol, max_iter):
+                         np.full((m, n_starts), max(sd_all / m, floor)), floor, max_iter):
         if best is None or out[3] > best[3]:
             best = out
     w, mu, sd, ll, converged, it, trace = best
@@ -299,8 +300,7 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(),
 
 
 def select_model(samples, candidate_ms: Sequence[int] = (1, 2, 3),
-                 init: InitSpec = InitSpec(), tol: float = 1e-8,
-                 max_iter: int = 300) -> MixtureModel:
+                 init: InitSpec = InitSpec()) -> MixtureModel:
     """Fit each candidate size and keep the best BIC.
 
     BIC here is loglik - (3m - 1)/2 * ln(n), to be maximized; ties go to
@@ -313,7 +313,7 @@ def select_model(samples, candidate_ms: Sequence[int] = (1, 2, 3),
     n = x.size
     best_model, best_bic = None, -np.inf
     for m in ms:
-        model = fit_mixture(x, m, init=init, tol=tol, max_iter=max_iter)
+        model = fit_mixture(x, m, init=init)
         bic = model.loglik - (3 * m - 1) / 2.0 * np.log(n)
         if bic > best_bic:
             best_model, best_bic = model, bic
@@ -333,19 +333,15 @@ def _density_gap(model: MixtureModel, t):
     return bg - sig
 
 
-def pmc_oracle(model: MixtureModel, grid: Optional[np.ndarray] = None) -> float:
+def pmc_oracle(model: MixtureModel) -> float:
     """Grid minimizer of the misclassification probability.
 
     PMC(T) = alpha_1 P(Z_1 > T) + sum_{i>=2} alpha_i P(Z_i <= T).  The
-    default grid spans (mu_1, max mu_i) with step (max mu_i - mu_1)/1e5.
+    grid spans (mu_1, max mu_i) with step (max mu_i - mu_1)/1e5.
     """
     if model.m < 2:
         raise DataError("threshold needs at least 2 components")
-    mu = model.means
-    if grid is None:
-        lo, hi = mu[0], mu.max()
-        grid = np.linspace(lo, hi, 100001)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.linspace(model.means[0], model.means.max(), _PMC_GRID)
     return float(grid[int(np.argmin(_pmc(model, grid)))])
 
 

@@ -3,7 +3,9 @@ takes from the package.
 
 The benchmark looks functions up by module and name and builds
 ``RunConfig``s of its own, so a name or field removed from the package
-breaks it without any other test noticing.  These tests only read
+breaks it without any other test noticing.  It counts calls of the names it
+wraps, so those counts mean something only while the pipeline calls each
+name once per unit of work.  These tests only read
 ``perfbench/``; they change nothing there.
 """
 
@@ -11,6 +13,7 @@ import importlib
 import importlib.util
 import os
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -58,3 +61,43 @@ class TestBenchmarkContract:
         for wl in workloads.WORKLOADS.values():
             inp = workloads.InputSet(0, 7, str(tmp_path), None, None)
             lasr.pipeline._validate(workloads.run_config(wl, inp, str(tmp_path / "out")))
+
+    def test_traced_calls_count_groups_and_mask_runs(self, tmp_path, monkeypatch):
+        """``registration.srlp_calls`` and ``ssm.smooth_calls`` count calls of
+        these module attributes, which the benchmark wraps in place: one SRLP
+        call per (support mask, quarter turn) group of a side, one smoother fit
+        per run of consecutive pairs on one mask."""
+        calls = []
+
+        def count(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        count(lasr.registration, "srlp_register")
+        count(lasr.ssm, "local_quadratic_smooth")
+        spec = lasr.PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0), n_frames=14,
+                                noise_sd=(0.1, 0.4), seed=10, stim=lasr.StimSpec(period=6))
+        sessions = [lasr.gen_session(spec, session_id="s1")[0],
+                    lasr.gen_session(replace(spec, seed=11), session_id="s2")[0]]
+        out = tmp_path / "out"
+        report = lasr.run_lasr(lasr.RunConfig(*sessions, str(out), before_segment=1, after_segment=1,
+                                              bandwidth=2.0, m0=4, max_lag=3, candidates=(2,)))
+        assert report["mode"] == "dynamic"
+
+        def masks(which, name):
+            return list(lasr.load_movie(out / f"{which}_{name}.lasr").stack() > 0)
+
+        groups = sum(len({(m.tobytes(),) + tuple(report[f"{which}.srlp.{i}.{p}"] for p in ("theta", "u", "v"))
+                          for i, m in enumerate(masks(which, "segmented"))})
+                     for which in ("before", "after"))
+        registered = {which: masks(which, "registered") for which in ("before", "after")}
+        pair_masks = [registered["before"][report[f"pair.{k}.before_frame"]]
+                      & registered["after"][report[f"pair.{k}.after_frame"]]
+                      for k in range(report["n_pairs"])]
+        runs = 1 + sum(not (a == b).all() for a, b in zip(pair_masks, pair_masks[1:]))
+        assert calls.count("srlp_register") == groups
+        assert calls.count("local_quadratic_smooth") == runs

@@ -19,6 +19,7 @@ from lasr import (
     NumericError,
     PhantomSpec,
     RunConfig,
+    SessionLayout,
     StageError,
     StimSpec,
     bh_adjust,
@@ -28,6 +29,7 @@ from lasr import (
     gen_session,
     load_movie,
     local_quadratic_smooth,
+    optimal_threshold,
     p_map,
     positive_samples,
     run_lasr,
@@ -434,7 +436,7 @@ class TestViewFrames:
                     with pytest.raises(ValueError):
                         a[0, 0] = a[0, 0]
             assert movie.stack().flags.writeable
-        assert all(f.values.base is not None for f in registered.frames[1:])  # resampled as a group
+        assert all(f.values.base is not None for f in registered.frames)  # resampled as a group
         for f in masked.frames:
             assert np.array_equal(f.support_mask, f.values > 0)
 
@@ -523,9 +525,9 @@ class TestRegisterMovie:
         with monkeypatch.context() as m:
             m.setattr(pipeline.reg, "_stack_quarter_turns", counting)
             pipeline._register_movie(Movie(tuple(frames), fps=2.0))
-        # one pass per mask when it first appears; the one-frame passes are
-        # srlp_register's own, once per (turn, mask) group
-        assert passes == [3, 1, 3, 1, 1, 1]
+        # one pass per mask, a mask at a time, each followed by the one-frame
+        # passes of srlp_register, once per (turn, mask) group
+        assert passes == [3, 1, 1, 3, 1, 1]
         ts = self.assert_matches_reference(frames)
         assert len({(t.theta, t.u, t.v) for t in ts}) == 4
 
@@ -970,6 +972,47 @@ class TestCliOptions:
         out = tmp_path / "o"
         assert cli_main(["register", "--in", str(tmp_path / "empty.lasr"), "--out", str(out)]) == 3
         assert "stage 'register'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_sitting_region_fails_at_segment(self, tmp_path, capsys):
+        # a bright block only in frame m0 = 10: no pixel is above that
+        # frame's threshold in most frames
+        rng = np.random.default_rng(1)
+        stack = np.maximum(rng.normal(0.0, 0.2, (12, 16, 18)), 0.0)
+        stack[10] = np.maximum(rng.normal(0.0, 1.0, (16, 18)), 0.0)
+        stack[10, 4:12, 4:14] = 20.0 + rng.normal(0.0, 1.0, (8, 10))
+        movie = Movie(tuple(Frame(v) for v in stack), fps=2.0)
+        save_movie(movie, tmp_path / "m.lasr")
+        save_session(SessionLayout((("NoStim", movie),)), tmp_path / "s")
+        saved = load_movie(tmp_path / "m.lasr")[10]
+        t = optimal_threshold(select_model(positive_samples(saved), (2, 3))).t
+        for argv in (["segment", "--in", str(tmp_path / "m.lasr")],
+                     ["run", "--before", str(tmp_path / "s"), "--after", str(tmp_path / "s")]):
+            out = tmp_path / argv[0]
+            assert cli_main(argv + ["--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert "stage 'segment'" in err
+            assert f"empty sitting region: no pixel is above the threshold {t:.12g}" in err
+            assert not out.exists()
+
+    def test_disjoint_supports_fail_at_compare(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        for name, cols in (("b", slice(1, 8)), ("a", slice(10, 17))):
+            stack = np.zeros((2, 12, 18))
+            stack[:, 2:10, cols] = 20.0 + rng.normal(0.0, 1.0, (2, 8, 7))
+            save_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), tmp_path / f"{name}.lasr")
+        maps = tmp_path / "maps"
+        assert cli_main(["ssm", "--before", str(tmp_path / "b.lasr"), "--after", str(tmp_path / "a.lasr"),
+                         "--out", str(maps)]) == 3
+        assert "stage 'compare' failed: registered supports do not overlap" in capsys.readouterr().err
+        assert not maps.exists()
+
+    @pytest.mark.parametrize("rows,needle", [("14-20", "bad span '14-20'"),
+                                             ("30:50", "span '30:50' outside [0, 38)")])
+    def test_phantom_bad_effect_span_exits_2(self, tmp_path, capsys, rows, needle):
+        out = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(out), "--effect-delta", "4", "--effect-rows", rows]) == 2
+        assert needle in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd", ["segment", "register"])
