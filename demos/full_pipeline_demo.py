@@ -6,8 +6,9 @@ Part 1 plants an intensity change, generates before/after sessions with
 ``lasr phantom``, and compares their resting segments with ``lasr run
 --mean-frame`` (static mode).  Part 2 generates a pair whose stimulated
 segments run 5 frames out of step and lets the dynamic mode recover the
-lag before mapping.  Every command is echoed, so the same sequence can
-be pasted into a shell (replace cli_main(...) with ``lasr ...``).
+lag before mapping; its maps come out as movies, one frame per pair.
+Every command is echoed, so the same sequence can be pasted into a shell
+(replace cli_main(...) with ``lasr ...``).
 
 All output lands in a temporary directory that is removed at the end.
 """
@@ -16,7 +17,7 @@ import os
 import shutil
 import tempfile
 
-from lasr import cli_main
+from lasr import cli_main, load_movie
 
 
 def sh(*args):
@@ -96,6 +97,10 @@ def main():
         blank = sum(r == 0 for r in rejected)
         print(f"blank maps      : {blank}/{len(rejected)} pairs "
               f"(no planted change; the rest carry at most {max(rejected)} stray px)")
+        pmovie = load_movie(os.path.join(out2, "pmap.lasr"))
+        print(f"P-movie         : pmap.lasr, {len(pmovie)} frames of "
+              f"{pmovie.shape[0]}x{pmovie.shape[1]}, one per pair; "
+              f"{len(os.listdir(out2))} files in all")
     finally:
         shutil.rmtree(work, ignore_errors=True)
         print(f"\ncleaned up {work}")

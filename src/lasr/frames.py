@@ -42,7 +42,8 @@ compares, so a malformed movie file in an unselected segment does not fail
 a run; :func:`load_session` parses them all.
 
 Map images are written as plain (P2) PGM with maxval 255, and maps can
-also be dumped as one-line-per-row CSV.
+also be dumped as one-line-per-row CSV, one map or a stack of maps to a
+file.
 """
 
 from __future__ import annotations
@@ -405,12 +406,23 @@ def save_map_image(frame_or_values, path) -> None:
 
 
 def save_map_csv(values, path) -> None:
-    """Write a 2-D map as CSV, one line per row (NaN spelled ``nan``)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2:
+    """Write a 2-D map as CSV, one line per row (NaN spelled ``nan``).
+
+    Given a list of 2-D maps of one shape (rows, cols), writes them map
+    after map through one handle: map k is rows ``k*rows`` to
+    ``k*rows + rows - 1``, so the file is the maps' one-map files
+    concatenated.
+    """
+    stacked = isinstance(values, list) and len(values) > 0 and np.ndim(values[0]) == 2
+    maps = [np.asarray(v, dtype=np.float64) for v in (values if stacked else [values])]
+    if any(v.ndim != 2 for v in maps):
         raise DataError("map must be 2-D")
+    if any(v.shape != maps[0].shape for v in maps):
+        raise DataError("stacked maps must share one shape")
+    fmt = _GridFormat("%.10g", ",", maps[0].shape)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_GridFormat("%.10g", ",", v.shape)(v))
+        for v in maps:
+            fh.write(fmt(v))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ segments are stimulation blocks), then difference paired frames, smooth
 (one fit and one stacked t/p pass per run of pairs on one mask), and
 screen each pair's t-map at FDR level q.  Every artifact lands in the
 output directory together with a line-oriented ``report.txt`` of thresholds, transforms, lag, smoothing
-traces, and rejection counts.  Runs are deterministic given the
-configuration and seed; on failure, partially written outputs are removed
-and the failing stage is named.
+traces, and rejection counts; a static run writes maps per pair, a dynamic
+run movies of them (``_compare_movies``).  Runs are deterministic given
+the configuration and seed; on failure, partially written outputs are
+removed and the failing stage is named.
 
 The CLI's run options live in one table, ``_OPTIONS``, of which each
 subcommand exposes a subset; ``_validate`` alone judges the values.  Every
@@ -156,6 +157,9 @@ def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     region = _consensus_region(stack, t)
     if not region.any():
         raise DataError(f"empty sitting region: no pixel is above the threshold {t:.12g} in most frames")
+    if max(region.any(axis=0).sum(), region.any(axis=1).sum()) < 2:
+        raise DataError(f"sitting region at the threshold {t:.12g} spans fewer than 2 columns "
+                        "along its long axis, too few to register")
     cut = np.where(region, stack, 0.0)
     del stack
     return fr.Movie(fr._frames_of(cut, cut > 0), fps=movie.fps)
@@ -242,24 +246,31 @@ class _Outputs:
 
     def emit(self, name: str, writer, *args) -> None:
         path = os.path.join(self.out_dir, name)
+        self.written.append(path)  # before writing, so a half-written file is removed too
         writer(*args, path)
-        self.written.append(path)
 
 
 def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Outputs,
-                    report: dict, first: Tuple[int, int] = (0, 0)) -> None:
-    """Difference -> smooth -> t -> p -> FDR per frame pair; writes each
-    pair's maps and report keys.  Frame k of one movie pairs with frame k of
-    the other; ``first`` holds the source frame numbers of pair 0.  The
+                    report: dict, first: Tuple[int, int] = (0, 0), movies: bool = False) -> None:
+    """Difference -> smooth -> t -> p -> FDR per frame pair; writes the
+    maps and each pair's report keys.  Frame k of one movie pairs with frame
+    k of the other; ``first`` holds the source frame numbers of pair 0.  The
     smoother (rim padding included) depends only on the support mask, which
     all pairs of a segment share, so each run of consecutive pairs on one
     mask gets one fit and one stacked t/p pass; the step-up screen stays per
     pair.  Maps, report keys and errors equal those of the per-pair chain:
     the first failing pair raises.
+
+    Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
+    each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with
+    ``movies`` (a dynamic one) those become ``diff.csv`` and ``tmap.csv``,
+    every pair's map stacked in pair order, and the P-movie ``pmap.lasr``,
+    one frame per pair.
     """
     diffs = [ssm.difference_map(a, b) for b, a in zip(before.frames, after.frames)]
     report["n_pairs"] = len(diffs)
     fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
+    tgrids, pframes = [], ()  # the movie layout's t-grids and P-movie frames
     start = 0
     for end in range(1, len(diffs) + 1):
         if end < len(diffs) and np.array_equal(diffs[end].support_mask, diffs[start].support_mask):
@@ -282,11 +293,21 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
                 f"pair.{k}.n_pixels": int(tmap.mask.sum()),
             })
             base = f"pair{k:04d}"
-            out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k].values)
-            out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
             out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
-            out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
+            if movies:
+                tgrids.append(tmap.values)  # a view of the run's t stack
+                pvals[...] = pmap.values    # spent p-values make way for the P-map
+            else:
+                out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k].values)
+                out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
+                out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
+        if movies:
+            pframes += fr._frames_of(pgrids)
         start = end
+    if movies:
+        out.emit("diff.csv", fr.save_map_csv, [d.values for d in diffs])
+        out.emit("tmap.csv", fr.save_map_csv, tgrids)
+        out.emit("pmap.lasr", fr.save_movie, fr.Movie(pframes, fps=before.fps))
 
 
 def run_lasr(config: RunConfig) -> dict:
@@ -362,7 +383,7 @@ def run_lasr(config: RunConfig) -> dict:
             report["icr.applied"] = False
 
         out.stage = "compare"
-        _compare_movies(rb, ra, cfg, out, report, first=(offset_b, offset_a))
+        _compare_movies(rb, ra, cfg, out, report, first=(offset_b, offset_a), movies=dynamic)
 
         out.stage = "report"
         out.emit("report.txt", _write_report, report)

@@ -579,6 +579,31 @@ class TestMapCsv:
         assert len(lines) == 3
         assert all(ln.count(",") == 3 for ln in lines)
 
+    def test_a_list_of_maps_is_their_files_concatenated(self, tmp_path):
+        rng = np.random.default_rng(4)
+        maps = []
+        for k in range(5):  # repeated zero/NaN patterns take the template path
+            v = np.where(rng.random((4, 6)) < 0.3, 0.0, rng.normal(0.0, 3.0, (4, 6)))
+            v[:, 0] = np.nan
+            maps.append(v if k != 2 else v.tolist())
+        one = []
+        for k, v in enumerate(maps):
+            save_map_csv(v, tmp_path / f"{k}.csv")
+            one.append((tmp_path / f"{k}.csv").read_bytes())
+        save_map_csv(maps, tmp_path / "all.csv")
+        assert (tmp_path / "all.csv").read_bytes() == b"".join(one)
+        back = np.loadtxt(tmp_path / "all.csv", delimiter=",")
+        assert back.shape == (20, 6)
+        assert np.array_equal(back[8:12], np.loadtxt(tmp_path / "2.csv", delimiter=","), equal_nan=True)
+
+    def test_stacked_maps_must_share_one_shape(self, tmp_path):
+        p = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="share one shape"):
+            save_map_csv([np.zeros((3, 4)), np.zeros((4, 3))], p)
+        with pytest.raises(DataError, match="map must be 2-D"):
+            save_map_csv([np.zeros((3, 4)), np.zeros(12)], p)
+        assert not p.exists()
+
 
 # ---------------------------------------------------------------------------
 # sessions

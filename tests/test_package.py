@@ -20,6 +20,7 @@ import pytest
 import lasr
 
 MODULES = ("errors", "frames", "segmentation", "registration", "ssm", "synthgen", "pipeline")
+WORKLOADS = ("snapshot", "stim_long", "staged")
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -61,6 +62,24 @@ class TestBenchmarkContract:
         for wl in workloads.WORKLOADS.values():
             inp = workloads.InputSet(0, 7, str(tmp_path), None, None)
             lasr.pipeline._validate(workloads.run_config(wl, inp, str(tmp_path / "out")))
+
+    def test_every_workload_is_run_at_smoke_size(self):
+        workloads = perfbench_module("workloads")
+        assert set(workloads.WORKLOADS) == set(workloads.TINY) == set(WORKLOADS)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_every_workload_passes_its_checks_at_smoke_size(self, tmp_path, name):
+        """make_input -> compare -> check, the benchmark's own output checks
+        on its tiny inputs: an output layout that no longer holds what the
+        benchmark reads fails here."""
+        workloads = perfbench_module("workloads")
+        wl = replace(workloads.WORKLOADS[name], **workloads.TINY[name])
+        inp = workloads.make_input(wl, 1, 0, str(tmp_path / "in"))
+        out = str(tmp_path / "out")
+        workloads.compare(wl, inp, out)
+        problems, quality, _ = workloads.check(wl, inp, out, None)
+        assert problems == []
+        assert quality["pairs"] >= 1
 
     def test_traced_calls_count_groups_and_mask_runs(self, tmp_path, monkeypatch):
         """``registration.srlp_calls`` and ``ssm.smooth_calls`` count calls of

@@ -11,6 +11,7 @@ import pytest
 from lasr import (
     ConfigError,
     DataError,
+    EffectSpec,
     FdrConfig,
     FormatError,
     Frame,
@@ -43,6 +44,9 @@ from lasr import pipeline, srlp_register
 
 import _oracles as orc
 
+
+STAGE_MOVIES = ("before_segmented.lasr", "after_segmented.lasr",
+                "before_registered.lasr", "after_registered.lasr")
 
 BASE_SPEC = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
                         n_frames=3, noise_sd=(0.6, 1.0), seed=10)
@@ -92,13 +96,11 @@ class TestRunStatic:
         assert report["mode"] == "static"
         assert report["icr.applied"] is False
         assert report["n_pairs"] == 3
-        for name in ("before_segmented.lasr", "after_segmented.lasr",
-                     "before_registered.lasr", "after_registered.lasr",
-                     "report.txt"):
-            assert (out / name).is_file(), name
-        for k in range(3):
-            for suffix in ("diff.csv", "tmap.csv", "pmap.csv", "pmap.pgm"):
-                assert (out / f"pair{k:04d}_{suffix}").is_file()
+        # a static run writes each pair's maps on their own, and no movie of them
+        assert sorted(os.listdir(out)) == sorted(
+            STAGE_MOVIES + ("report.txt",)
+            + tuple(f"pair{k:04d}_{suffix}" for k in range(3)
+                    for suffix in ("diff.csv", "tmap.csv", "pmap.csv", "pmap.pgm")))
         disk = read_report(out / "report.txt")
         assert disk["mode"] == "static"
         assert int(disk["n_pairs"]) == 3
@@ -158,12 +160,12 @@ class TestRunStatic:
 
 
 class TestRunDynamic:
-    def stim_pair(self, phase):
+    def stim_pair(self, phase, effect=None):
         # quiet background keeps the lag correlations crisp at short movies
         spec_b = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
                              n_frames=14, noise_sd=(0.1, 0.4), seed=10,
                              stim=StimSpec(period=6, phase_lag=0))
-        spec_a = replace(spec_b, seed=11, stim=StimSpec(period=6, phase_lag=phase))
+        spec_a = replace(spec_b, seed=11, stim=StimSpec(period=6, phase_lag=phase), effect=effect)
         return session_pair(spec_b, spec_a)
 
     def test_auto_mode_aligns_stim_segments(self, tmp_path):
@@ -178,6 +180,43 @@ class TestRunDynamic:
         assert report["n_pairs"] == 8
         assert report["pair.0.before_frame"] == 6
         assert report["pair.0.after_frame"] == 4
+
+    def test_dynamic_run_writes_its_maps_as_movies(self, tmp_path, monkeypatch):
+        """diff.csv and tmap.csv stack the per-pair maps in pair order, pmap.lasr
+        holds one P-map per frame, and each pair keeps its full-precision
+        P-map CSV.  The per-pair files come from the static layout of the same
+        in-memory movies."""
+        box = np.zeros((24, 26), dtype=bool)
+        box[9:15, 10:16] = True
+        before, after = self.stim_pair(phase=2, effect=EffectSpec(box, 4.0))
+        real, per_pair = pipeline._compare_movies, tmp_path / "per_pair"
+
+        def both_layouts(rb, ra, cfg, out, report, first=(0, 0), movies=False):
+            ref = pipeline._Outputs(str(per_pair))
+            ref.makedirs()
+            real(rb, ra, cfg, ref, {}, first)
+            real(rb, ra, cfg, out, report, first, movies)
+
+        monkeypatch.setattr(pipeline, "_compare_movies", both_layouts)
+        out = tmp_path / "dyn"
+        report = run_lasr(quick_config(before, after, out, before_segment=1, after_segment=1,
+                                       m0=4, max_lag=6))
+        n = report["n_pairs"]
+        assert report["mode"] == "dynamic" and n > 1
+        pmaps = tuple(f"pair{k:04d}_pmap.csv" for k in range(n))
+        assert sorted(os.listdir(out)) == sorted(
+            STAGE_MOVIES + ("diff.csv", "tmap.csv", "pmap.lasr", "report.txt") + pmaps)
+        for kind in ("diff", "tmap"):
+            assert (out / f"{kind}.csv").read_bytes() == b"".join(
+                (per_pair / f"pair{k:04d}_{kind}.csv").read_bytes() for k in range(n))
+        for name in pmaps:
+            assert (out / name).read_bytes() == (per_pair / name).read_bytes()
+        movie = load_movie(out / "pmap.lasr")
+        assert len(movie) == n and movie.fps == 2.0
+        grids = [np.loadtxt(per_pair / name, delimiter=",", ndmin=2) for name in pmaps]
+        assert sum((g > 0).sum() for g in grids) > 0
+        for frame, grid in zip(movie.frames, grids):
+            assert np.array_equal(frame.values, np.vectorize(lambda v: float("%.6g" % v))(grid))
 
     def test_dynamic_requires_stim_tags(self, tmp_path):
         before, after = session_pair()
@@ -242,6 +281,24 @@ class TestRunFailures:
         assert isinstance(exc.value.cause, NumericError)
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert sentinel.read_text() == "untouched"
+
+
+    def test_half_written_file_and_its_directory_are_removed(self, tmp_path):
+        def fail_midway(path):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("1,2\n")
+            raise OSError("no space left on device")
+
+        out_dir = tmp_path / "o"
+        with pytest.raises(StageError) as exc:
+            with pipeline._Outputs(str(out_dir)) as out:
+                out.stage = "compare"
+                out.makedirs()
+                out.emit("report.txt", pipeline._write_report, {"n_pairs": 1})
+                out.emit("pair0000_diff.csv", fail_midway)
+        assert exc.value.stage == "compare"
+        assert isinstance(exc.value.cause, OSError)
+        assert not out_dir.exists()
 
 
 class TestSelectedSegmentLoading:
@@ -994,6 +1051,35 @@ class TestCliOptions:
             assert "stage 'segment'" in err
             assert f"empty sitting region: no pixel is above the threshold {t:.12g}" in err
             assert not out.exists()
+
+    def test_one_pixel_sitting_region_fails_at_segment(self, tmp_path, capsys):
+        # an m = 3 threshold inside the noise: the majority vote keeps one pixel,
+        # which register could not take
+        rng = np.random.default_rng(0)
+        stack = np.maximum(rng.normal(0.0, 1.0, (12, 16, 18)), 0.0)
+        stack[10, 4:12, 4:14] += 30.0
+        movie = Movie(tuple(Frame(v) for v in stack), fps=2.0)
+        save_movie(movie, tmp_path / "m.lasr")
+        save_session(SessionLayout((("NoStim", movie),)), tmp_path / "s")
+        saved = load_movie(tmp_path / "m.lasr")
+        t = optimal_threshold(select_model(positive_samples(saved[10]), (2, 3))).t
+        assert pipeline._consensus_region(saved.stack(), t).sum() == 1
+        for argv in (["segment", "--in", str(tmp_path / "m.lasr")],
+                     ["run", "--before", str(tmp_path / "s"), "--after", str(tmp_path / "s")]):
+            out = tmp_path / argv[0]
+            assert cli_main(argv + ["--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert "stage 'segment'" in err
+            assert f"sitting region at the threshold {t:.12g} spans fewer than 2 columns" in err
+            assert not out.exists()
+
+    def test_one_column_tall_sitting_region_is_kept(self):
+        # register turns the long axis horizontal, so a tall one-column region registers
+        stack = np.zeros((3, 8, 9))
+        stack[:, 2:6, 4] = 5.0
+        cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
+        assert cut[0].support_mask.sum() == 4
+        srlp_register(cut[0])
 
     def test_disjoint_supports_fail_at_compare(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
