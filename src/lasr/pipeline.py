@@ -547,6 +547,12 @@ def _span(text: Optional[str], limit: int, default: Tuple[int, int]) -> Tuple[in
 
 
 def _cmd_phantom(ns) -> int:
+    for flag, ok, rule in (("rows", ns.rows >= 1, ">= 1"), ("cols", ns.cols >= 1, ">= 1"),
+                           ("frames", ns.frames >= 1, ">= 1"), ("fps", ns.fps > 0, "> 0"),
+                           ("noise-bg", ns.noise_bg >= 0, ">= 0"),
+                           ("noise-signal", ns.noise_signal >= 0, ">= 0")):
+        if not ok:
+            raise ConfigError(f"--{flag} must be {rule}, got {getattr(ns, flag.replace('-', '_'))}")
     seed = _env_seed(ns.seed)
     effect = None
     if ns.effect_delta != 0.0:

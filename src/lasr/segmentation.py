@@ -17,8 +17,10 @@ EM runs the quantile start and its jittered restarts as one batch: one
 ``(m, restarts, n)`` array, with a start dropped from it in the iteration
 where it converges or reaches ``max_iter``.  Each iteration evaluates the
 mixture density once, since the E-step normaliser at the new parameters is
-the log-likelihood at them.  Every sum keeps the order of running the
-starts one by one, so each start's steps are the same, bit for bit.
+the log-likelihood at them.  Each start's sums over the samples run along
+a contiguous row of the batch, in numpy's pairwise order, which is the
+order of the same sum over that start alone; so each start's steps are the
+same as a run of its own, bit for bit.
 
 A start is also dropped once it cannot win: when even twice its current
 per-iteration gain, kept up to ``max_iter``, would leave its log-likelihood
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import DataError, NumericError
 from .frames import Frame
@@ -57,6 +59,7 @@ _VAR_FLOOR_SCALE = 1e-3  # sd floor relative to the sample sd
 _CUT_RATE = 2.0  # a start is cut when even this multiple of its gain cannot reach the lead
 _TOL = 1e-8  # EM stops when the log-likelihood gain is at most this, relative
 _PMC_GRID = 100001  # points of the PMC fallback grid
+_SQRT_2PI = np.sqrt(2 * np.pi)  # scipy.stats.norm's pdf constant
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,8 @@ def _logsumexp(a):
         for c in a:
             tied = c == top
             count += tied
-            e = np.exp(c - top)
+            e = np.subtract(c, top)
+            np.exp(e, out=e)
             e[tied] = 0.0
             terms.append(e)
         return np.log1p(_sum_columns(terms) / count) + np.log(count) + top
@@ -171,16 +175,19 @@ def _logsumexp(a):
 def _log_terms(x, w, mu, sd):
     """``log w_k + log phi((x - mu_k) / sd_k) - log sd_k`` for ``(m, ...)`` parameters.
 
-    The samples run along the last axis of the result.
+    The samples run along the last axis of the C-contiguous result, which
+    is built in place: the operations of ``-0.5 * z * z - log(sd) - log(2
+    pi)/2 + log(w)`` in that order, without a temporary per step.
     """
     w, mu, sd = (np.asarray(p)[..., None] for p in (w, mu, sd))
-    z = (x - mu) / sd
-    return -0.5 * z * z - np.log(sd) - _HALF_LOG_2PI + np.log(w)
-
-
-def _seq_sum(a):
-    """Sums over the last axis, added strictly in sample order."""
-    return np.cumsum(a, axis=-1)[..., -1]
+    z = np.subtract(x, mu, order="C")
+    z /= sd
+    out = z * -0.5
+    out *= z
+    out -= np.log(sd)
+    out -= _HALF_LOG_2PI
+    out += np.log(w)
+    return out
 
 
 def _em_batch(x, w, mu, sd, floor, max_iter):
@@ -188,8 +195,10 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
 
     Start ``j`` is column ``j``.  It leaves the batch in the iteration where
     it converges or reaches ``max_iter``, and every step of it is the same
-    arithmetic as a run of its own.  The sd floor is kept in force
-    throughout.
+    arithmetic as a run of its own: each sum over the samples is a
+    ``.sum(axis=-1)`` over C-contiguous ``(m, R, n)`` arrays, so every
+    ``(component, start)`` row is added in numpy's pairwise order, as the
+    1-D sum of that row alone is.  The sd floor is kept in force throughout.
 
     A start is also cut when it cannot win: ``lead`` is the best final
     log-likelihood of the starts converged so far, and after iteration ``k``
@@ -210,13 +219,18 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     runs = [None] * ll.size
     lead = -np.inf
     for it in range(1, max_iter + 1):
-        # E-step from the last density pass, then the M-step
-        r = np.exp(logp - lse)
-        nk = np.maximum(_seq_sum(r), 1e-12)
+        # E-step from the last density pass (in place: logp is rebuilt below),
+        # then the M-step
+        r = np.subtract(logp, lse, out=logp)
+        np.exp(r, out=r)
+        nk = np.maximum(r.sum(axis=-1), 1e-12)
         w = nk / n
         w = w / _sum_columns(w)
-        mu = _seq_sum(r * x) / nk
-        var = _seq_sum(r * (x - mu[..., None]) ** 2) / nk
+        mu = (r * x).sum(axis=-1) / nk
+        dev = np.subtract(x, mu[..., None], order="C")
+        dev *= dev
+        dev *= r
+        var = dev.sum(axis=-1) / nk
         sd = np.maximum(np.sqrt(var), floor)
         # one density pass: the log-likelihood now and the next E-step
         logp = _log_terms(x, w, mu, sd)
@@ -235,7 +249,9 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
             return runs
         keep = ~done
         rows, w, mu, sd = rows[keep], w[:, keep], mu[:, keep], sd[:, keep]
-        ll, logp, lse = ll_new[keep], logp[:, keep], lse[keep]
+        # compress, not logp[:, keep], which is not C-contiguous: the next
+        # E-step's r is logp, and its rows must stay contiguous
+        ll, logp, lse = ll_new[keep], logp.compress(keep, axis=1), lse[keep]
     # max_iter < 1: every start is returned as it began
     return [(w[:, j], mu[:, j], sd[:, j], ll[j], False, 0, trace[j, :1].copy())
             for j in range(ll.size)]
@@ -248,10 +264,12 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(), max_iter: int = 30
     quantiles with equal weights and sds = pooled sd / m, then adds
     ``init.n_restarts - 1`` restarts with jittered means; the best final
     log-likelihood wins (the first start among equals).  All starts run as
-    one batch, with the same results as running them one by one; a start
-    that could not catch an already converged one even at twice its current
-    rate of gain leaves early (see ``_em_batch``), so the winner has always
-    converged or reached ``max_iter``.  Deterministic given ``init.seed``.
+    one batch, with the same results as running them one by one: each
+    start's sums over the samples are numpy's pairwise sums of one
+    contiguous row, as over that start alone.  A start that could not catch
+    an already converged one even at twice its current rate of gain leaves
+    early (see ``_em_batch``), so the winner has always converged or
+    reached ``max_iter``.  Deterministic given ``init.seed``.
     Component sds are floored at 1e-3 times the sample sd, so the floor is
     part of the maximization and the per-iteration log-likelihood trace
     stays nondecreasing.
@@ -304,15 +322,21 @@ def select_model(samples, candidate_ms: Sequence[int] = (1, 2, 3),
     """Fit each candidate size and keep the best BIC.
 
     BIC here is loglik - (3m - 1)/2 * ln(n), to be maximized; ties go to
-    the smaller model.
+    the smaller model.  A size above the number of distinct sample values
+    cannot be fitted and is skipped; when that leaves no size, DataError.
     """
     ms = sorted(set(int(m) for m in candidate_ms))
     if not ms:
         raise DataError("no candidate component counts")
     x = np.asarray(samples, dtype=np.float64).ravel()
     n = x.size
+    distinct = np.unique(x).size
+    feasible = [m for m in ms if m <= distinct]
+    if not feasible:
+        raise DataError(f"need at least {ms[0]} distinct sample values for m={ms[0]}, "
+                        f"the smallest candidate; the sample has {distinct}")
     best_model, best_bic = None, -np.inf
-    for m in ms:
+    for m in feasible:
         model = fit_mixture(x, m, init=init)
         bic = model.loglik - (3 * m - 1) / 2.0 * np.log(n)
         if bic > best_bic:
@@ -325,11 +349,25 @@ def select_model(samples, candidate_ms: Sequence[int] = (1, 2, 3),
 # ---------------------------------------------------------------------------
 
 
+def _pdf(t, mu, sd):
+    """The N(mu, sd^2) density at ``t``.
+
+    ``scipy.stats.norm.pdf(t, loc=mu, scale=sd)``'s own formula, bit for
+    bit, without its argument checks and dispatch, which cost about ten
+    times the formula and were most of the root search's time.  Its cdf
+    and sf are ``ndtr(z)`` and ``ndtr(-z)`` with the same ``z = (t - mu) /
+    sd``.  ``z`` is an array even for a scalar ``t``, as in scipy: numpy's
+    scalar ``exp`` can differ from its array loop in the last bit.
+    """
+    z = np.asarray((t - mu) / sd)
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI / sd
+
+
 def _density_gap(model: MixtureModel, t):
     """Background density minus pooled signal density at t."""
     w, mu, sd = model.weights, model.means, model.sds
-    bg = w[0] * norm.pdf(t, loc=mu[0], scale=sd[0])
-    sig = sum(w[i] * norm.pdf(t, loc=mu[i], scale=sd[i]) for i in range(1, model.m))
+    bg = w[0] * _pdf(t, mu[0], sd[0])
+    sig = sum(w[i] * _pdf(t, mu[i], sd[i]) for i in range(1, model.m))
     return bg - sig
 
 
@@ -348,9 +386,9 @@ def pmc_oracle(model: MixtureModel) -> float:
 def _pmc(model: MixtureModel, t):
     """PMC at ``t`` (a scalar or an array of thresholds)."""
     w, mu, sd = model.weights, model.means, model.sds
-    pmc = w[0] * norm.sf(t, loc=mu[0], scale=sd[0])
+    pmc = w[0] * ndtr(-((t - mu[0]) / sd[0]))
     for i in range(1, model.m):
-        pmc = pmc + w[i] * norm.cdf(t, loc=mu[i], scale=sd[i])
+        pmc = pmc + w[i] * ndtr((t - mu[i]) / sd[i])
     return pmc
 
 

@@ -70,6 +70,13 @@ def _em_log_density(x, w, mu, sd):
     return logsumexp(comp + np.log(w)[None, :], axis=1)
 
 
+def _column_sums(a):
+    """Sum of each column of an ``(n, m)`` array, one contiguous 1-D sum per
+    column: numpy's pairwise order over the samples.  (``a.sum(axis=0)``
+    would add the rows one after another.)"""
+    return np.array([np.ascontiguousarray(a[:, k]).sum() for k in range(a.shape[1])])
+
+
 def _em_single_start(x, w, mu, sd, floor, tol, max_iter):
     n = x.size
     trace = []
@@ -82,11 +89,11 @@ def _em_single_start(x, w, mu, sd, floor, tol, max_iter):
         logp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi) + np.log(w)[None, :]
         logp -= logsumexp(logp, axis=1, keepdims=True)
         r = np.exp(logp)
-        nk = np.maximum(r.sum(axis=0), 1e-12)
+        nk = np.maximum(_column_sums(r), 1e-12)
         w = nk / n
         w = w / w.sum()
-        mu = (r * x[:, None]).sum(axis=0) / nk
-        var = (r * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        mu = _column_sums(r * x[:, None]) / nk
+        var = _column_sums(r * (x[:, None] - mu[None, :]) ** 2) / nk
         sd = np.maximum(np.sqrt(var), floor)
         ll_new = _em_log_density(x, w, mu, sd).sum()
         trace.append(ll_new)
@@ -103,8 +110,9 @@ def em_starts(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
 
     The quantile start plus ``n_restarts - 1`` jittered ones, each run to its
     own stop with two density evaluations per iteration through
-    ``scipy.special.logsumexp``.  One ``(w, mu, sd, loglik, converged,
-    n_iter, trace)`` per start, in order.
+    ``scipy.special.logsumexp``.  Every sum over the samples is numpy's
+    pairwise sum of one contiguous 1-D array.  One ``(w, mu, sd, loglik,
+    converged, n_iter, trace)`` per start, in order.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     sd_all = float(x.std())

@@ -1101,6 +1101,17 @@ class TestCliOptions:
         assert needle in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,needle", [
+        ("--rows", "0", "--rows must be >= 1, got 0"), ("--cols", "-2", "--cols must be >= 1"),
+        ("--frames", "0", "--frames must be >= 1"), ("--fps", "0", "--fps must be > 0"),
+        ("--fps", "nan", "--fps must be > 0"), ("--noise-bg", "-1", "--noise-bg must be >= 0"),
+        ("--noise-signal", "-0.5", "--noise-signal must be >= 0")])
+    def test_phantom_bad_number_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value, needle):
+        out = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(out), flag, value]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", ["segment", "register"])
     def test_failed_report_removes_the_stage_outputs(self, tmp_path, monkeypatch, capsys, cmd):
         ph = tmp_path / "ph"

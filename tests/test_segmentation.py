@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from lasr import (
     DataError,
@@ -146,6 +147,46 @@ class TestThresholdClosedForms:
         t = pmc_oracle(m)
         t_ref, _ = orc.pmc_minimum(m.weights, m.means, m.sds)
         assert abs(t - t_ref) < 1e-4
+
+    @staticmethod
+    def random_models(rng, count):
+        for _ in range(count):
+            m = int(rng.integers(2, 5))
+            w = rng.dirichlet(np.ones(m))
+            mu = np.sort(rng.uniform(-5.0, 50.0, m))
+            sd = 10.0 ** rng.uniform(-3.0, 1.5, m)
+            yield MixtureModel(m, w, mu, sd, 0.0, True, 0, np.array([0.0]))
+
+    def test_closed_form_normal_equals_scipy_stats_at_points(self):
+        # the brentq path: one scalar t per call, as a float and as np.float64
+        rng = np.random.default_rng(23)
+        for model in self.random_models(rng, 100):
+            w, mu, sd = model.weights, model.means, model.sds
+            ts = np.concatenate([rng.uniform(mu[0] - 3 * sd[0], mu[-1] + 3 * sd[-1], 15),
+                                 mu + sd * rng.standard_normal(model.m) * 40.0])
+            for t in ts:
+                for arg in (float(t), t):
+                    gap = (w[0] * norm.pdf(arg, loc=mu[0], scale=sd[0])
+                           - sum(w[i] * norm.pdf(arg, loc=mu[i], scale=sd[i]) for i in range(1, model.m)))
+                    pmc = w[0] * norm.sf(arg, loc=mu[0], scale=sd[0])
+                    for i in range(1, model.m):
+                        pmc = pmc + w[i] * norm.cdf(arg, loc=mu[i], scale=sd[i])
+                    assert segmentation._density_gap(model, arg) == gap
+                    assert segmentation._pmc(model, arg) == pmc
+
+    def test_closed_form_normal_equals_scipy_stats_on_the_pmc_grid(self):
+        rng = np.random.default_rng(29)
+        for model in self.random_models(rng, 8):
+            w, mu, sd = model.weights, model.means, model.sds
+            grid = np.linspace(mu[0], mu.max(), 100001)
+            gap = (w[0] * norm.pdf(grid, loc=mu[0], scale=sd[0])
+                   - sum(w[i] * norm.pdf(grid, loc=mu[i], scale=sd[i]) for i in range(1, model.m)))
+            pmc = w[0] * norm.sf(grid, loc=mu[0], scale=sd[0])
+            for i in range(1, model.m):
+                pmc = pmc + w[i] * norm.cdf(grid, loc=mu[i], scale=sd[i])
+            assert (segmentation._density_gap(model, grid) == gap).all()
+            assert (segmentation._pmc(model, grid) == pmc).all()
+            assert pmc_oracle(model) == grid[int(np.argmin(pmc))]
 
     def test_single_component_has_no_threshold(self):
         m = MixtureModel(1, np.array([1.0]), np.array([2.0]), np.array([1.0]),
@@ -321,6 +362,43 @@ class TestBatchedEm:
         cut = [out for batch in calls for out in batch if not out[4] and out[5] < max_iter]
         assert cut  # the samples do have starts that leave early
 
+    def test_large_sample_equals_oracle(self):
+        # above numpy's 8192-element reduction buffer
+        x = draw_mixture(np.random.default_rng(0), 9000, [0.5, 0.3, 0.2], [0.0, 4.0, 9.0],
+                         [1.0, 1.2, 1.0])
+        ref, _ = orc.em_reference(x, 3)
+        assert_same_fit(fit_mixture(x, 3), ref)
+
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("n", [9, 1558, 8193, 20000])
+    def test_batch_row_sum_equals_one_start_sum(self, n, width):
+        """What makes the batch equal to the one-by-one oracle: a row's sum
+        over the last axis of an ``(m, R, n)`` array is the 1-D sum of it."""
+        rng = np.random.default_rng(n + width)
+        a = rng.random((3, width, n)) * 10.0 ** rng.integers(-3, 4, (3, width, 1))
+        rows = a.sum(axis=-1)
+        for k in range(3):
+            for j in range(width):
+                assert rows[k, j] == a[k, j].copy().sum()
+
+    def test_em_batch_sums_only_contiguous_arrays(self):
+        seen = []
+
+        class Probe(np.ndarray):
+            def sum(self, *args, **kwargs):
+                seen.append((self.shape, self.flags.c_contiguous))
+                return super().sum(*args, **kwargs)
+
+        x = self.SAMPLE
+        start = np.quantile(x, [1 / 6, 1 / 2, 5 / 6])
+        mu = np.stack([start, start + 0.5, start - 0.5], axis=1)
+        runs = segmentation._em_batch(x.view(Probe), np.full((3, 3), 1 / 3), mu,
+                                      np.full((3, 3), x.std() / 3), 1e-3 * x.std(), 300)
+        assert len({out[5] for out in runs}) > 1  # the batch narrows on the way
+        batch_sums = [shape for shape, _ in seen if len(shape) == 3]
+        assert len(batch_sums) == 3 * max(out[5] for out in runs)  # nk, mean and variance
+        assert all(contiguous for _, contiguous in seen)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     def test_logsumexp_matches_scipy_bit_for_bit(self, m):
         rng = np.random.default_rng(m)
@@ -378,6 +456,16 @@ class TestModelSelection:
             fit = fit_mixture(x, m)
             bics[m] = fit.loglik - (3 * m - 1) / 2.0 * math.log(n)
         assert bics[chosen.m] == max(bics.values())
+
+    def test_sizes_above_the_distinct_values_are_skipped(self):
+        x = np.array([1.0] * 100 + [9.0] * 100)
+        model = select_model(x, (2, 3))
+        assert model.m == 2
+        assert_same_fit(model, orc.em_reference(x, 2)[0])
+
+    def test_no_feasible_size_names_the_count(self):
+        with pytest.raises(DataError, match="the sample has 2"):
+            select_model(np.array([1.0, 1.0, 4.0]), (3, 4))
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(DataError):
