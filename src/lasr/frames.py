@@ -11,8 +11,9 @@ Movies are interchanged as plain text.  The grammar is::
     BLANK     := NL                          # exactly one empty line
 
 ``rows``, ``cols`` and ``nframes`` are positive integers, ``fps`` is a
-positive decimal.  Values are nonnegative decimals; they are written with
-6 significant digits, so a save/load round trip is exact for values already
+positive decimal, written as the shortest one that reads back exactly.
+Values are nonnegative decimals; they are written with 6 significant
+digits, so a save/load round trip is exact for values already
 representable at that precision.  The parser is strict: any deviation from
 the grammar (wrong row width, negative or non-numeric value, missing or
 extra separator line, trailing content) raises :class:`FormatError` with
@@ -23,8 +24,8 @@ Anything else, including tokens numpy refuses but ``float`` accepts (such
 as ``1_0``), goes to a line walker, which reads every value with ``float``
 and finds the first bad line; the C reader reads every value as ``float``
 does.  The walker builds the array only from rows it has read, so a header
-that promises more than the body holds costs no memory.  A parsed movie's
-frames are read-only views of one array.
+that promises more than the body holds costs no memory.  A parsed movie
+adopts the parsed array as its ``values``, without a copy.
 
 The writers format only the values that vary.  Segmented movies and
 per-pair maps repeat the same exact zeros (and, in t-maps, NaNs) in the
@@ -79,15 +80,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check(values: np.ndarray, mask: Optional[np.ndarray], signed: bool) -> None:
+    """Finite values, nonnegative unless signed, and a boolean mask of their shape."""
+    if not np.isfinite(values).all():
+        raise DataError("frame values must be finite")
+    if not signed and (values < 0).any():
+        raise DataError("frame values must be nonnegative")
+    if mask is not None and (mask.shape != values.shape or mask.dtype != np.bool_):
+        raise DataError("support mask must be a boolean grid matching the frame shape")
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """A single rows x cols intensity image with an optional support mask.
 
     ``values`` must be finite, and nonnegative unless ``signed=True`` is
     passed (difference maps are signed).  ``Frame(...)`` copies and freezes
-    its arrays, so a frame never changes once made.  Movies built from one
-    array (a parsed file, a cut or resampled segment) check and freeze that
-    array once instead: their frames are read-only views of it.
+    its arrays, so a frame never changes once made; ``movie[k]`` makes one.
     """
 
     values: np.ndarray
@@ -98,16 +107,10 @@ class Frame:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.size == 0:
             raise DataError(f"frame values must be a nonempty 2-D grid, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise DataError("frame values must be finite")
-        if not self.signed and (v < 0).any():
-            raise DataError("frame values must be nonnegative")
+        m = None if self.support_mask is None else np.asarray(self.support_mask)
+        _check(v, m, self.signed)
         object.__setattr__(self, "values", _frozen(v))
-        m = self.support_mask
         if m is not None:
-            m = np.asarray(m)
-            if m.shape != v.shape or m.dtype != np.bool_:
-                raise DataError("support mask must be a boolean grid matching the frame shape")
             object.__setattr__(self, "support_mask", _frozen(m))
 
     @property
@@ -123,73 +126,76 @@ class Frame:
         return self.values.shape
 
 
-def _frames_of(stack: np.ndarray, masks: Optional[np.ndarray] = None,
-               signed: bool = False) -> tuple:
-    """The frames of a (nframes, rows, cols) float64 array, as read-only views.
-
-    The array and the (nframes, rows, cols) mask stack, if any, are checked
-    as ``Frame`` checks one frame, then frozen in place rather than copied:
-    the caller hands them over.  A shared mask may come as
-    ``np.broadcast_to(mask, stack.shape)``.
-    """
-    if stack.dtype != np.float64 or stack.ndim != 3 or stack.size == 0:
-        raise DataError(f"frame values must be a nonempty stack of 2-D grids, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise DataError("frame values must be finite")
-    if not signed and (stack < 0).any():
-        raise DataError("frame values must be nonnegative")
-    stack.setflags(write=False)
-    if masks is None:
-        masks = (None,) * len(stack)
-    elif masks.shape != stack.shape or masks.dtype != np.bool_:
-        raise DataError("support mask must be a boolean grid matching the frame shape")
-    else:
-        masks.setflags(write=False)
-    frames = []
-    for v, m in zip(stack, masks):
-        f = object.__new__(Frame)
-        object.__setattr__(f, "values", v)
-        object.__setattr__(f, "support_mask", m)
-        object.__setattr__(f, "signed", signed)
-        frames.append(f)
-    return tuple(frames)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Movie:
-    """An ordered list of equally sized frames sampled at ``fps`` frames/sec."""
+    """Equally sized frames sampled at ``fps`` frames/sec, as one array.
 
-    frames: tuple
-    fps: float = 2.0
+    ``values`` is a read-only (nframes, rows, cols) float64 array, ``masks``
+    a read-only boolean one of that shape or None, and ``signed`` holds for
+    every frame.  ``Movie(frames, fps)`` stacks ``Frame``s that agree in
+    shape, in having a mask and in ``signed``.  ``movie[k]`` is frame k, a
+    ``Frame``; ``movie[a:b]`` is a movie sharing this one's arrays.
+    """
 
-    def __post_init__(self):
-        fr = tuple(self.frames)
+    values: np.ndarray
+    masks: Optional[np.ndarray]
+    fps: float
+    signed: bool
+
+    def __init__(self, frames, fps: float = 2.0):
+        fr = tuple(frames)
         if not fr:
             raise DataError("movie must contain at least one frame")
-        shape = fr[0].shape
         for k, f in enumerate(fr):
             if not isinstance(f, Frame):
                 raise DataError("movie frames must be Frame instances")
-            if f.shape != shape:
-                raise DataError(f"frame {k} has shape {f.shape}, expected {shape}")
-        if not (float(self.fps) > 0):
+            if f.shape != fr[0].shape:
+                raise DataError(f"frame {k} has shape {f.shape}, expected {fr[0].shape}")
+            if (f.support_mask is None) != (fr[0].support_mask is None):
+                raise DataError(f"frame {k} and frame 0 differ in having a support mask")
+            if f.signed != fr[0].signed:
+                raise DataError(f"frame {k} and frame 0 differ in being signed")
+        masks = None if fr[0].support_mask is None else np.stack([f.support_mask for f in fr])
+        self._adopt(np.stack([f.values for f in fr]), masks, fps, fr[0].signed)
+
+    def _adopt(self, values: np.ndarray, masks: Optional[np.ndarray], fps: float, signed: bool) -> None:
+        """Check the stacks once and freeze them in place, without a copy."""
+        if values.dtype != np.float64 or values.ndim != 3 or values.size == 0:
+            raise DataError(f"movie values must be a nonempty float64 stack, got shape {values.shape}")
+        _check(values, masks, signed)
+        if not (float(fps) > 0):
             raise DataError("fps must be positive")
-        object.__setattr__(self, "frames", fr)
-        object.__setattr__(self, "fps", float(self.fps))
+        values.setflags(write=False)
+        if masks is not None:
+            masks.setflags(write=False)
+        for name, v in (("values", values), ("masks", masks), ("fps", float(fps)), ("signed", bool(signed))):
+            object.__setattr__(self, name, v)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.values)
 
-    def __getitem__(self, k) -> Frame:
-        return self.frames[k]
+    def __getitem__(self, k):
+        masks = None if self.masks is None else self.masks[k]
+        if isinstance(k, slice):
+            return _movie(self.values[k], masks, self.fps, self.signed)
+        return Frame(self.values[k], masks, self.signed)
 
     @property
     def shape(self) -> tuple:
-        return self.frames[0].shape
+        return self.values.shape[1:]
 
-    def stack(self) -> np.ndarray:
-        """All frame values as one (nframes, rows, cols) array."""
-        return np.stack([f.values for f in self.frames])
+    @property
+    def frames(self) -> tuple:
+        return tuple(self[k] for k in range(len(self)))
+
+
+def _movie(values: np.ndarray, masks: Optional[np.ndarray] = None, fps: float = 2.0,
+           signed: bool = False) -> Movie:
+    """A movie adopting a (nframes, rows, cols) float64 stack and its mask
+    stack, if any: the caller hands them over."""
+    movie = Movie.__new__(Movie)
+    movie._adopt(values, masks, fps, signed)
+    return movie
 
 
 def _check_tag(tag) -> None:
@@ -314,7 +320,7 @@ def load_movie(path) -> Movie:
     values = _parse_fast(lines, rows, cols, nframes)
     if values is None:
         values = _parse_walk(lines, rows, cols, nframes)
-    return Movie(_frames_of(values), fps=fps)
+    return _movie(values, fps=fps)
 
 
 def _read_text(path) -> str:
@@ -372,15 +378,16 @@ class _GridFormat:
 
 
 def save_movie(movie: Movie, path) -> None:
-    """Write a movie in the text format (values at 6 significant digits)."""
+    """Write a movie in the text format (values at 6 significant digits, fps exact)."""
     rows, cols = movie.shape
+    fps = np.format_float_positional(movie.fps, trim="-")
     fmt = _GridFormat(_VALUE_FMT, " ", movie.shape)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%s %d %d %d %s\n" % (_MAGIC, rows, cols, len(movie), "%g" % movie.fps))
-        for k, f in enumerate(movie.frames):
+        fh.write("%s %d %d %d %s\n" % (_MAGIC, rows, cols, len(movie), fps))
+        for k, grid in enumerate(movie.values):
             if k > 0:
                 fh.write("\n")
-            fh.write(fmt(f.values))
+            fh.write(fmt(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def _select_segment(segments: Sequence, index: int, which: str):
 
 
 def _mean_movie(movie: fr.Movie) -> fr.Movie:
-    return fr.Movie((fr.Frame(movie.stack().mean(axis=0)),), fps=movie.fps)
+    return fr._movie(movie.values.mean(axis=0)[None], fps=movie.fps)
 
 
 def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
@@ -153,21 +153,19 @@ def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
 
 def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     """Zero everything outside the consensus sitting region of the movie."""
-    stack = movie.stack()
-    region = _consensus_region(stack, t)
+    region = _consensus_region(movie.values, t)
     if not region.any():
         raise DataError(f"empty sitting region: no pixel is above the threshold {t:.12g} in most frames")
     if max(region.any(axis=0).sum(), region.any(axis=1).sum()) < 2:
         raise DataError(f"sitting region at the threshold {t:.12g} spans fewer than 2 columns "
                         "along its long axis, too few to register")
-    cut = np.where(region, stack, 0.0)
-    del stack
-    return fr.Movie(fr._frames_of(cut, cut > 0), fps=movie.fps)
+    cut = np.where(region, movie.values, 0.0)
+    return fr._movie(cut, cut > 0, movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
     """Mixture threshold from the first stable frame, applied to all frames."""
-    ref = movie.frames[min(cfg.m0, len(movie) - 1)]
+    ref = movie[min(cfg.m0, len(movie) - 1)]
     samples = seg.positive_samples(ref)
     model = seg.select_model(samples, cfg.candidates, init=seg.InitSpec(seed=cfg.seed))
     result = seg.optimal_threshold(model)
@@ -178,31 +176,31 @@ def _register_movie(movie: fr.Movie):
     """SRLP-register every frame; returns the movie and the per-frame transforms.
 
     A frame's transform depends only on its support mask and quarter turn.
-    So the frames are grouped by mask, in order of first appearance; each
-    mask's quarter turns take one pass, and each (mask, turn) group takes
-    the transform ``srlp_register`` finds for its first frame and one
-    stacked resampling.  Frames, masks, transforms and errors equal those of
+    So the frames are grouped by mask (``registration._distinct_rows``, in
+    order of first appearance); each mask's quarter turns take one pass,
+    and each (mask, turn) group takes the transform ``srlp_register`` finds
+    for its first frame and one stacked resampling, written into the
+    output stack.  Frames, masks, transforms and errors equal those of
     ``srlp_register`` applied frame by frame: every error depends on the
-    mask alone, so the first failing frame raises.  Frames sharing a mask
-    take the first one's ``signed`` flag; stage movies are all unsigned.
+    mask alone, so the first failing frame raises.
     """
-    by_mask = {}  # mask bytes -> indices of the frames with that mask
-    for i, f in enumerate(movie.frames):
-        by_mask.setdefault(None if f.support_mask is None else f.support_mask.tobytes(), []).append(i)
-    out, transforms = [None] * len(movie), [None] * len(movie)
-    for idx in by_mask.values():
-        first = movie[idx[0]]
-        stack = np.stack([movie[i].values for i in idx])
-        turns = reg._stack_quarter_turns(stack, first.support_mask)
-        for k in dict.fromkeys(turns):
-            pick = [j for j, turn in enumerate(turns) if turn == k]
-            t = reg.srlp_register(movie[idx[pick[0]]])[1]
-            values, mask = reg._resample(stack if len(pick) == len(idx) else stack[pick],
-                                         first.support_mask, t)
-            for j, frame in zip(pick, fr._frames_of(values, np.broadcast_to(mask, values.shape),
-                                                    first.signed)):
-                out[idx[j]], transforms[idx[j]] = frame, t
-    return fr.Movie(tuple(out), fps=movie.fps), transforms
+    if movie.masks is None:
+        raise DataError("frame has no support mask; segment it first")
+    masks, ids = reg._distinct_rows(movie.masks.reshape(len(movie), -1))
+    values, out_masks = np.empty(movie.values.shape), np.empty(movie.masks.shape, dtype=bool)
+    transforms = np.empty(len(movie), dtype=object)
+    for g in range(ids.max() + 1):
+        idx = np.flatnonzero(ids == g)
+        mask = masks[g].reshape(movie.shape)
+        stack = movie.values[idx]
+        turns = np.array(reg._stack_quarter_turns(stack, mask))
+        for k in dict.fromkeys(turns.tolist()):
+            pick = turns == k
+            group = idx[pick]
+            t = reg.srlp_register(movie[group[0]])[1]
+            values[group], out_masks[group] = reg._resample(stack if pick.all() else stack[pick], mask, t)
+            transforms[group] = t
+    return fr._movie(values, out_masks, movie.fps, movie.signed), list(transforms)
 
 
 def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
@@ -210,8 +208,7 @@ def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
     movie = fr.load_movie(path)
     if mean_frame:
         movie = _mean_movie(movie)
-    stack = movie.stack()
-    return fr.Movie(fr._frames_of(stack, stack > 0), fps=movie.fps)
+    return fr._movie(movie.values, movie.values > 0, movie.fps)
 
 
 class _Outputs:
@@ -254,12 +251,13 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
                     report: dict, first: Tuple[int, int] = (0, 0), movies: bool = False) -> None:
     """Difference -> smooth -> t -> p -> FDR per frame pair; writes the
     maps and each pair's report keys.  Frame k of one movie pairs with frame
-    k of the other; ``first`` holds the source frame numbers of pair 0.  The
-    smoother (rim padding included) depends only on the support mask, which
-    all pairs of a segment share, so each run of consecutive pairs on one
-    mask gets one fit and one stacked t/p pass; the step-up screen stays per
-    pair.  Maps, report keys and errors equal those of the per-pair chain:
-    the first failing pair raises.
+    k of the other up to the shorter one's length; ``first`` holds the
+    source frame numbers of pair 0.  A pair's mask is the intersection of
+    its frames' masks.  The smoother (rim padding included) depends only on
+    the mask, so each run of consecutive pairs on one mask gets one fit and
+    one stacked t/p pass; the step-up screen stays per pair.  Maps, report
+    keys and errors equal those of the per-pair chain: the first failing
+    pair raises.
 
     Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
     each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with
@@ -267,19 +265,22 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     every pair's map stacked in pair order, and the P-movie ``pmap.lasr``,
     one frame per pair.
     """
-    diffs = [ssm.difference_map(a, b) for b, a in zip(before.frames, after.frames)]
-    report["n_pairs"] = len(diffs)
+    n = min(len(before), len(after))
+    masks = before.masks[:n] & after.masks[:n]
+    diffs = np.where(masks, after.values[:n] - before.values[:n], 0.0)
+    report["n_pairs"] = n
     fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
-    tgrids, pframes = [], ()  # the movie layout's t-grids and P-movie frames
+    tgrids, pstacks = [], []  # the movie layout's t-grids and P-movie frames
     start = 0
-    for end in range(1, len(diffs) + 1):
-        if end < len(diffs) and np.array_equal(diffs[end].support_mask, diffs[start].support_mask):
+    for end in range(1, n + 1):
+        if end < n and np.array_equal(masks[end], masks[start]):
             continue
-        if not diffs[start].support_mask.any():
+        if not masks[start].any():
             raise DataError("registered supports do not overlap")
-        fit = ssm.local_quadratic_smooth(diffs[start], h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
+        diff = fr.Frame(diffs[start], support_mask=masks[start], signed=True)
+        fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
         sigma, tmaps, pgrids = ssm._stacked_tests(
-            fit, np.stack([d.values[fit.mask] for d in diffs[start:end]]), cfg.two_sided)
+            fit, np.ascontiguousarray(diffs[start:end][:, fit.mask]), cfg.two_sided)
         for k, s, tmap, pvals in zip(range(start, end), sigma, tmaps, pgrids):
             rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
             rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
@@ -298,16 +299,16 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
                 tgrids.append(tmap.values)  # a view of the run's t stack
                 pvals[...] = pmap.values    # spent p-values make way for the P-map
             else:
-                out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k].values)
+                out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k])
                 out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
                 out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
         if movies:
-            pframes += fr._frames_of(pgrids)
+            pstacks.append(pgrids)
         start = end
     if movies:
-        out.emit("diff.csv", fr.save_map_csv, [d.values for d in diffs])
+        out.emit("diff.csv", fr.save_map_csv, list(diffs))
         out.emit("tmap.csv", fr.save_map_csv, tgrids)
-        out.emit("pmap.lasr", fr.save_movie, fr.Movie(pframes, fps=before.fps))
+        out.emit("pmap.lasr", fr.save_movie, fr._movie(np.concatenate(pstacks), fps=before.fps))
 
 
 def run_lasr(config: RunConfig) -> dict:
@@ -333,6 +334,8 @@ def run_lasr(config: RunConfig) -> dict:
             raise DataError("dynamic comparison requires Stim segments on both sides")
         if cfg.mean_frame and dynamic:
             raise ConfigError("mean-frame averaging applies to static comparisons only")
+        if dynamic and movie_b.fps != movie_a.fps:
+            raise DataError(f"dynamic comparison needs one frame rate, got {movie_b.fps!r} and {movie_a.fps!r} fps")
         if cfg.mean_frame:
             movie_b, movie_a = _mean_movie(movie_b), _mean_movie(movie_a)
 
@@ -371,9 +374,7 @@ def run_lasr(config: RunConfig) -> dict:
         offset_b = offset_a = 0
         if dynamic:
             lag = reg.icr_lag(rb, ra, m0=cfg.m0, max_lag=cfg.max_lag)
-            tb = fr.Movie(rb.frames[cfg.m0:], fps=rb.fps)
-            ta = fr.Movie(ra.frames[cfg.m0:], fps=ra.fps)
-            rb, ra = reg.align_movies(tb, ta, lag)
+            rb, ra = reg.align_movies(rb[cfg.m0:], ra[cfg.m0:], lag)
             offset_b = cfg.m0 + max(-lag.j0, 0)
             offset_a = cfg.m0 + max(lag.j0, 0)
             report["icr.applied"] = True

@@ -17,9 +17,9 @@ taller than wide, or whose intensity
 mass sits toward high columns, are first brought to the canonical
 orientation by an exact quarter-turn, so 90/180-degree posture changes
 register to the same pose.  The transform depends on a frame's values
-only through that quarter turn, so the frames of a segment, which share
-one support mask, are registered by one transform per (mask, turn) group
-and one stacked resampling; the result is the per-frame result.
+only through that quarter turn, so the frames of a segment are
+registered by one transform per (support mask, turn) group and one
+stacked resampling; the result is the per-frame result.
 
 ICR aligns two movies in time by the average frame correlation
 
@@ -330,12 +330,9 @@ def registration_error(t: RigidTransform, pairs) -> float:
 
 
 def _flat_values_masks(movie: Movie):
-    vals = movie.stack().reshape(len(movie), -1)
-    masks = np.stack([
-        f.support_mask if f.support_mask is not None else np.ones(f.shape, dtype=bool)
-        for f in movie.frames
-    ]).reshape(len(movie), -1).astype(np.float64)
-    return vals * masks, masks
+    masks = np.ones(movie.values.shape, dtype=bool) if movie.masks is None else movie.masks
+    masks = masks.reshape(len(movie), -1).astype(np.float64)
+    return movie.values.reshape(len(movie), -1) * masks, masks
 
 
 def _distinct_rows(m: np.ndarray):
@@ -390,12 +387,7 @@ def frame_correlation(a: Frame, b: Frame) -> float:
     """
     if a.shape != b.shape:
         raise DataError("frames must have equal shape")
-    ma = (np.ones(a.shape, bool) if a.support_mask is None else a.support_mask)
-    mb = (np.ones(b.shape, bool) if b.support_mask is None else b.support_mask)
-    xa = (a.values * ma).reshape(1, -1)
-    xb = (b.values * mb).reshape(1, -1)
-    c = _pairwise_correlation(xa, ma.reshape(1, -1).astype(np.float64),
-                              xb, mb.reshape(1, -1).astype(np.float64))[0, 0]
+    c = _pairwise_correlation(*_flat_values_masks(Movie((a,))), *_flat_values_masks(Movie((b,))))[0, 0]
     if not np.isfinite(c):
         raise NumericError("correlation undefined (zero variance over the domain)")
     return float(c)
@@ -431,8 +423,8 @@ def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment
         raise DataError("max_lag must be >= 0")
     lag_cap = min(max_lag, min(na, nb) - 1)
 
-    xa, ma = _flat_values_masks(Movie(a.frames[m0:], fps=a.fps))
-    xb, mb = _flat_values_masks(Movie(b.frames[m0:], fps=b.fps))
+    xa, ma = _flat_values_masks(a[m0:])
+    xb, mb = _flat_values_masks(b[m0:])
     cor = _pairwise_correlation(xa, ma, xb, mb)
 
     lags = np.arange(-lag_cap, lag_cap + 1)
@@ -460,9 +452,9 @@ def align_movies(a: Movie, b: Movie, lag: LagAlignment) -> Tuple[Movie, Movie]:
         n = min(len(a), len(b) - j0)
         if n <= 0:
             raise DataError("no overlapping frames at the requested lag")
-        return (Movie(a.frames[:n], fps=a.fps), Movie(b.frames[j0:j0 + n], fps=b.fps))
+        return a[:n], b[j0:j0 + n]
     k = -j0
     n = min(len(b), len(a) - k)
     if n <= 0:
         raise DataError("no overlapping frames at the requested lag")
-    return (Movie(a.frames[k:k + n], fps=a.fps), Movie(b.frames[:n], fps=b.fps))
+    return a[k:k + n], b[:n]

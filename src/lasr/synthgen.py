@@ -294,12 +294,11 @@ def gen_lagged_pair(spec: PhantomSpec, lag: int) -> Tuple[Movie, Movie, GroundTr
     base, left, right = blob_field(spec)
     support = base > 0
     rng = _noise_rng(spec.seed, 101)
-    total = spec.n_frames + lag
     frames = []
-    for t in range(total):
+    for t in range(spec.n_frames + lag):
         clean = _stim_clean(stim, t, base, left, right)
         frames.append(_noisy_frame(clean, support, spec, rng))
-    a = Movie(tuple(frames[lag:]), fps=spec.fps)    # A starts `lag` frames in
-    b = Movie(tuple(frames[:spec.n_frames]), fps=spec.fps)
+    master = Movie(frames, fps=spec.fps)
+    a, b = master[lag:], master[:spec.n_frames]  # A starts `lag` frames in
     truth = GroundTruth(support, RigidTransform(0.0, 0.0, 0.0), lag, None, 0.0)
     return a, b, truth

@@ -80,8 +80,8 @@ class TestMovie:
         m = rand_movie(rng, n=4)
         assert len(m) == 4
         assert m.shape == (4, 5)
-        assert m[2] is m.frames[2]
-        assert m.stack().shape == (4, 4, 5)
+        assert np.array_equal(m[2].values, m.frames[2].values)
+        assert m.values.shape == (4, 4, 5)
 
     def test_rejects_mixed_shapes_and_bad_fps(self):
         a = Frame(np.zeros((2, 2)))
@@ -92,6 +92,42 @@ class TestMovie:
             Movie((a,), fps=0.0)
         with pytest.raises(DataError):
             Movie((), fps=1.0)
+
+    def test_rejects_mixed_mask_presence_and_mixed_sign(self):
+        plain, signed = Frame(np.ones((2, 2))), Frame(np.ones((2, 2)), signed=True)
+        masked = Frame(np.ones((2, 2)), support_mask=np.ones((2, 2), dtype=bool))
+        with pytest.raises(DataError, match="support mask"):
+            Movie((plain, masked), fps=1.0)
+        with pytest.raises(DataError, match="signed"):
+            Movie((plain, signed), fps=1.0)
+
+    def test_slice_shares_the_read_only_arrays(self):
+        rng = np.random.default_rng(1)
+        masks = rng.random((5, 3, 4)) > 0.5
+        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (3, 4))), support_mask=k) for k in masks), fps=4.0)
+        part = m[1:4]
+        assert isinstance(part, Movie) and len(part) == 3 and part.fps == 4.0
+        for whole, sliced in ((m.values, part.values), (m.masks, part.masks)):
+            assert np.shares_memory(whole, sliced) and np.array_equal(sliced, whole[1:4])
+            assert not whole.flags.writeable and not sliced.flags.writeable
+        assert np.array_equal(m.masks, masks)
+
+    def test_item_is_a_frame_of_the_arrays(self):
+        rng = np.random.default_rng(2)
+        masks = rng.random((3, 4, 5)) > 0.5
+        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (4, 5))), support_mask=k, signed=True)
+                        for k in masks), fps=2.0)
+        for k in (0, 2, -1):
+            f = m[k]
+            assert isinstance(f, Frame) and f.signed
+            assert np.array_equal(f.values, m.values[k]) and np.array_equal(f.support_mask, m.masks[k])
+        assert m[1].support_mask is not None and rand_movie(rng)[1].support_mask is None
+
+    def test_index_past_the_end_raises_and_iteration_stops(self):
+        m = rand_movie(np.random.default_rng(3), n=3)
+        with pytest.raises(IndexError):
+            m[3]
+        assert [f.values.tolist() for f in m] == m.values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +158,14 @@ class TestMovieIO:
         first = p.read_text().splitlines()[0]
         assert first == "LASR1 1 1 1 2"
 
+    @pytest.mark.parametrize("fps", [30000 / 1001, 1 / 3, 1e-5, 1e6, 2.0 ** -20])
+    def test_fps_round_trips_exactly(self, tmp_path, fps):
+        p = tmp_path / "f.lasr"
+        save_movie(Movie((Frame(np.array([[1.5]])),), fps=fps), p)
+        header = p.read_text().splitlines()[0]
+        assert "e" not in header.lower()
+        assert load_movie(p).fps == fps
+
     def test_blank_line_separates_frames(self, tmp_path):
         rng = np.random.default_rng(1)
         m = rand_movie(rng, rows=2, cols=2, n=3)
@@ -132,7 +176,7 @@ class TestMovieIO:
         assert lines[3] == "" and lines[6] == ""
         assert lines[1] != "" and lines[2] != ""
 
-    def test_loaded_frames_are_read_only_views_and_stack_is_fresh(self, tmp_path):
+    def test_loaded_movie_and_frames_are_read_only(self, tmp_path):
         rng = np.random.default_rng(3)
         p = tmp_path / "m.lasr"
         save_movie(rand_movie(rng, rows=3, cols=4, n=3), p)
@@ -141,8 +185,7 @@ class TestMovieIO:
             assert not f.values.flags.writeable and f.support_mask is None
             with pytest.raises(ValueError):
                 f.values[0, 0] = 1.0
-        stack = m.stack()
-        assert stack.flags.writeable and not np.shares_memory(stack, m[0].values)
+        assert not m.values.flags.writeable and m.masks is None
 
     def test_non_ascii_file_names_the_file(self, tmp_path):
         p = tmp_path / "u.lasr"
@@ -448,7 +491,7 @@ class TestParserMatchesReference:
         monkeypatch.setattr(fr, "_parse_walk", walker)
         movie = load_movie(p)
         assert movie.fps == ref_fps
-        assert movie.stack().tobytes() == ref_stack.tobytes()  # -0.0 keeps its sign
+        assert movie.values.tobytes() == ref_stack.tobytes()  # -0.0 keeps its sign
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_same_error(self, tmp_path, name):
@@ -520,7 +563,7 @@ class TestCReader:
         ref_stack, ref_fps = _oracles.parse_reference(text)
         movie = load_movie(p)
         assert movie.fps == ref_fps
-        assert movie.stack().tobytes() == ref_stack.tobytes()
+        assert movie.values.tobytes() == ref_stack.tobytes()
 
 
 # ---------------------------------------------------------------------------

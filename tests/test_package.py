@@ -108,7 +108,7 @@ class TestBenchmarkContract:
         assert report["mode"] == "dynamic"
 
         def masks(which, name):
-            return list(lasr.load_movie(out / f"{which}_{name}.lasr").stack() > 0)
+            return list(lasr.load_movie(out / f"{which}_{name}.lasr").values > 0)
 
         groups = sum(len({(m.tobytes(),) + tuple(report[f"{which}.srlp.{i}.{p}"] for p in ("theta", "u", "v"))
                           for i, m in enumerate(masks(which, "segmented"))})

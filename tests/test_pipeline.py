@@ -50,6 +50,8 @@ STAGE_MOVIES = ("before_segmented.lasr", "after_segmented.lasr",
 
 BASE_SPEC = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
                         n_frames=3, noise_sd=(0.6, 1.0), seed=10)
+# long enough for a lag search at m0=4, max_lag=6
+STIM_SPEC = replace(BASE_SPEC, n_frames=14, noise_sd=(0.1, 0.4), stim=StimSpec(period=6))
 
 
 def session_pair(spec_b=None, spec_a=None):
@@ -158,6 +160,22 @@ class TestRunStatic:
         assert report["n_pairs"] == 1
         assert not (tmp_path / "m" / "pair0001_diff.csv").exists()
 
+    def test_unequal_segments_pair_up_to_the_shorter_one(self, tmp_path):
+        """Frame k pairs with frame k; the longer side's extra frames are left out."""
+        before, after = session_pair(replace(BASE_SPEC, n_frames=12),
+                                     replace(BASE_SPEC, n_frames=7, seed=11))
+        out = tmp_path / "run"
+        report = run_lasr(quick_config(before, after, out))
+        assert report["n_pairs"] == 7 and report["before.n_frames"] == 12
+        assert [report[f"pair.{k}.before_frame"] for k in range(7)] == list(range(7))
+        assert not any(key.startswith("pair.7.") for key in report)
+        maps = tmp_path / "maps"
+        assert cli_main(["ssm", "--before", str(out / "before_registered.lasr"),
+                         "--after", str(out / "after_registered.lasr"), "--out", str(maps),
+                         "--bandwidth", "2.0"]) == 0
+        disk = read_report(maps / "report.txt")
+        assert disk["n_pairs"] == "7" and not any(key.startswith("pair.7.") for key in disk)
+
 
 class TestRunDynamic:
     def stim_pair(self, phase, effect=None):
@@ -226,6 +244,32 @@ class TestRunDynamic:
         assert exc.value.stage == "load"
         assert isinstance(exc.value.cause, DataError)
         assert not (tmp_path / "x").exists()
+
+    def test_two_frame_rates_fail_at_load(self, tmp_path):
+        """A dynamic run pairs frames by index, so both sides need one frame
+        rate; a static run does not compare moments and takes any two."""
+        before, after = session_pair(replace(STIM_SPEC, fps=2.0), replace(STIM_SPEC, seed=11, fps=8.0))
+        with pytest.raises(StageError) as exc:
+            run_lasr(quick_config(before, after, tmp_path / "x", before_segment=1, after_segment=1,
+                                  m0=4, max_lag=6))
+        assert exc.value.stage == "load" and isinstance(exc.value.cause, DataError)
+        assert "2.0" in str(exc.value) and "8.0" in str(exc.value)
+        assert not (tmp_path / "x").exists()
+        for k, kw in enumerate((dict(), dict(mean_frame=True),
+                                dict(mode="static", before_segment=1, after_segment=1))):
+            assert run_lasr(quick_config(before, after, tmp_path / f"static{k}", **kw))["mode"] == "static"
+
+    def test_two_frame_rates_exit_3_at_load(self, tmp_path, capsys):
+        for name, seed, fps in (("s1", 10, 2.0), ("s2", 11, 8.0)):
+            save_session(gen_session(replace(STIM_SPEC, seed=seed, fps=fps), session_id=name)[0],
+                         tmp_path / name)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--before", str(tmp_path / "s1"), "--after", str(tmp_path / "s2"),
+                         "--out", str(out), "--before-segment", "1", "--after-segment", "1",
+                         "--m0", "4", "--max-lag", "6", "--bandwidth", "2.0"]) == 3
+        err = capsys.readouterr().err
+        assert "load" in err and "2.0" in err and "8.0" in err
+        assert not out.exists()
 
     def test_mean_frame_conflicts_with_dynamic(self, tmp_path):
         before, after = self.stim_pair(phase=0)
@@ -475,7 +519,7 @@ class TestCompareMovies:
 
 
 class TestViewFrames:
-    """Movies built from one array hand out read-only view frames."""
+    """Movies built from one array keep it read-only and hand out read-only frames."""
 
     def test_builders_hand_out_read_only_frames(self, tmp_path):
         before, _ = session_pair(replace(BASE_SPEC, n_frames=6))
@@ -492,8 +536,7 @@ class TestViewFrames:
                     assert not a.flags.writeable
                     with pytest.raises(ValueError):
                         a[0, 0] = a[0, 0]
-            assert movie.stack().flags.writeable
-        assert all(f.values.base is not None for f in registered.frames)  # resampled as a group
+            assert not movie.values.flags.writeable
         for f in masked.frames:
             assert np.array_equal(f.support_mask, f.values > 0)
 
@@ -501,13 +544,13 @@ class TestViewFrames:
         stack = np.ones((3, 2, 2))
         stack[2, 1, 1] = -1.0
         with pytest.raises(DataError, match="nonnegative"):
-            fr._frames_of(stack)
-        frames = fr._frames_of(stack, signed=True)
+            fr._movie(stack)
+        frames = fr._movie(stack, signed=True).frames
         assert [f.signed for f in frames] == [True] * 3
         with pytest.raises(DataError, match="finite"):
-            fr._frames_of(np.full((1, 2, 2), np.nan))
+            fr._movie(np.full((1, 2, 2), np.nan))
         with pytest.raises(DataError, match="support mask"):
-            fr._frames_of(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool))
+            fr._movie(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool))
 
 
 class TestRegisterMovie:
@@ -1063,7 +1106,7 @@ class TestCliOptions:
         save_session(SessionLayout((("NoStim", movie),)), tmp_path / "s")
         saved = load_movie(tmp_path / "m.lasr")
         t = optimal_threshold(select_model(positive_samples(saved[10]), (2, 3))).t
-        assert pipeline._consensus_region(saved.stack(), t).sum() == 1
+        assert pipeline._consensus_region(saved.values, t).sum() == 1
         for argv in (["segment", "--in", str(tmp_path / "m.lasr")],
                      ["run", "--before", str(tmp_path / "s"), "--after", str(tmp_path / "s")]):
             out = tmp_path / argv[0]
@@ -1140,7 +1183,7 @@ class TestCliOptions:
                          "--out", str(maps), "--mean-frame"]) == 0
 
         def mean(path):
-            v = load_movie(path).stack().mean(axis=0)
+            v = load_movie(path).values.mean(axis=0)
             return Movie((Frame(v, support_mask=v > 0),), fps=2.0)
 
         ref = pipeline._Outputs(str(tmp_path / "ref"))

@@ -51,7 +51,7 @@ def battery_sample(rep):
 def mean_frame_sample(seed):
     """EM sample of the first segment's mean frame, as ``lasr run --mean-frame`` fits it."""
     layout, _ = gen_session(PhantomSpec(seed=seed))
-    return positive_samples(Frame(layout.segments[0][1].stack().mean(axis=0)))
+    return positive_samples(Frame(layout.segments[0][1].values.mean(axis=0)))
 
 
 # (sample, InitSpec seed) of the m = 3 fits where a hopeless start is cut
