@@ -8,10 +8,13 @@ a support mask and quarter turn; the result is the per-frame result),
 optionally align the movies in time (dynamic mode, when both selected
 segments are stimulation blocks), then difference paired frames, smooth
 (one fit and one stacked t/p pass per run of pairs on one mask), and
-screen each pair's t-map at FDR level q.  Every artifact lands in the
-output directory together with a line-oriented ``report.txt`` of thresholds, transforms, lag, smoothing
-traces, and rejection counts; a static run writes maps per pair, a dynamic
-run movies of them (``_compare_movies``).  Runs are deterministic given
+screen each pair's t-map at FDR level q.  A run writes only the
+comparison: the maps, per pair in a static run and as movies in a dynamic
+one (``_compare_movies``), and a line-oriented ``report.txt`` of
+thresholds, transforms, lag, smoothing traces, and rejection counts.  The
+segmented and registered movies stay in memory; ``segment`` then
+``register`` on the same segment file write them, through the same
+``_segment_movie`` and ``_register_movie``.  Runs are deterministic given
 the configuration and seed; on failure, partially written outputs are
 removed and the failing stage is named.
 
@@ -360,14 +363,12 @@ def run_lasr(config: RunConfig) -> dict:
             report[f"{which}.mixture_n_iter"] = thr.model.n_iter
             report[f"{which}.threshold"] = thr.t
             report[f"{which}.threshold_method"] = thr.method
-            out.emit(f"{which}_segmented.lasr", fr.save_movie, segmented)
 
         out.stage = "register"
         for which in ("before", "after"):
             registered, transforms = _register_movie(seg_movies[which])
             reg_movies[which] = registered
             report.update(_transform_keys(f"{which}.srlp", transforms))
-            out.emit(f"{which}_registered.lasr", fr.save_movie, registered)
 
         out.stage = "align"
         rb, ra = reg_movies["before"], reg_movies["after"]
@@ -434,7 +435,7 @@ _OPTIONS = {
 }
 _RUN_KEYS = tuple(k for k in _OPTIONS if k != "components")  # also the config-file keys
 _SSM_KEYS = ("q", "bandwidth", "kernel", "rim", "fdr", "two-sided", "mean-frame")
-_SEGMENT_KEYS = ("components", "seed")
+_SEGMENT_KEYS = ("components", "m0", "seed")
 
 
 def _add_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:

@@ -58,7 +58,6 @@ __all__ = [
     "apply_rigid",
     "srlp_register",
     "registration_error",
-    "frame_correlation",
     "icr_lag",
     "align_movies",
 ]
@@ -378,19 +377,6 @@ def _pairwise_correlation(xa, ma, xb, mb):
     bad = (n < 2) | (vx <= 1e-12 * scale) | (vy <= 1e-12 * scale)
     cor[bad] = np.nan
     return cor
-
-
-def frame_correlation(a: Frame, b: Frame) -> float:
-    """Pearson correlation of two frames over the union of their supports
-    (a frame without a mask counts as supported everywhere).  Raises if the
-    correlation is undefined (either side constant over the domain).
-    """
-    if a.shape != b.shape:
-        raise DataError("frames must have equal shape")
-    c = _pairwise_correlation(*_flat_values_masks(Movie((a,))), *_flat_values_masks(Movie((b,))))[0, 0]
-    if not np.isfinite(c):
-        raise NumericError("correlation undefined (zero variance over the domain)")
-    return float(c)
 
 
 @dataclass(frozen=True)

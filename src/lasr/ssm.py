@@ -52,14 +52,12 @@ __all__ = [
     "pad_rim",
     "local_quadratic_smooth",
     "refit",
-    "residual_traces",
     "degrees_of_freedom",
     "t_map",
     "restrict_tmap",
     "p_map",
     "bh_adjust",
     "fdr_map",
-    "prds_covariance_check",
 ]
 
 # kernel id -> (cutoff in units of h, profile W(u) for u = d/h <= cutoff).
@@ -301,16 +299,6 @@ def refit(fit: SmoothFit, diff: Frame) -> SmoothFit:
     return replace(fit, m_hat=m_hat, rss=rss, sigma_hat=float(np.sqrt(rss / fit.delta1)))
 
 
-def residual_traces(L: np.ndarray) -> Tuple[float, float]:
-    """delta1 = tr((I-L)'(I-L)) and delta2 = tr([(I-L)'(I-L)]^2) for a dense hat matrix."""
-    L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DataError("hat matrix must be square")
-    m = np.eye(L.shape[0]) - L
-    lam = m.T @ m
-    return float(np.trace(lam)), float((lam * lam).sum())
-
-
 def degrees_of_freedom(fit: SmoothFit) -> Tuple[float, float]:
     """The residual traces of a fit; errors if no residual df remain."""
     if fit.delta1 <= 1e-9 or fit.delta2 <= 0:
@@ -423,30 +411,3 @@ def fdr_map(pvalues: np.ndarray, rejections: np.ndarray, critical_p: float = 0.0
     vals[rej] = 1.0 - p[rej]
     mask = ~np.isnan(p)
     return PMap(vals, float(critical_p), int(rej.sum()), mask)
-
-
-def prds_covariance_check(fit: SmoothFit, pairs) -> float:
-    """Minimum normalized hat-row inner product over sampled pixel pairs.
-
-    The covariance of the smoothed field at two pixels is proportional to
-    p(x_i) . p(x_j) / (||p(x_i)|| ||p(x_j)||); nonnegative values support
-    the positive-dependence premise of the BH screen.  ``pairs`` is a
-    sequence of ((r1, c1), (r2, c2)) masked pixel coordinates.
-    """
-    idx = np.full(fit.mask.shape, -1, dtype=np.int64)
-    idx[fit.pixels[:, 0], fit.pixels[:, 1]] = np.arange(fit.pixels.shape[0])
-    lo = np.inf
-    L = fit.hat
-    for (r1, c1), (r2, c2) in pairs:
-        i, j = int(idx[r1, c1]), int(idx[r2, c2])
-        if i < 0 or j < 0:
-            raise DataError(f"pair (({r1},{c1}),({r2},{c2})) not inside the fitted mask")
-        ri = L.getrow(i)
-        rj = L.getrow(j)
-        num = float(ri.multiply(rj).sum())
-        den = float(np.sqrt((ri.multiply(ri)).sum() * (rj.multiply(rj)).sum()))
-        val = num / den if den > 0 else 0.0
-        lo = min(lo, val)
-    if not np.isfinite(lo):
-        raise DataError("no pairs supplied")
-    return float(lo)

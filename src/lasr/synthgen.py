@@ -13,7 +13,7 @@ period, per-side amplitudes, and phase).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "seat_blob",
     "gen_frame",
     "gen_session",
-    "gen_misaligned_pair",
     "gen_pose_pair",
     "gen_lagged_pair",
 ]
@@ -185,14 +184,6 @@ def gen_session(spec: PhantomSpec, session_id: str = "s1",
     layout = SessionLayout(tuple(segments), session_id=session_id, subject_id=subject_id)
     truth = GroundTruth(support, pose, stim.phase_lag, effect_mask, delta)
     return layout, truth
-
-
-def gen_misaligned_pair(spec: PhantomSpec, pose: RigidTransform) -> Tuple[Frame, Frame, GroundTruth]:
-    """A canonical frame and a rigidly moved copy, independent noise each."""
-    canonical, _ = gen_frame(replace(spec, pose=None), stream=0)
-    moved, _ = gen_frame(replace(spec, pose=pose), stream=1)
-    base, _, _ = blob_field(spec)
-    return canonical, moved, GroundTruth(base > 0, pose, 0, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

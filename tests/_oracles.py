@@ -3,14 +3,20 @@
 Everything here favors clarity over speed: plain loops, dense matrices,
 and mpmath for the distribution functions.  Tests compare library output
 against these, so none of them may import computational code from the
-package under test.
+package under test.  The one exception is the last section: helpers that
+only tests call (a PRDS probe, dense residual traces, a frame correlation
+and a misaligned phantom pair), kept here rather than in the package.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 from scipy.special import erfc, logsumexp
+
+from lasr import DataError, GroundTruth, Movie, NumericError, blob_field, gen_frame
+from lasr import registration as reg
 
 mpmath.mp.dps = 40
 
@@ -504,3 +510,68 @@ def frames_equal(a, b):
 def movies_equal(a, b):
     return (len(a) == len(b) and a.fps == b.fps
             and all(frames_equal(x, y) for x, y in zip(a.frames, b.frames)))
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers (these drive the package; they are not references)
+# ---------------------------------------------------------------------------
+
+
+def residual_traces(L):
+    """delta1 = tr((I-L)'(I-L)) and delta2 = tr([(I-L)'(I-L)]^2) for a dense hat matrix."""
+    L = np.asarray(L, dtype=np.float64)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise DataError("hat matrix must be square")
+    m = np.eye(L.shape[0]) - L
+    lam = m.T @ m
+    return float(np.trace(lam)), float((lam * lam).sum())
+
+
+def prds_covariance_check(fit, pairs):
+    """Minimum normalized hat-row inner product over sampled pixel pairs.
+
+    The covariance of the smoothed field at two pixels is proportional to
+    p(x_i) . p(x_j) / (||p(x_i)|| ||p(x_j)||); nonnegative values support
+    the positive-dependence premise of the BH screen.  ``pairs`` is a
+    sequence of ((r1, c1), (r2, c2)) masked pixel coordinates.
+    """
+    idx = np.full(fit.mask.shape, -1, dtype=np.int64)
+    idx[fit.pixels[:, 0], fit.pixels[:, 1]] = np.arange(fit.pixels.shape[0])
+    lo = np.inf
+    L = fit.hat
+    for (r1, c1), (r2, c2) in pairs:
+        i, j = int(idx[r1, c1]), int(idx[r2, c2])
+        if i < 0 or j < 0:
+            raise DataError(f"pair (({r1},{c1}),({r2},{c2})) not inside the fitted mask")
+        ri = L.getrow(i)
+        rj = L.getrow(j)
+        num = float(ri.multiply(rj).sum())
+        den = float(np.sqrt((ri.multiply(ri)).sum() * (rj.multiply(rj)).sum()))
+        val = num / den if den > 0 else 0.0
+        lo = min(lo, val)
+    if not np.isfinite(lo):
+        raise DataError("no pairs supplied")
+    return float(lo)
+
+
+def frame_correlation(a, b):
+    """Pearson correlation of two frames over the union of their supports
+    (a frame without a mask counts as supported everywhere), through the
+    stacked correlation the lag search uses.  Raises if the correlation is
+    undefined (either side constant over the domain).
+    """
+    if a.shape != b.shape:
+        raise DataError("frames must have equal shape")
+    c = reg._pairwise_correlation(*reg._flat_values_masks(Movie((a,))),
+                                  *reg._flat_values_masks(Movie((b,))))[0, 0]
+    if not np.isfinite(c):
+        raise NumericError("correlation undefined (zero variance over the domain)")
+    return float(c)
+
+
+def gen_misaligned_pair(spec, pose):
+    """A canonical frame and a rigidly moved copy, independent noise each."""
+    canonical, _ = gen_frame(replace(spec, pose=None), stream=0)
+    moved, _ = gen_frame(replace(spec, pose=pose), stream=1)
+    base, _, _ = blob_field(spec)
+    return canonical, moved, GroundTruth(base > 0, pose, 0, None, 0.0)

@@ -16,6 +16,7 @@ import pytest
 from scipy.ndimage import binary_dilation
 
 import _oracles as orc
+from _oracles import prds_covariance_check
 from lasr import (
     FdrConfig,
     Frame,
@@ -36,7 +37,6 @@ from lasr import (
     local_quadratic_smooth,
     optimal_threshold,
     p_map,
-    prds_covariance_check,
     refit,
     registration_error,
     run_lasr,

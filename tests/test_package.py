@@ -98,6 +98,19 @@ class TestBenchmarkContract:
 
         count(lasr.registration, "srlp_register")
         count(lasr.ssm, "local_quadratic_smooth")
+        stage_masks = {"_segment_movie": [], "_register_movie": []}  # per side, in call order
+
+        def keep_masks(name):
+            real = getattr(lasr.pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                movie, extra = real(*args, **kwargs)
+                stage_masks[name].append(list(movie.masks))
+                return movie, extra
+            monkeypatch.setattr(lasr.pipeline, name, wrapper)
+
+        keep_masks("_segment_movie")
+        keep_masks("_register_movie")
         spec = lasr.PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0), n_frames=14,
                                 noise_sd=(0.1, 0.4), seed=10, stim=lasr.StimSpec(period=6))
         sessions = [lasr.gen_session(spec, session_id="s1")[0],
@@ -107,13 +120,11 @@ class TestBenchmarkContract:
                                               bandwidth=2.0, m0=4, max_lag=3, candidates=(2,)))
         assert report["mode"] == "dynamic"
 
-        def masks(which, name):
-            return list(lasr.load_movie(out / f"{which}_{name}.lasr").values > 0)
-
+        sides = ("before", "after")  # the order run_lasr segments and registers them
         groups = sum(len({(m.tobytes(),) + tuple(report[f"{which}.srlp.{i}.{p}"] for p in ("theta", "u", "v"))
-                          for i, m in enumerate(masks(which, "segmented"))})
-                     for which in ("before", "after"))
-        registered = {which: masks(which, "registered") for which in ("before", "after")}
+                          for i, m in enumerate(masks)})
+                     for which, masks in zip(sides, stage_masks["_segment_movie"]))
+        registered = dict(zip(sides, stage_masks["_register_movie"]))
         pair_masks = [registered["before"][report[f"pair.{k}.before_frame"]]
                       & registered["after"][report[f"pair.{k}.after_frame"]]
                       for k in range(report["n_pairs"])]

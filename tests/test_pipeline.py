@@ -45,8 +45,7 @@ from lasr import pipeline, srlp_register
 import _oracles as orc
 
 
-STAGE_MOVIES = ("before_segmented.lasr", "after_segmented.lasr",
-                "before_registered.lasr", "after_registered.lasr")
+STAGE_MOVIE_SUFFIXES = ("_segmented.lasr", "_registered.lasr")
 
 BASE_SPEC = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
                         n_frames=3, noise_sd=(0.6, 1.0), seed=10)
@@ -98,9 +97,11 @@ class TestRunStatic:
         assert report["mode"] == "static"
         assert report["icr.applied"] is False
         assert report["n_pairs"] == 3
-        # a static run writes each pair's maps on their own, and no movie of them
+        # a static run writes each pair's maps on their own, and no movie of
+        # them; the segmented and registered movies stay in memory
+        assert not [name for name in os.listdir(out) if name.endswith(STAGE_MOVIE_SUFFIXES)]
         assert sorted(os.listdir(out)) == sorted(
-            STAGE_MOVIES + ("report.txt",)
+            ("report.txt",)
             + tuple(f"pair{k:04d}_{suffix}" for k in range(3)
                     for suffix in ("diff.csv", "tmap.csv", "pmap.csv", "pmap.pgm")))
         disk = read_report(out / "report.txt")
@@ -115,8 +116,6 @@ class TestRunStatic:
             # static pairing indexes frames directly
             assert int(disk[f"pair.{k}.before_frame"]) == k
         assert float(disk["before.threshold"]) > 0
-        saved = load_movie(out / "before_registered.lasr")
-        assert len(saved) == 3 and saved.shape == (24, 26)
 
     def test_report_shows_the_chosen_mixture_fit(self, tmp_path):
         before, after = session_pair()
@@ -169,10 +168,19 @@ class TestRunStatic:
         assert report["n_pairs"] == 7 and report["before.n_frames"] == 12
         assert [report[f"pair.{k}.before_frame"] for k in range(7)] == list(range(7))
         assert not any(key.startswith("pair.7.") for key in report)
+        # the staged chain with the run's settings builds the registered movies
+        registered = []
+        for which, session, seg in (("b", before, 0), ("a", after, 2)):
+            save_session(session, tmp_path / which)
+            assert cli_main(["segment", "--in", str(tmp_path / which / f"seg{seg}.lasr"),
+                             "--out", str(tmp_path / f"seg_{which}"), "--m0", "2",
+                             "--components", "2"]) == 0
+            assert cli_main(["register", "--in", str(tmp_path / f"seg_{which}" / "segmented.lasr"),
+                             "--out", str(tmp_path / f"reg_{which}")]) == 0
+            registered.append(str(tmp_path / f"reg_{which}" / "registered.lasr"))
         maps = tmp_path / "maps"
-        assert cli_main(["ssm", "--before", str(out / "before_registered.lasr"),
-                         "--after", str(out / "after_registered.lasr"), "--out", str(maps),
-                         "--bandwidth", "2.0"]) == 0
+        assert cli_main(["ssm", "--before", registered[0], "--after", registered[1],
+                         "--out", str(maps), "--bandwidth", "2.0"]) == 0
         disk = read_report(maps / "report.txt")
         assert disk["n_pairs"] == "7" and not any(key.startswith("pair.7.") for key in disk)
 
@@ -222,8 +230,9 @@ class TestRunDynamic:
         n = report["n_pairs"]
         assert report["mode"] == "dynamic" and n > 1
         pmaps = tuple(f"pair{k:04d}_pmap.csv" for k in range(n))
+        assert not [name for name in os.listdir(out) if name.endswith(STAGE_MOVIE_SUFFIXES)]
         assert sorted(os.listdir(out)) == sorted(
-            STAGE_MOVIES + ("diff.csv", "tmap.csv", "pmap.lasr", "report.txt") + pmaps)
+            ("diff.csv", "tmap.csv", "pmap.lasr", "report.txt") + pmaps)
         for kind in ("diff", "tmap"):
             assert (out / f"{kind}.csv").read_bytes() == b"".join(
                 (per_pair / f"pair{k:04d}_{kind}.csv").read_bytes() for k in range(n))
@@ -790,10 +799,10 @@ class TestCli:
         lasr("run", "--before", "ph/s1", "--after", "ph/s2", "--out", "dyn", "--before-segment", "1",
              "--after-segment", "1", "--m0", "2", "--max-lag", "3", "--bandwidth", "2.0")
         assert read_report(tmp_path / "dyn" / "report.txt")["mode"] == "dynamic"
-        lasr("segment", "--in", "ph/s1/seg0.lasr", "--out", "seg")
-        lasr("register", "--in", "seg/segmented.lasr", "--out", "reg")
-        # the after side is a registered movie the run wrote
-        lasr("ssm", "--before", "reg/registered.lasr", "--after", "dyn/after_registered.lasr",
+        for session in ("s1", "s2"):
+            lasr("segment", "--in", f"ph/{session}/seg0.lasr", "--out", f"seg_{session}")
+            lasr("register", "--in", f"seg_{session}/segmented.lasr", "--out", f"reg_{session}")
+        lasr("ssm", "--before", "reg_s1/registered.lasr", "--after", "reg_s2/registered.lasr",
              "--out", "maps", "--bandwidth", "2.0")
         assert (tmp_path / "maps" / "report.txt").is_file()
 
@@ -896,6 +905,66 @@ class TestCli:
         assert len(names) == 12
         assert all(run[n] == staged[n] for n in names)
 
+    def test_segment_m0_picks_the_runs_reference_frame(self, tmp_path):
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph), "--rows", "24", "--cols", "26", "--frames", "12",
+                  "--seed", "3"])
+        assert cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
+                         "--out", str(tmp_path / "run"), "--m0", "2"]) == 0
+        thresholds = {}
+        for m0 in ("2", "10"):
+            assert cli_main(["segment", "--in", str(ph / "s1" / "seg0.lasr"),
+                             "--out", str(tmp_path / f"seg{m0}"), "--m0", m0]) == 0
+            thresholds[m0] = read_report(tmp_path / f"seg{m0}" / "segment_report.txt")["threshold"]
+        assert thresholds["2"] == read_report(tmp_path / "run" / "report.txt")["before.threshold"]
+        assert thresholds["10"] != thresholds["2"]
+
+    @pytest.mark.parametrize("run_args, segments, m0, mode", [
+        ([], (0, 2), None, "static"),
+        (["--m0", "2"], (0, 2), "2", "static"),
+        (["--before-segment", "1", "--after-segment", "1", "--m0", "2", "--max-lag", "3"], (1, 1), "2", "dynamic"),
+    ], ids=["static", "static-m0", "dynamic"])
+    def test_chain_writes_the_stage_movies_run_computes(self, tmp_path, monkeypatch, run_args, segments, m0,
+                                                         mode):
+        """``run`` keeps its segmented and registered movies in memory;
+        ``segment`` then ``register`` on the same segment file, with the
+        run's m0, writes them byte for byte."""
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph), "--rows", "24", "--cols", "26", "--frames", "12",
+                  "--seed", "3", "--effect-delta", "4.0"])
+        computed = {"segmented": [], "registered": []}  # per stage: the before movie, then the after one
+
+        def keep(name, stage):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                movie, extra = real(*args, **kwargs)
+                computed[stage].append(movie)
+                return movie, extra
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        keep("_segment_movie", "segmented")
+        keep("_register_movie", "registered")
+        assert cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
+                         "--out", str(tmp_path / "run")] + run_args) == 0
+        monkeypatch.undo()
+        report = read_report(tmp_path / "run" / "report.txt")
+        assert report["mode"] == mode
+        assert not [name for name in os.listdir(tmp_path / "run") if name.endswith(STAGE_MOVIE_SUFFIXES)]
+        assert [len(movies) for movies in computed.values()] == [2, 2]
+        for side, (which, session, seg) in enumerate(zip(("before", "after"), ("s1", "s2"), segments)):
+            chain = tmp_path / session
+            assert cli_main(["segment", "--in", str(ph / session / f"seg{seg}.lasr"),
+                             "--out", str(chain / "seg")] + (["--m0", m0] if m0 else [])) == 0
+            # equal movies can come from different cuts: the threshold is checked too
+            assert read_report(chain / "seg" / "segment_report.txt")["threshold"] == report[f"{which}.threshold"]
+            assert cli_main(["register", "--in", str(chain / "seg" / "segmented.lasr"),
+                             "--out", str(chain / "reg")]) == 0
+            for stage, written in (("segmented", chain / "seg" / "segmented.lasr"),
+                                   ("registered", chain / "reg" / "registered.lasr")):
+                save_movie(computed[stage][side], tmp_path / "in_run.lasr")
+                assert written.read_bytes() == (tmp_path / "in_run.lasr").read_bytes(), (session, stage)
+
 
 # flag / config key, value text (None: an on/off flag), field, value
 RUN_OPTIONS = [
@@ -921,7 +990,7 @@ HELP_FLAGS = {
                 "--noise-signal", "--effect-delta", "--effect-rows", "--effect-cols",
                 "--stim-period", "--stim-left", "--stim-right", "--lag"},
     "run": {"--before", "--after", "--out", "--config"} | {f"--{k}" for k, *_ in RUN_OPTIONS} | NO_FLAGS,
-    "segment": {"--in", "--out", "--components", "--seed"},
+    "segment": {"--in", "--out", "--components", "--m0", "--seed"},
     "register": {"--in", "--out"},
     "ssm": {"--before", "--after", "--out"} | {f"--{k}" for k in SSM_KEYS} | NO_FLAGS,
 }

@@ -18,7 +18,6 @@ from lasr import (
     column_midpoints,
     compose,
     fit_midline,
-    frame_correlation,
     gen_pose_pair,
     icr_lag,
     identity_transform,
@@ -29,6 +28,7 @@ from lasr import (
 )
 
 import _oracles as orc
+from _oracles import frame_correlation
 from lasr import registration as reg
 
 

@@ -21,14 +21,13 @@ from lasr import (
     local_quadratic_smooth,
     p_map,
     pad_rim,
-    prds_covariance_check,
     refit,
-    residual_traces,
     restrict_tmap,
     t_map,
 )
 
 import _oracles as orc
+from _oracles import prds_covariance_check, residual_traces
 
 
 def noisy_diff(rows=9, cols=11, seed=0, mask=None, scale=1.0):

@@ -12,16 +12,15 @@ from lasr import (
     RigidTransform,
     StimSpec,
     blob_field,
-    frame_correlation,
     gen_frame,
     gen_lagged_pair,
-    gen_misaligned_pair,
     gen_pose_pair,
     gen_session,
     icr_lag,
     seat_blob,
     transform_points,
 )
+from _oracles import frame_correlation, gen_misaligned_pair
 
 
 SMALL = PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0),
