@@ -2,13 +2,13 @@
 
 A run compares one movie segment from a "before" session against one from
 an "after" session: segment each movie (mixture threshold from its first
-stable frame, majority-vote sitting region for the whole segment),
-self-register every frame (one SRLP transform per group of frames sharing
-a support mask and quarter turn; the result is the per-frame result),
-optionally align the movies in time (dynamic mode, when both selected
-segments are stimulation blocks), then difference paired frames, smooth
-(one fit and one stacked t/p pass per run of pairs on one mask), and
-screen each pair's t-map at FDR level q.  A run writes only the
+stable frame, majority-vote sitting region for the whole segment, which
+becomes every frame's support mask), self-register the segment (one SRLP
+transform from its mean frame, applied to every frame), optionally align
+the movies in time (dynamic mode, when both selected segments are
+stimulation blocks), then difference paired frames, smooth (one fit and
+one stacked t/p pass, since all pairs share one mask), and screen each
+pair's t-map at FDR level q.  A run writes only the
 comparison: the maps, per pair in a static run and as movies in a dynamic
 one (``_compare_movies``), and a line-oriented ``report.txt`` of
 thresholds, transforms, lag, smoothing traces, and rejection counts.  The
@@ -163,7 +163,7 @@ def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
         raise DataError(f"sitting region at the threshold {t:.12g} spans fewer than 2 columns "
                         "along its long axis, too few to register")
     cut = np.where(region, movie.values, 0.0)
-    return fr._movie(cut, cut > 0, movie.fps)
+    return fr._movie(cut, np.broadcast_to(region, cut.shape), movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
@@ -176,42 +176,37 @@ def _segment_movie(movie: fr.Movie, cfg: RunConfig):
 
 
 def _register_movie(movie: fr.Movie):
-    """SRLP-register every frame; returns the movie and the per-frame transforms.
+    """SRLP-register a segment; returns the movie and the per-frame transforms.
 
-    A frame's transform depends only on its support mask and quarter turn.
-    So the frames are grouped by mask (``registration._distinct_rows``, in
-    order of first appearance); each mask's quarter turns take one pass,
-    and each (mask, turn) group takes the transform ``srlp_register`` finds
-    for its first frame and one stacked resampling, written into the
-    output stack.  Frames, masks, transforms and errors equal those of
-    ``srlp_register`` applied frame by frame: every error depends on the
-    mask alone, so the first failing frame raises.
+    The sitting region cannot move within a segment, so the segment takes
+    one transform: ``srlp_register``'s on the mean frame over the union of
+    the frame masks (the consensus region, for a segmented movie), applied
+    to every frame in one stacked resampling.  The quarter turn is the mean
+    frame's too, so no single noisy frame can flip 180 degrees.  Every
+    frame gets the one registered mask and repeats the one transform.
     """
     if movie.masks is None:
         raise DataError("frame has no support mask; segment it first")
-    masks, ids = reg._distinct_rows(movie.masks.reshape(len(movie), -1))
-    values, out_masks = np.empty(movie.values.shape), np.empty(movie.masks.shape, dtype=bool)
-    transforms = np.empty(len(movie), dtype=object)
-    for g in range(ids.max() + 1):
-        idx = np.flatnonzero(ids == g)
-        mask = masks[g].reshape(movie.shape)
-        stack = movie.values[idx]
-        turns = np.array(reg._stack_quarter_turns(stack, mask))
-        for k in dict.fromkeys(turns.tolist()):
-            pick = turns == k
-            group = idx[pick]
-            t = reg.srlp_register(movie[group[0]])[1]
-            values[group], out_masks[group] = reg._resample(stack if pick.all() else stack[pick], mask, t)
-            transforms[group] = t
-    return fr._movie(values, out_masks, movie.fps, movie.signed), list(transforms)
+    region = movie.masks.any(axis=0)
+    t = reg.srlp_register(fr.Frame(movie.values.mean(axis=0), support_mask=region))[1]
+    values, mask = reg._resample(movie.values, region, t)
+    return fr._movie(values, np.broadcast_to(mask, values.shape), movie.fps, movie.signed), [t] * len(movie)
 
 
 def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
-    """A stage movie file with its support masks (values > 0) restored."""
+    """A stage movie file with its support mask restored: the union over
+    frames of ``values > 0``, given to every frame.
+
+    For the files ``segment`` and ``register`` write this is exactly the
+    mask the movie had in memory: every region pixel is above the
+    threshold t > 0 in most frames, and bilinear resampling keeps at least
+    a quarter of the weight on the nearest source pixel.
+    """
     movie = fr.load_movie(path)
     if mean_frame:
         movie = _mean_movie(movie)
-    return fr._movie(movie.values, movie.values > 0, movie.fps)
+    mask = (movie.values > 0).any(axis=0)
+    return fr._movie(movie.values, np.broadcast_to(mask, movie.values.shape), movie.fps)
 
 
 class _Outputs:
@@ -255,12 +250,14 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     """Difference -> smooth -> t -> p -> FDR per frame pair; writes the
     maps and each pair's report keys.  Frame k of one movie pairs with frame
     k of the other up to the shorter one's length; ``first`` holds the
-    source frame numbers of pair 0.  A pair's mask is the intersection of
-    its frames' masks.  The smoother (rim padding included) depends only on
-    the mask, so each run of consecutive pairs on one mask gets one fit and
-    one stacked t/p pass; the step-up screen stays per pair.  Maps, report
-    keys and errors equal those of the per-pair chain: the first failing
-    pair raises.
+    source frame numbers of pair 0.  Each movie is one segment on one
+    support mask (``_cut_movie``, ``_register_movie`` and ``_load_masked``
+    give every frame the same one), so every pair's mask is the
+    intersection of the two frame-0 masks.  The smoother (rim padding
+    included) depends only on that mask, so the comparison takes one fit
+    and one stacked t/p pass; the step-up screen stays per pair.  Maps,
+    report keys and errors equal those of the per-pair chain: the first
+    failing pair raises.
 
     Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
     each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with
@@ -269,49 +266,39 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     one frame per pair.
     """
     n = min(len(before), len(after))
-    masks = before.masks[:n] & after.masks[:n]
-    diffs = np.where(masks, after.values[:n] - before.values[:n], 0.0)
+    mask = before.masks[0] & after.masks[0]
+    if not mask.any():
+        raise DataError("registered supports do not overlap")
+    diffs = np.where(mask, after.values[:n] - before.values[:n], 0.0)
     report["n_pairs"] = n
     fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
-    tgrids, pstacks = [], []  # the movie layout's t-grids and P-movie frames
-    start = 0
-    for end in range(1, n + 1):
-        if end < n and np.array_equal(masks[end], masks[start]):
-            continue
-        if not masks[start].any():
-            raise DataError("registered supports do not overlap")
-        diff = fr.Frame(diffs[start], support_mask=masks[start], signed=True)
-        fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
-        sigma, tmaps, pgrids = ssm._stacked_tests(
-            fit, np.ascontiguousarray(diffs[start:end][:, fit.mask]), cfg.two_sided)
-        for k, s, tmap, pvals in zip(range(start, end), sigma, tmaps, pgrids):
-            rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
-            rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
-            rej_grid[tmap.mask] = rejected
-            pmap = ssm.fdr_map(pvals, rej_grid, critical)
-            report.update({
-                f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
-                f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
-                f"pair.{k}.df": tmap.df, f"pair.{k}.sigma_hat": float(s),
-                f"pair.{k}.critical_p": pmap.critical_p, f"pair.{k}.n_rejected": pmap.n_rejected,
-                f"pair.{k}.n_pixels": int(tmap.mask.sum()),
-            })
-            base = f"pair{k:04d}"
-            out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
-            if movies:
-                tgrids.append(tmap.values)  # a view of the run's t stack
-                pvals[...] = pmap.values    # spent p-values make way for the P-map
-            else:
-                out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k])
-                out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
-                out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
+    diff = fr.Frame(diffs[0], support_mask=mask, signed=True)
+    fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
+    sigma, tmaps, pgrids = ssm._stacked_tests(fit, np.ascontiguousarray(diffs[:, fit.mask]), cfg.two_sided)
+    for k, (s, tmap, pvals) in enumerate(zip(sigma, tmaps, pgrids)):
+        rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
+        rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
+        rej_grid[tmap.mask] = rejected
+        pmap = ssm.fdr_map(pvals, rej_grid, critical)
+        report.update({
+            f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
+            f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
+            f"pair.{k}.df": tmap.df, f"pair.{k}.sigma_hat": float(s),
+            f"pair.{k}.critical_p": pmap.critical_p, f"pair.{k}.n_rejected": pmap.n_rejected,
+            f"pair.{k}.n_pixels": int(tmap.mask.sum()),
+        })
+        base = f"pair{k:04d}"
+        out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
         if movies:
-            pstacks.append(pgrids)
-        start = end
+            pvals[...] = pmap.values    # spent p-values make way for the P-map
+        else:
+            out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k])
+            out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
+            out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
     if movies:
         out.emit("diff.csv", fr.save_map_csv, list(diffs))
-        out.emit("tmap.csv", fr.save_map_csv, tgrids)
-        out.emit("pmap.lasr", fr.save_movie, fr._movie(np.concatenate(pstacks), fps=before.fps))
+        out.emit("tmap.csv", fr.save_map_csv, [tmap.values for tmap in tmaps])
+        out.emit("pmap.lasr", fr.save_movie, fr._movie(pgrids, fps=before.fps))
 
 
 def run_lasr(config: RunConfig) -> dict:
@@ -523,7 +510,7 @@ def _build_parser() -> _Parser:
     sg.add_argument("--out", required=True)
     _add_options(sg, _SEGMENT_KEYS)
 
-    rg = sub.add_parser("register", help="self-register each frame of a segmented movie")
+    rg = sub.add_parser("register", help="self-register a segmented movie with one transform")
     rg.add_argument("--in", dest="infile", required=True)
     rg.add_argument("--out", required=True)
 

@@ -16,10 +16,10 @@ poses of one object land in the same place.  Frames whose support is
 taller than wide, or whose intensity
 mass sits toward high columns, are first brought to the canonical
 orientation by an exact quarter-turn, so 90/180-degree posture changes
-register to the same pose.  The transform depends on a frame's values
-only through that quarter turn, so the frames of a segment are
-registered by one transform per (support mask, turn) group and one
-stacked resampling; the result is the per-frame result.
+register to the same pose.  The sitting region cannot move within a
+segment, so the pipeline registers a segment with one transform, found
+on its mean frame over the segment's one support mask, and resamples
+all its frames in one stacked pass (``_resample``).
 
 ICR aligns two movies in time by the average frame correlation
 
@@ -186,13 +186,11 @@ def fit_midline(midpoints) -> MidlineFit:
 # ---------------------------------------------------------------------------
 
 
-def _stack_quarter_turns(stack: np.ndarray, mask: Optional[np.ndarray]) -> list:
-    """How many exact 90-degree turns bring each frame of a (frames, rows,
-    cols) stack sharing one support mask to canonical orientation.
+def _quarter_turn(values: np.ndarray, mask: Optional[np.ndarray]) -> int:
+    """How many exact 90-degree turns bring a frame to canonical orientation.
 
-    The long axis of the support goes horizontal (0 or 1 turns), then each
-    frame's intensity mass is put toward low columns (possibly 2 more
-    turns).
+    The long axis of the support goes horizontal (0 or 1 turns), then the
+    intensity mass is put toward low columns (possibly 2 more turns).
     """
     if mask is None:
         raise DataError("frame has no support mask; segment it first")
@@ -200,14 +198,12 @@ def _stack_quarter_turns(stack: np.ndarray, mask: Optional[np.ndarray]) -> list:
         raise DataError("empty support")
     rr, cc = np.nonzero(mask)
     k = 1 if (rr.max() - rr.min()) > (cc.max() - cc.min()) else 0
-    vals = np.rot90(stack, k, axes=(1, 2)) if k else stack
-    m = np.rot90(mask, k) if k else mask
+    vals, m = np.rot90(values, k), np.rot90(mask, k)
     _, c = np.nonzero(m)
-    w = vals[:, m]
-    total = w.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        centroid = np.where(total > 0, (w * c).sum(axis=1) / total, c.mean())
-    return [k + 2 if x > 0.5 * (c.min() + c.max()) else k for x in centroid.tolist()]
+    w = vals[m]
+    total = w.sum()
+    centroid = (w * c).sum() / total if total > 0 else c.mean()
+    return k + 2 if centroid > 0.5 * (c.min() + c.max()) else k
 
 
 def _turn_transform(shape: Tuple[int, int], k: int) -> Tuple[RigidTransform, Tuple[int, int]]:
@@ -230,7 +226,7 @@ def srlp_params(frame: Frame) -> RigidTransform:
     identity transform.  It depends on the frame's values only through the
     quarter turn, so frames sharing a support mask and a turn share it.
     """
-    k = _stack_quarter_turns(frame.values[None], frame.support_mask)[0]
+    k = _quarter_turn(frame.values, frame.support_mask)
     if k:
         turn, _ = _turn_transform(frame.shape, k)
         mask = np.rot90(frame.support_mask, k)

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy.special import erfc, logsumexp
 
-from lasr import DataError, GroundTruth, Movie, NumericError, blob_field, gen_frame
+from lasr import DataError, Frame, GroundTruth, Movie, NumericError, blob_field, gen_frame
 from lasr import registration as reg
 
 mpmath.mp.dps = 40
@@ -238,16 +238,15 @@ def pearson_union(va, ma, vb, mb):
     return float((xm * ym).sum() / denom)
 
 
-def register_reference(frames, srlp_register):
-    """Self-registration one frame at a time: ``srlp_register`` on every frame
-    in order, so the first failing frame raises.  The per-frame function is
-    passed in; returns the registered frames and their transforms."""
-    out, transforms = [], []
-    for f in frames:
-        g, t = srlp_register(f)
-        out.append(g)
-        transforms.append(t)
-    return out, transforms
+def register_reference(frames, srlp_register, apply_rigid):
+    """Self-registration of one segment: ``srlp_register``'s transform of the
+    mean frame over the union of the frame masks, then ``apply_rigid`` of
+    that transform to each frame on the union.  The package functions are
+    passed in; returns the registered frames and the one transform."""
+    region = np.any([f.support_mask for f in frames], axis=0)
+    mean = Frame(np.mean([f.values for f in frames], axis=0), support_mask=region)
+    t = srlp_register(mean)[1]
+    return [apply_rigid(Frame(f.values, support_mask=region, signed=f.signed), t) for f in frames], t
 
 
 def quarter_turns_reference(values, mask):

@@ -28,6 +28,7 @@ from lasr import (
     StimSpec,
     bh_adjust,
     blob_field,
+    cli_main,
     compose,
     difference_map,
     gen_lagged_pair,
@@ -348,6 +349,78 @@ def test_step_up_matches_brute_force_oracle():
     c4 = math.fsum([1.0, 0.5, 1.0 / 3.0, 0.25])
     assert rej.tolist() == [False, True, False, True]
     assert crit == 2 * 0.25 / (4 * c4)
+
+
+# ---------------------------------------------------------------------------
+# pipeline-level null battery
+#
+# ``lasr phantom`` plants no effect unless asked, so every rejection in a
+# ``run_lasr`` comparison of its two sessions is a false one.  Each seed's
+# sessions are written and read back as the command line tool does, and
+# every comparison runs at the default options: static on the default
+# 20-frame sessions (NoStim segment 0 against the last), and dynamic on the
+# Stim segments of 60-frame sessions with the after pattern 5 frames late.
+# ---------------------------------------------------------------------------
+
+NULL_SEEDS = range(12)
+
+
+def _null_bound(n):
+    """The binomial any-rejection bound of the SSM batteries for n trials."""
+    return 0.05 + 2.0 * math.sqrt(0.05 * 0.95 / n)
+
+
+@pytest.fixture(scope="module")
+def null_sessions(tmp_path_factory):
+    """``(kind, seed) -> (before dir, after dir)`` of ``lasr phantom --seed s``
+    (kind "default") and ``lasr phantom --seed s --frames 60 --lag 5`` ("long")."""
+    root = tmp_path_factory.mktemp("null_phantoms")
+    dirs = {}
+    for s in NULL_SEEDS:
+        for kind, extra in (("default", []), ("long", ["--frames", "60", "--lag", "5"])):
+            out = root / f"{kind}{s}"
+            assert cli_main(["phantom", "--out", str(out), "--seed", str(s)] + extra) == 0
+            dirs[kind, s] = (str(out / "s1"), str(out / "s2"))
+    return dirs
+
+
+def _null_runs(null_sessions, kind, tmp_path, **options):
+    """One ``run_lasr`` report per null seed."""
+    return [run_lasr(RunConfig(*null_sessions[kind, s], str(tmp_path / f"run{s}"), **options))
+            for s in NULL_SEEDS]
+
+
+def _pair_hits(reports):
+    return [r[f"pair.{k}.n_rejected"] > 0 for r in reports for k in range(r["n_pairs"])]
+
+
+def test_pipeline_null_static_pairs_controlled(null_sessions, tmp_path):
+    reports = _null_runs(null_sessions, "default", tmp_path)
+    assert {r["mode"] for r in reports} == {"static"}
+    hits = _pair_hits(reports)
+    assert len(hits) == 240
+    bound = _null_bound(len(hits))
+    assert np.mean(hits) <= bound, f"{sum(hits)} of {len(hits)} null pairs rejected something (bound {bound:.4f})"
+
+
+def test_pipeline_null_dynamic_pairs_controlled(null_sessions, tmp_path):
+    reports = _null_runs(null_sessions, "long", tmp_path, before_segment=1, after_segment=1, max_lag=12)
+    assert {r["mode"] for r in reports} == {"dynamic"}
+    assert [r["icr.j0"] for r in reports] == [5] * len(reports)
+    hits = _pair_hits(reports)
+    assert len(hits) == 540
+    bound = _null_bound(len(hits))
+    assert np.mean(hits) <= bound, f"{sum(hits)} of {len(hits)} null pairs rejected something (bound {bound:.4f})"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: an m = 3 mixture's cut falls inside the "
+                                       "clipped background, so the sitting region grows past the contact")
+def test_pipeline_null_mean_frame_runs_controlled(null_sessions, tmp_path):
+    reports = _null_runs(null_sessions, "default", tmp_path, mean_frame=True)
+    hits = _pair_hits(reports)
+    assert len(hits) == len(NULL_SEEDS)
+    bound = _null_bound(len(hits))
+    assert np.mean(hits) <= bound, f"{sum(hits)} of {len(hits)} null runs rejected something (bound {bound:.4f})"
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,9 @@ class TestBenchmarkContract:
 
     def test_traced_calls_count_groups_and_mask_runs(self, tmp_path, monkeypatch):
         """``registration.srlp_calls`` and ``ssm.smooth_calls`` count calls of
-        these module attributes, which the benchmark wraps in place: one SRLP
-        call per (support mask, quarter turn) group of a side, one smoother fit
-        per run of consecutive pairs on one mask."""
+        these module attributes, which the benchmark wraps in place: a side is
+        one segment on one mask, so it takes one SRLP call, and its pairs share
+        one mask, so the comparison takes one smoother fit."""
         calls = []
 
         def count(mod, name):
@@ -98,19 +98,6 @@ class TestBenchmarkContract:
 
         count(lasr.registration, "srlp_register")
         count(lasr.ssm, "local_quadratic_smooth")
-        stage_masks = {"_segment_movie": [], "_register_movie": []}  # per side, in call order
-
-        def keep_masks(name):
-            real = getattr(lasr.pipeline, name)
-
-            def wrapper(*args, **kwargs):
-                movie, extra = real(*args, **kwargs)
-                stage_masks[name].append(list(movie.masks))
-                return movie, extra
-            monkeypatch.setattr(lasr.pipeline, name, wrapper)
-
-        keep_masks("_segment_movie")
-        keep_masks("_register_movie")
         spec = lasr.PhantomSpec(rows=24, cols=26, center=(11.5, 12.5), radii=(7.0, 9.0), n_frames=14,
                                 noise_sd=(0.1, 0.4), seed=10, stim=lasr.StimSpec(period=6))
         sessions = [lasr.gen_session(spec, session_id="s1")[0],
@@ -120,14 +107,10 @@ class TestBenchmarkContract:
                                               bandwidth=2.0, m0=4, max_lag=3, candidates=(2,)))
         assert report["mode"] == "dynamic"
 
-        sides = ("before", "after")  # the order run_lasr segments and registers them
-        groups = sum(len({(m.tobytes(),) + tuple(report[f"{which}.srlp.{i}.{p}"] for p in ("theta", "u", "v"))
-                          for i, m in enumerate(masks)})
-                     for which, masks in zip(sides, stage_masks["_segment_movie"]))
-        registered = dict(zip(sides, stage_masks["_register_movie"]))
-        pair_masks = [registered["before"][report[f"pair.{k}.before_frame"]]
-                      & registered["after"][report[f"pair.{k}.after_frame"]]
-                      for k in range(report["n_pairs"])]
-        runs = 1 + sum(not (a == b).all() for a, b in zip(pair_masks, pair_masks[1:]))
-        assert calls.count("srlp_register") == groups
-        assert calls.count("local_quadratic_smooth") == runs
+        assert report["n_pairs"] > 1
+        assert calls.count("srlp_register") == 2
+        assert calls.count("local_quadratic_smooth") == 1
+        for which in ("before", "after"):  # the per-frame keys repeat the side's one transform
+            keys = [tuple(report[f"{which}.srlp.{i}.{p}"] for p in ("theta", "u", "v"))
+                    for i in range(report[f"{which}.n_frames"])]
+            assert len(set(keys)) == 1

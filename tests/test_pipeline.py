@@ -40,7 +40,7 @@ from lasr import (
     t_map,
 )
 from lasr import frames as fr
-from lasr import pipeline, srlp_register
+from lasr import apply_rigid, pipeline, srlp_register
 
 import _oracles as orc
 
@@ -446,16 +446,16 @@ class TestCompareMovies:
         wide[3:13, 3:15] = True
         narrow = wide.copy()
         narrow[3:6, 3:7] = False
-        masks = [wide, wide, narrow, narrow, wide]  # the mask changes twice
+        masks = [wide, narrow]  # each movie is one segment on one mask
 
-        def movie(shift):
+        def movie(shift, m):
             return Movie(tuple(Frame(np.where(m, 20.0 + shift * m + rng.normal(0, 1, m.shape), 0.0),
-                                     support_mask=m) for m in masks), fps=2.0)
+                                     support_mask=m) for _ in range(5)), fps=2.0)
 
-        before = movie(0.0)
+        before = movie(0.0, wide)
         effect = np.zeros_like(wide)
         effect[7:11, 8:12] = True
-        after = movie(4.0 * effect)
+        after = movie(4.0 * effect, narrow)
         cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5,
                                            fdr_mode=fdr_mode, two_sided=two_sided))
         builds = []
@@ -467,8 +467,8 @@ class TestCompareMovies:
         monkeypatch.setattr(pipeline.ssm, "local_quadratic_smooth", counting)
         out, report = self.Capture(), {}
         pipeline._compare_movies(before, after, cfg, out, report)
-        assert len(builds) == 3  # one per run of equal masks; only the last fit is kept
-        assert report["n_pairs"] == len(masks)
+        assert len(builds) == 1  # the pairs share one mask, so one fit serves them all
+        assert report["n_pairs"] == len(before)
         for k, (b, a) in enumerate(zip(before.frames, after.frames)):
             diff = difference_map(a, b)
             fit = local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
@@ -489,8 +489,7 @@ class TestCompareMovies:
         assert report["pair.0.n_rejected"] > 0
 
     def test_first_failing_pair_raises_its_error(self, tmp_path, capsys):
-        # six pairs: pair 2 has identical frames (sigma_hat = 0), pair 4 has
-        # disjoint supports (no overlap); pairs 0-3 share one mask
+        # six pairs on one mask: pairs 2 and 4 have identical frames (sigma_hat = 0)
         rng = np.random.default_rng(8)
         left = np.zeros((16, 18), dtype=bool)
         left[3:13, 2:9] = True
@@ -501,22 +500,23 @@ class TestCompareMovies:
         def frame(m):
             return Frame(np.where(m, 20.0 + rng.normal(0, 1, m.shape), 0.0), support_mask=m)
 
-        shared = frame(wide)
-        before = [frame(wide), frame(wide), shared, frame(wide), frame(left), frame(wide)]
-        after = [frame(wide), frame(wide), shared, frame(wide), frame(right), frame(wide)]
+        shared = [frame(wide), frame(wide)]
+        before = [frame(wide), frame(wide), shared[0], frame(wide), shared[1], frame(wide)]
+        after = [frame(wide), frame(wide), shared[0], frame(wide), shared[1], frame(wide)]
         before, after = Movie(tuple(before), fps=2.0), Movie(tuple(after), fps=2.0)
         cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5))
-        # the per-pair chain meets pair 2's zero sigma_hat before pair 4's empty overlap
         with pytest.raises(NumericError) as ref:
             for b, a in zip(before.frames, after.frames):
-                diff = difference_map(a, b)
-                if not diff.support_mask.any():
-                    raise DataError("registered supports do not overlap")
-                t_map(local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim))
+                t_map(local_quadratic_smooth(difference_map(a, b), h=cfg.bandwidth, kernel=cfg.kernel,
+                                             rim=cfg.rim))
         with pytest.raises(NumericError) as got:
             pipeline._compare_movies(before, after, cfg, self.Capture(), {})
         assert str(got.value) == str(ref.value)
         assert "sigma_hat" in str(got.value)
+        # supports that do not overlap fail before any fit
+        with pytest.raises(DataError, match="registered supports do not overlap"):
+            pipeline._compare_movies(Movie((frame(left),) * 2, fps=2.0), Movie((frame(right),) * 2, fps=2.0),
+                                     cfg, self.Capture(), {})
 
         save_movie(before, tmp_path / "b.lasr")
         save_movie(after, tmp_path / "a.lasr")
@@ -547,7 +547,7 @@ class TestViewFrames:
                         a[0, 0] = a[0, 0]
             assert not movie.values.flags.writeable
         for f in masked.frames:
-            assert np.array_equal(f.support_mask, f.values > 0)
+            assert np.array_equal(f.support_mask, (masked.values > 0).any(axis=0))
 
     def test_view_frames_are_checked_once(self):
         stack = np.ones((3, 2, 2))
@@ -563,8 +563,9 @@ class TestViewFrames:
 
 
 class TestRegisterMovie:
-    """One SRLP transform per (mask, quarter turn) group, one stacked
-    resampling per group: the result is the per-frame loop's, bit for bit."""
+    """One SRLP transform per segment, found on the mean frame over the union
+    of the frame masks, and one stacked resampling: every registered frame
+    is ``apply_rigid`` of that transform on the union, bit for bit."""
 
     @staticmethod
     def tilted(rng, mask, heavy="low"):
@@ -583,41 +584,40 @@ class TestRegisterMovie:
     def assert_matches_reference(self, frames):
         movie = Movie(tuple(frames), fps=2.0)
         got, got_t = pipeline._register_movie(movie)
-        ref, ref_t = orc.register_reference(movie.frames, srlp_register)
+        ref, ref_t = orc.register_reference(movie.frames, srlp_register, apply_rigid)
         assert len(got) == len(ref)
         for g, r in zip(got.frames, ref):
             assert np.array_equal(g.values, r.values)
             assert np.array_equal(g.support_mask, r.support_mask)
             assert g.signed == r.signed
-        assert [(t.theta, t.u, t.v) for t in got_t] == [(t.theta, t.u, t.v) for t in ref_t]
-        return got_t
+        assert got_t == [ref_t] * len(movie)
+        return ref_t
 
     def test_two_masks_interleaved(self):
         rng = np.random.default_rng(1)
         # bands above row rows/2, so the midline tilts with them
         a = self.band((20, 24), 1, 5, 2, 21, tilt=0.15)
         b = self.band((20, 24), 4, 8, 3, 22, tilt=-0.1)
-        ts = self.assert_matches_reference([self.tilted(rng, m) for m in (a, b, a, a, b, a, b)])
-        assert len({(t.theta, t.u, t.v) for t in ts}) == 2
-        assert ts[0].theta != 0.0 and ts[1].theta != 0.0
+        t = self.assert_matches_reference([self.tilted(rng, m) for m in (a, b, a, a, b, a, b)])
+        assert t.theta != 0.0
+        assert t not in (srlp_register(self.tilted(rng, a))[1], srlp_register(self.tilted(rng, b))[1])
 
     def test_half_turn_on_the_same_mask(self):
         rng = np.random.default_rng(2)
         mask = self.band((20, 24), 7, 13, 3, 21)  # symmetric under a half turn
         frames = [self.tilted(rng, mask) for _ in range(5)]
         frames[2] = self.tilted(rng, mask, heavy="high")
-        ts = self.assert_matches_reference(frames)
-        assert ts[2] != ts[1] and ts[1] == ts[3]
+        t = self.assert_matches_reference(frames)
+        # alone, the flipped frame would be turned half round; in its segment it is not
+        assert srlp_register(frames[2])[1] != t == srlp_register(frames[1])[1]
 
     def test_quarter_turn(self):
         rng = np.random.default_rng(3)
-        mask = self.band((22, 22), 2, 6, 2, 20, tilt=0.1)
-        frames = [self.tilted(rng, mask) for _ in range(4)]
-        turned = self.tilted(rng, mask)
-        frames[1] = Frame(np.ascontiguousarray(np.rot90(turned.values)),
-                          support_mask=np.ascontiguousarray(np.rot90(mask)))
-        ts = self.assert_matches_reference(frames)
-        assert ts[1] != ts[0] and ts[0].theta != 0.0
+        mask = np.ascontiguousarray(np.rot90(self.band((22, 22), 2, 6, 2, 20, tilt=0.1)))
+        t = self.assert_matches_reference([self.tilted(rng, mask) for _ in range(4)])
+        registered = apply_rigid(Frame(mask.astype(float), support_mask=mask), t).support_mask
+        rows, cols = np.nonzero(registered)
+        assert np.ptp(cols) > np.ptp(rows)  # the tall support lies along the rows now
 
     def test_one_turn_pass_per_mask(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -625,39 +625,40 @@ class TestRegisterMovie:
         b = self.band((20, 24), 4, 8, 3, 22, tilt=-0.1)
         frames = [self.tilted(rng, m, heavy) for m, heavy in
                   ((a, "low"), (b, "low"), (a, "high"), (b, "low"), (a, "low"), (b, "high"))]
-        turns, passes = pipeline.reg._stack_quarter_turns, []
+        calls = []
 
-        def counting(stack, mask):
-            passes.append(len(stack))
-            return turns(stack, mask)
+        def count(name):
+            real = getattr(pipeline.reg, name)
 
-        with monkeypatch.context() as m:
-            m.setattr(pipeline.reg, "_stack_quarter_turns", counting)
-            pipeline._register_movie(Movie(tuple(frames), fps=2.0))
-        # one pass per mask, a mask at a time, each followed by the one-frame
-        # passes of srlp_register, once per (turn, mask) group
-        assert passes == [3, 1, 1, 3, 1, 1]
-        ts = self.assert_matches_reference(frames)
-        assert len({(t.theta, t.u, t.v) for t in ts}) == 4
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(pipeline.reg, name, wrapper)
+
+        count("_quarter_turn")
+        count("srlp_register")
+        registered, _ = pipeline._register_movie(Movie(tuple(frames), fps=2.0))
+        # the segment's one mask takes one turn, inside its one SRLP call
+        assert calls == ["srlp_register", "_quarter_turn"]
+        assert (registered.masks == registered.masks[0]).all()
+        monkeypatch.undo()
+        self.assert_matches_reference(frames)
 
     def test_single_frame(self):
         rng = np.random.default_rng(4)
-        ts = self.assert_matches_reference([self.tilted(rng, self.band((12, 15), 0, 3, 1, 14, tilt=0.15))])
-        assert ts[0].theta != 0.0
+        frame = self.tilted(rng, self.band((12, 15), 0, 3, 1, 14, tilt=0.15))
+        t = self.assert_matches_reference([frame])
+        assert t.theta != 0.0 and t == srlp_register(frame)[1]
 
-    @pytest.mark.parametrize("bad_first", ["empty", "one column"])
-    def test_first_failing_frame_raises_the_reference_error(self, bad_first):
+    @pytest.mark.parametrize("bad", ["empty", "one column"])
+    def test_unregistrable_region_raises_the_reference_error(self, bad):
         rng = np.random.default_rng(5)
-        mask = self.band((12, 15), 3, 8, 1, 14, tilt=0.2)
-        empty = Frame(np.zeros(mask.shape), support_mask=np.zeros(mask.shape, dtype=bool))
-        column = np.zeros(mask.shape, dtype=bool)
+        column = np.zeros((12, 15), dtype=bool)
         column[5, 6] = True  # a taller column would be quarter-turned into a row
-        bad = {"empty": empty, "one column": self.tilted(rng, column)}
-        other = "one column" if bad_first == "empty" else "empty"
-        frames = [self.tilted(rng, mask) for _ in range(3)] + [bad[bad_first], self.tilted(rng, mask),
-                                                                bad[other]]
+        mask = {"empty": np.zeros_like(column), "one column": column}[bad]
+        frames = [self.tilted(rng, mask) for _ in range(3)]
         with pytest.raises(DataError) as ref:
-            orc.register_reference(frames, srlp_register)
+            orc.register_reference(frames, srlp_register, apply_rigid)
         with pytest.raises(DataError) as got:
             pipeline._register_movie(Movie(tuple(frames), fps=2.0))
         assert type(got.value) is type(ref.value)
@@ -928,7 +929,9 @@ class TestCli:
                                                          mode):
         """``run`` keeps its segmented and registered movies in memory;
         ``segment`` then ``register`` on the same segment file, with the
-        run's m0, writes them byte for byte."""
+        run's m0, writes them byte for byte.  Every frame of each holds
+        frame 0's mask, which ``_compare_movies`` relies on, and
+        ``_load_masked`` restores that mask from the written file."""
         ph = tmp_path / "ph"
         cli_main(["phantom", "--out", str(ph), "--rows", "24", "--cols", "26", "--frames", "12",
                   "--seed", "3", "--effect-delta", "4.0"])
@@ -964,6 +967,9 @@ class TestCli:
                                    ("registered", chain / "reg" / "registered.lasr")):
                 save_movie(computed[stage][side], tmp_path / "in_run.lasr")
                 assert written.read_bytes() == (tmp_path / "in_run.lasr").read_bytes(), (session, stage)
+                masks = computed[stage][side].masks
+                assert (masks == masks[0]).all()
+                assert np.array_equal(pipeline._load_masked(str(written)).masks, masks), (session, stage)
 
 
 # flag / config key, value text (None: an on/off flag), field, value
@@ -1192,6 +1198,21 @@ class TestCliOptions:
         cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
         assert cut[0].support_mask.sum() == 4
         srlp_register(cut[0])
+
+    def test_region_pixel_reading_zero_stays_in_every_mask(self, tmp_path):
+        # the sitting region cannot move within a segment, so a region pixel
+        # reading 0 in one frame stays in that frame's mask, the registered
+        # mask and the masks read back from both files
+        stack = np.zeros((3, 8, 9))
+        stack[:, 2:5, 1:8] = 5.0
+        stack[1, 3, 4] = 0.0
+        cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
+        assert np.array_equal(cut.masks, np.broadcast_to(stack[0] > 0, stack.shape))
+        registered, _ = pipeline._register_movie(cut)
+        assert (registered.masks == registered.masks[0]).all()
+        for name, movie in (("cut", cut), ("registered", registered)):
+            save_movie(movie, tmp_path / f"{name}.lasr")
+            assert np.array_equal(pipeline._load_masked(str(tmp_path / f"{name}.lasr")).masks, movie.masks)
 
     def test_disjoint_supports_fail_at_compare(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

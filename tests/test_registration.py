@@ -249,8 +249,8 @@ class TestSrlpParams:
             srlp_params(empty)
 
 
-class TestStackQuarterTurns:
-    """One pass over a stack sharing a mask gives each frame's quarter turns."""
+class TestQuarterTurn:
+    """A frame's quarter turns, as the oracle counts them."""
 
     @staticmethod
     def frames(rng, mask, n):
@@ -277,19 +277,17 @@ class TestStackQuarterTurns:
         seen = set()
         for mask in (wide, np.ascontiguousarray(wide.T), np.ascontiguousarray(wide[::-1, ::-1])):
             stack = self.frames(rng, mask, 12)
-            got = reg._stack_quarter_turns(stack, mask)
+            got = [reg._quarter_turn(v, mask) for v in stack]
             assert got == [orc.quarter_turns_reference(v, mask) for v in stack]
-            for k in range(len(stack)):  # one-frame groups
-                assert reg._stack_quarter_turns(stack[k:k + 1], mask) == [got[k]]
             seen.update(got)
         assert seen == {0, 1, 2, 3}
 
     def test_needs_a_nonempty_mask(self):
-        stack = np.ones((2, 3, 4))
+        values = np.ones((3, 4))
         with pytest.raises(DataError, match="no support mask"):
-            reg._stack_quarter_turns(stack, None)
+            reg._quarter_turn(values, None)
         with pytest.raises(DataError, match="empty support"):
-            reg._stack_quarter_turns(stack, np.zeros((3, 4), dtype=bool))
+            reg._quarter_turn(values, np.zeros((3, 4), dtype=bool))
 
 
 class TestMaskOverlaps:
