@@ -81,12 +81,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _check(values: np.ndarray, mask: Optional[np.ndarray], signed: bool) -> None:
-    """Finite values, nonnegative unless signed, and a boolean mask of their shape."""
+    """Finite values, nonnegative unless signed, and a boolean mask of one grid's shape."""
     if not np.isfinite(values).all():
         raise DataError("frame values must be finite")
     if not signed and (values < 0).any():
         raise DataError("frame values must be nonnegative")
-    if mask is not None and (mask.shape != values.shape or mask.dtype != np.bool_):
+    if mask is not None and (mask.shape != values.shape[-2:] or mask.dtype != np.bool_):
         raise DataError("support mask must be a boolean grid matching the frame shape")
 
 
@@ -130,15 +130,17 @@ class Frame:
 class Movie:
     """Equally sized frames sampled at ``fps`` frames/sec, as one array.
 
-    ``values`` is a read-only (nframes, rows, cols) float64 array, ``masks``
-    a read-only boolean one of that shape or None, and ``signed`` holds for
-    every frame.  ``Movie(frames, fps)`` stacks ``Frame``s that agree in
-    shape, in having a mask and in ``signed``.  ``movie[k]`` is frame k, a
-    ``Frame``; ``movie[a:b]`` is a movie sharing this one's arrays.
+    A movie is one segment on one support: ``values`` is a read-only
+    (nframes, rows, cols) float64 array, ``mask`` one read-only boolean
+    (rows, cols) grid that every frame shares, or None, and ``signed``
+    holds for every frame.  ``Movie(frames, fps)`` stacks ``Frame``s that
+    agree in shape, in their support mask and in ``signed``.  ``movie[k]``
+    is frame k, a ``Frame``; ``movie[a:b]`` is a movie sharing this one's
+    arrays.
     """
 
     values: np.ndarray
-    masks: Optional[np.ndarray]
+    mask: Optional[np.ndarray]
     fps: float
     signed: bool
 
@@ -151,34 +153,32 @@ class Movie:
                 raise DataError("movie frames must be Frame instances")
             if f.shape != fr[0].shape:
                 raise DataError(f"frame {k} has shape {f.shape}, expected {fr[0].shape}")
-            if (f.support_mask is None) != (fr[0].support_mask is None):
-                raise DataError(f"frame {k} and frame 0 differ in having a support mask")
+            if not np.array_equal(f.support_mask, fr[0].support_mask):  # None equals only None
+                raise DataError(f"frame {k} and frame 0 differ in their support mask")
             if f.signed != fr[0].signed:
                 raise DataError(f"frame {k} and frame 0 differ in being signed")
-        masks = None if fr[0].support_mask is None else np.stack([f.support_mask for f in fr])
-        self._adopt(np.stack([f.values for f in fr]), masks, fps, fr[0].signed)
+        self._adopt(np.stack([f.values for f in fr]), fr[0].support_mask, fps, fr[0].signed)
 
-    def _adopt(self, values: np.ndarray, masks: Optional[np.ndarray], fps: float, signed: bool) -> None:
-        """Check the stacks once and freeze them in place, without a copy."""
+    def _adopt(self, values: np.ndarray, mask: Optional[np.ndarray], fps: float, signed: bool) -> None:
+        """Check the stack and the mask once and freeze them in place, without a copy."""
         if values.dtype != np.float64 or values.ndim != 3 or values.size == 0:
             raise DataError(f"movie values must be a nonempty float64 stack, got shape {values.shape}")
-        _check(values, masks, signed)
+        _check(values, mask, signed)
         if not (float(fps) > 0):
             raise DataError("fps must be positive")
         values.setflags(write=False)
-        if masks is not None:
-            masks.setflags(write=False)
-        for name, v in (("values", values), ("masks", masks), ("fps", float(fps)), ("signed", bool(signed))):
+        if mask is not None:
+            mask.setflags(write=False)
+        for name, v in (("values", values), ("mask", mask), ("fps", float(fps)), ("signed", bool(signed))):
             object.__setattr__(self, name, v)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, k):
-        masks = None if self.masks is None else self.masks[k]
         if isinstance(k, slice):
-            return _movie(self.values[k], masks, self.fps, self.signed)
-        return Frame(self.values[k], masks, self.signed)
+            return _movie(self.values[k], self.mask, self.fps, self.signed)
+        return Frame(self.values[k], self.mask, self.signed)
 
     @property
     def shape(self) -> tuple:
@@ -189,12 +189,12 @@ class Movie:
         return tuple(self[k] for k in range(len(self)))
 
 
-def _movie(values: np.ndarray, masks: Optional[np.ndarray] = None, fps: float = 2.0,
+def _movie(values: np.ndarray, mask: Optional[np.ndarray] = None, fps: float = 2.0,
            signed: bool = False) -> Movie:
-    """A movie adopting a (nframes, rows, cols) float64 stack and its mask
-    stack, if any: the caller hands them over."""
+    """A movie adopting a (nframes, rows, cols) float64 stack and its one
+    (rows, cols) mask, if any: the caller hands them over."""
     movie = Movie.__new__(Movie)
-    movie._adopt(values, masks, fps, signed)
+    movie._adopt(values, mask, fps, signed)
     return movie
 
 

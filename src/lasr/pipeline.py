@@ -3,7 +3,7 @@
 A run compares one movie segment from a "before" session against one from
 an "after" session: segment each movie (mixture threshold from its first
 stable frame, majority-vote sitting region for the whole segment, which
-becomes every frame's support mask), self-register the segment (one SRLP
+becomes the movie's one support mask), self-register the segment (one SRLP
 transform from its mean frame, applied to every frame), optionally align
 the movies in time (dynamic mode, when both selected segments are
 stimulation blocks), then difference paired frames, smooth (one fit and
@@ -162,8 +162,7 @@ def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     if max(region.any(axis=0).sum(), region.any(axis=1).sum()) < 2:
         raise DataError(f"sitting region at the threshold {t:.12g} spans fewer than 2 columns "
                         "along its long axis, too few to register")
-    cut = np.where(region, movie.values, 0.0)
-    return fr._movie(cut, np.broadcast_to(region, cut.shape), movie.fps)
+    return fr._movie(np.where(region, movie.values, 0.0), region, movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
@@ -179,23 +178,23 @@ def _register_movie(movie: fr.Movie):
     """SRLP-register a segment; returns the movie and the per-frame transforms.
 
     The sitting region cannot move within a segment, so the segment takes
-    one transform: ``srlp_register``'s on the mean frame over the union of
-    the frame masks (the consensus region, for a segmented movie), applied
-    to every frame in one stacked resampling.  The quarter turn is the mean
-    frame's too, so no single noisy frame can flip 180 degrees.  Every
-    frame gets the one registered mask and repeats the one transform.
+    one transform: ``srlp_register``'s on the mean frame over the movie's
+    mask (the consensus region, for a segmented movie), applied to every
+    frame in one stacked resampling.  The quarter turn is the mean frame's
+    too, so no single noisy frame can flip 180 degrees.  The registered
+    movie has the one registered mask, and every frame repeats the one
+    transform.
     """
-    if movie.masks is None:
+    if movie.mask is None:
         raise DataError("frame has no support mask; segment it first")
-    region = movie.masks.any(axis=0)
-    t = reg.srlp_register(fr.Frame(movie.values.mean(axis=0), support_mask=region))[1]
-    values, mask = reg._resample(movie.values, region, t)
-    return fr._movie(values, np.broadcast_to(mask, values.shape), movie.fps, movie.signed), [t] * len(movie)
+    t = reg.srlp_register(fr.Frame(movie.values.mean(axis=0), support_mask=movie.mask))[1]
+    values, mask = reg._resample(movie.values, movie.mask, t)
+    return fr._movie(values, mask, movie.fps, movie.signed), [t] * len(movie)
 
 
 def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
     """A stage movie file with its support mask restored: the union over
-    frames of ``values > 0``, given to every frame.
+    frames of ``values > 0``, the movie's one mask.
 
     For the files ``segment`` and ``register`` write this is exactly the
     mask the movie had in memory: every region pixel is above the
@@ -205,8 +204,7 @@ def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
     movie = fr.load_movie(path)
     if mean_frame:
         movie = _mean_movie(movie)
-    mask = (movie.values > 0).any(axis=0)
-    return fr._movie(movie.values, np.broadcast_to(mask, movie.values.shape), movie.fps)
+    return fr._movie(movie.values, (movie.values > 0).any(axis=0), movie.fps)
 
 
 class _Outputs:
@@ -251,13 +249,11 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     maps and each pair's report keys.  Frame k of one movie pairs with frame
     k of the other up to the shorter one's length; ``first`` holds the
     source frame numbers of pair 0.  Each movie is one segment on one
-    support mask (``_cut_movie``, ``_register_movie`` and ``_load_masked``
-    give every frame the same one), so every pair's mask is the
-    intersection of the two frame-0 masks.  The smoother (rim padding
-    included) depends only on that mask, so the comparison takes one fit
-    and one stacked t/p pass; the step-up screen stays per pair.  Maps,
-    report keys and errors equal those of the per-pair chain: the first
-    failing pair raises.
+    support mask, so every pair's mask is the intersection of the two
+    movies' masks.  The smoother (rim padding included) depends only on
+    that mask, so the comparison takes one fit and one stacked t/p pass;
+    the step-up screen stays per pair.  Maps, report keys and errors equal
+    those of the per-pair chain: the first failing pair raises.
 
     Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
     each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with
@@ -266,7 +262,7 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     one frame per pair.
     """
     n = min(len(before), len(after))
-    mask = before.masks[0] & after.masks[0]
+    mask = before.mask & after.mask
     if not mask.any():
         raise DataError("registered supports do not overlap")
     diffs = np.where(mask, after.values[:n] - before.values[:n], 0.0)

@@ -27,8 +27,8 @@ ICR aligns two movies in time by the average frame correlation
 
 after discarding the first ``m0`` frames of each movie; the maximizing
 lag j0 is searched over signed lags (negative lags swap the roles of the
-movies).  Correlations are Pearson over the union of the two frames'
-supports.
+movies).  Correlations are Pearson over the union of the two movies'
+masks.
 
 Transforms act on (row, col) points: p' = R(theta) p + (u, v) with
 R(theta) = [[cos, -sin], [sin, cos]].
@@ -324,44 +324,21 @@ def registration_error(t: RigidTransform, pairs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _flat_values_masks(movie: Movie):
-    masks = np.ones(movie.values.shape, dtype=bool) if movie.masks is None else movie.masks
-    masks = masks.reshape(len(movie), -1).astype(np.float64)
-    return movie.values.reshape(len(movie), -1) * masks, masks
-
-
-def _distinct_rows(m: np.ndarray):
-    """The distinct rows of ``m`` and, per row, its index among them.
-
-    Consecutive rows are compared first, so only the first row of each run
-    of equal rows is hashed.
-    """
-    heads = np.flatnonzero(np.concatenate([[True], (m[1:] != m[:-1]).any(axis=1)]))
-    seen, firsts, ids = {}, [], []
-    for h in heads.tolist():
-        key = m[h].tobytes()
-        if key not in seen:
-            seen[key] = len(firsts)
-            firsts.append(h)
-        ids.append(seen[key])
-    return m[firsts], np.repeat(ids, np.diff(np.append(heads, len(m))))
-
-
-def _overlaps(ma, mb):
-    """``ma @ mb.T`` for 0/1 mask rows, one product per pair of distinct
-    masks: the counts are exact integers, so the expansion is exact."""
-    ua, ia = _distinct_rows(ma)
-    ub, ib = _distinct_rows(mb)
-    return (ua @ ub.T)[np.ix_(ia, ib)]
+def _flat_values_mask(movie: Movie):
+    """The frames as rows zeroed off the movie's mask, and the mask as one
+    flat row (all True for a movie without one)."""
+    mask = (np.ones(movie.shape, dtype=bool) if movie.mask is None else movie.mask).ravel()
+    return movie.values.reshape(len(movie), -1) * mask.astype(np.float64), mask
 
 
 def _pairwise_correlation(xa, ma, xb, mb):
-    """Pearson matrix over per-pair union domains; undefined entries are NaN.
+    """Pearson matrix of every frame of one movie with every frame of the
+    other, over the union of the two movies' masks; undefined entries are NaN.
 
-    Values are pre-zeroed off their own support, so plain sums equal
+    Values are pre-zeroed off their own mask, so plain sums equal
     union-domain sums.
     """
-    n = ma.sum(axis=1)[:, None] + mb.sum(axis=1)[None, :] - _overlaps(ma, mb)
+    n = (ma | mb).sum()
     sx, sy = xa.sum(axis=1), xb.sum(axis=1)
     sxx, syy = (xa * xa).sum(axis=1), (xb * xb).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -388,7 +365,8 @@ class LagAlignment:
 
 
 def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment:
-    """Find the lag maximizing the average inter-movie frame correlation.
+    """Find the lag maximizing the average inter-movie frame correlation,
+    each correlation taken over the union of the two movies' masks.
 
     The first ``m0`` (unstable) frames of each movie are discarded.  Lags
     are scanned in the order 0, 1, -1, 2, -2, ...; the first maximum wins
@@ -405,8 +383,8 @@ def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment
         raise DataError("max_lag must be >= 0")
     lag_cap = min(max_lag, min(na, nb) - 1)
 
-    xa, ma = _flat_values_masks(a[m0:])
-    xb, mb = _flat_values_masks(b[m0:])
+    xa, ma = _flat_values_mask(a[m0:])
+    xb, mb = _flat_values_mask(b[m0:])
     cor = _pairwise_correlation(xa, ma, xb, mb)
 
     lags = np.arange(-lag_cap, lag_cap + 1)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DataError
-from .frames import Frame, Movie, SessionLayout
+from .frames import Frame, Movie, SessionLayout, _movie
 from .registration import RigidTransform, apply_rigid
 
 __all__ = [
@@ -118,11 +118,12 @@ def blob_field(spec: PhantomSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return base, left, right
 
 
-def _noisy_frame(clean: np.ndarray, support: np.ndarray, spec: PhantomSpec, rng) -> Frame:
+def _noisy(clean: np.ndarray, support: np.ndarray, spec: PhantomSpec, rng) -> np.ndarray:
+    """``clean`` plus one draw of the spec's noise, clipped at zero."""
     bg_sd, sig_sd = spec.noise_sd
     noise = rng.standard_normal(clean.shape)
     noise *= np.where(support, sig_sd, bg_sd)
-    return Frame(np.clip(clean + noise, 0.0, None))
+    return np.clip(clean + noise, 0.0, None)
 
 
 def _posed_field(spec: PhantomSpec):
@@ -142,7 +143,7 @@ def _posed_field(spec: PhantomSpec):
 def gen_frame(spec: PhantomSpec, stream: int = 0) -> Tuple[Frame, GroundTruth]:
     """One noisy frame under the spec's pose (identity when pose is None)."""
     base, _, _, support, pose = _posed_field(spec)
-    frame = _noisy_frame(base, support, spec, _noise_rng(spec.seed, stream))
+    frame = Frame(_noisy(base, support, spec, _noise_rng(spec.seed, stream)))
     truth = GroundTruth(support, pose, 0, None, 0.0)
     return frame, truth
 
@@ -176,11 +177,9 @@ def gen_session(spec: PhantomSpec, session_id: str = "s1",
     segments = []
     for seg, tag in enumerate(("NoStim", "Stim", "NoStim")):
         rng = _noise_rng(spec.seed, seg)
-        frames = []
-        for t in range(spec.n_frames):
-            clean = base if tag == "NoStim" else _stim_clean(stim, t, base, left, right)
-            frames.append(_noisy_frame(clean, support, spec, rng))
-        segments.append((tag, Movie(tuple(frames), fps=spec.fps)))
+        grids = [_noisy(base if tag == "NoStim" else _stim_clean(stim, t, base, left, right), support, spec, rng)
+                 for t in range(spec.n_frames)]
+        segments.append((tag, _movie(np.stack(grids), fps=spec.fps)))
     layout = SessionLayout(tuple(segments), session_id=session_id, subject_id=subject_id)
     truth = GroundTruth(support, pose, stim.phase_lag, effect_mask, delta)
     return layout, truth
@@ -285,11 +284,9 @@ def gen_lagged_pair(spec: PhantomSpec, lag: int) -> Tuple[Movie, Movie, GroundTr
     base, left, right = blob_field(spec)
     support = base > 0
     rng = _noise_rng(spec.seed, 101)
-    frames = []
-    for t in range(spec.n_frames + lag):
-        clean = _stim_clean(stim, t, base, left, right)
-        frames.append(_noisy_frame(clean, support, spec, rng))
-    master = Movie(frames, fps=spec.fps)
+    grids = [_noisy(_stim_clean(stim, t, base, left, right), support, spec, rng)
+             for t in range(spec.n_frames + lag)]
+    master = _movie(np.stack(grids), fps=spec.fps)
     a, b = master[lag:], master[:spec.n_frames]  # A starts `lag` frames in
     truth = GroundTruth(support, RigidTransform(0.0, 0.0, 0.0), lag, None, 0.0)
     return a, b, truth

@@ -263,11 +263,6 @@ def quarter_turns_reference(values, mask):
     return k + 2 if centroid > 0.5 * (c.min() + c.max()) else k
 
 
-def mask_overlaps(ma, mb):
-    """Overlap counts of every pair of 0/1 mask rows: ``ma @ mb.T``."""
-    return ma @ mb.T
-
-
 def lag_profile_loop(frames_a, masks_a, frames_b, masks_b, m0, max_lag):
     """CorAvg_j for j in [-max_lag, max_lag] by direct looping."""
     fa, ma = frames_a[m0:], masks_a[m0:]
@@ -561,8 +556,8 @@ def frame_correlation(a, b):
     """
     if a.shape != b.shape:
         raise DataError("frames must have equal shape")
-    c = reg._pairwise_correlation(*reg._flat_values_masks(Movie((a,))),
-                                  *reg._flat_values_masks(Movie((b,))))[0, 0]
+    c = reg._pairwise_correlation(*reg._flat_values_mask(Movie((a,))),
+                                  *reg._flat_values_mask(Movie((b,))))[0, 0]
     if not np.isfinite(c):
         raise NumericError("correlation undefined (zero variance over the domain)")
     return float(c)

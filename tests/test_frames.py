@@ -101,27 +101,41 @@ class TestMovie:
         with pytest.raises(DataError, match="signed"):
             Movie((plain, signed), fps=1.0)
 
+    def test_rejects_a_frame_whose_mask_differs(self):
+        rng = np.random.default_rng(4)
+        mask = rng.random((3, 4)) > 0.5
+        other = mask.copy()
+        other[1, 2] = not other[1, 2]
+        frames = [Frame(q6(rng.uniform(0.0, 9.0, (3, 4))), support_mask=m)
+                  for m in (mask, mask, other, mask)]
+        with pytest.raises(DataError, match="frame 2 and frame 0 differ in their support mask"):
+            Movie(tuple(frames), fps=1.0)
+        assert np.array_equal(Movie(tuple(frames[:2]), fps=1.0).mask, mask)
+
     def test_slice_shares_the_read_only_arrays(self):
         rng = np.random.default_rng(1)
-        masks = rng.random((5, 3, 4)) > 0.5
-        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (3, 4))), support_mask=k) for k in masks), fps=4.0)
+        mask = rng.random((3, 4)) > 0.5
+        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (3, 4))), support_mask=mask) for _ in range(5)),
+                  fps=4.0)
         part = m[1:4]
         assert isinstance(part, Movie) and len(part) == 3 and part.fps == 4.0
-        for whole, sliced in ((m.values, part.values), (m.masks, part.masks)):
-            assert np.shares_memory(whole, sliced) and np.array_equal(sliced, whole[1:4])
-            assert not whole.flags.writeable and not sliced.flags.writeable
-        assert np.array_equal(m.masks, masks)
+        assert np.shares_memory(m.values, part.values) and np.array_equal(part.values, m.values[1:4])
+        assert part.mask is m.mask and np.array_equal(m.mask, mask)
+        for a in (m.values, part.values, m.mask):
+            assert not a.flags.writeable
 
     def test_item_is_a_frame_of_the_arrays(self):
         rng = np.random.default_rng(2)
-        masks = rng.random((3, 4, 5)) > 0.5
-        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (4, 5))), support_mask=k, signed=True)
-                        for k in masks), fps=2.0)
+        mask = rng.random((4, 5)) > 0.5
+        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (4, 5))), support_mask=mask, signed=True)
+                        for _ in range(3)), fps=2.0)
+        assert m.mask.shape == (4, 5) and not m.mask.flags.writeable
         for k in (0, 2, -1):
             f = m[k]
             assert isinstance(f, Frame) and f.signed
-            assert np.array_equal(f.values, m.values[k]) and np.array_equal(f.support_mask, m.masks[k])
-        assert m[1].support_mask is not None and rand_movie(rng)[1].support_mask is None
+            assert np.array_equal(f.values, m.values[k]) and np.array_equal(f.support_mask, m.mask)
+            assert not f.support_mask.flags.writeable
+        assert rand_movie(rng).mask is None and rand_movie(rng)[1].support_mask is None
 
     def test_index_past_the_end_raises_and_iteration_stops(self):
         m = rand_movie(np.random.default_rng(3), n=3)
@@ -185,7 +199,7 @@ class TestMovieIO:
             assert not f.values.flags.writeable and f.support_mask is None
             with pytest.raises(ValueError):
                 f.values[0, 0] = 1.0
-        assert not m.values.flags.writeable and m.masks is None
+        assert not m.values.flags.writeable and m.mask is None
 
     def test_non_ascii_file_names_the_file(self, tmp_path):
         p = tmp_path / "u.lasr"

@@ -563,9 +563,9 @@ class TestViewFrames:
 
 
 class TestRegisterMovie:
-    """One SRLP transform per segment, found on the mean frame over the union
-    of the frame masks, and one stacked resampling: every registered frame
-    is ``apply_rigid`` of that transform on the union, bit for bit."""
+    """One SRLP transform per segment, found on the mean frame over the
+    movie's mask, and one stacked resampling: every registered frame is
+    ``apply_rigid`` of that transform on that mask, bit for bit."""
 
     @staticmethod
     def tilted(rng, mask, heavy="low"):
@@ -593,15 +593,6 @@ class TestRegisterMovie:
         assert got_t == [ref_t] * len(movie)
         return ref_t
 
-    def test_two_masks_interleaved(self):
-        rng = np.random.default_rng(1)
-        # bands above row rows/2, so the midline tilts with them
-        a = self.band((20, 24), 1, 5, 2, 21, tilt=0.15)
-        b = self.band((20, 24), 4, 8, 3, 22, tilt=-0.1)
-        t = self.assert_matches_reference([self.tilted(rng, m) for m in (a, b, a, a, b, a, b)])
-        assert t.theta != 0.0
-        assert t not in (srlp_register(self.tilted(rng, a))[1], srlp_register(self.tilted(rng, b))[1])
-
     def test_half_turn_on_the_same_mask(self):
         rng = np.random.default_rng(2)
         mask = self.band((20, 24), 7, 13, 3, 21)  # symmetric under a half turn
@@ -621,10 +612,8 @@ class TestRegisterMovie:
 
     def test_one_turn_pass_per_mask(self, monkeypatch):
         rng = np.random.default_rng(6)
-        a = self.band((20, 24), 1, 5, 2, 21, tilt=0.15)
-        b = self.band((20, 24), 4, 8, 3, 22, tilt=-0.1)
-        frames = [self.tilted(rng, m, heavy) for m, heavy in
-                  ((a, "low"), (b, "low"), (a, "high"), (b, "low"), (a, "low"), (b, "high"))]
+        mask = self.band((20, 24), 1, 5, 2, 21, tilt=0.15)
+        frames = [self.tilted(rng, mask, heavy) for heavy in ("low", "low", "high", "low", "low", "high")]
         calls = []
 
         def count(name):
@@ -640,7 +629,7 @@ class TestRegisterMovie:
         registered, _ = pipeline._register_movie(Movie(tuple(frames), fps=2.0))
         # the segment's one mask takes one turn, inside its one SRLP call
         assert calls == ["srlp_register", "_quarter_turn"]
-        assert (registered.masks == registered.masks[0]).all()
+        assert registered.mask.shape == mask.shape
         monkeypatch.undo()
         self.assert_matches_reference(frames)
 
@@ -929,9 +918,9 @@ class TestCli:
                                                          mode):
         """``run`` keeps its segmented and registered movies in memory;
         ``segment`` then ``register`` on the same segment file, with the
-        run's m0, writes them byte for byte.  Every frame of each holds
-        frame 0's mask, which ``_compare_movies`` relies on, and
-        ``_load_masked`` restores that mask from the written file."""
+        run's m0, writes them byte for byte.  Each holds one mask, which
+        ``_compare_movies`` relies on, and ``_load_masked`` restores that
+        mask from the written file."""
         ph = tmp_path / "ph"
         cli_main(["phantom", "--out", str(ph), "--rows", "24", "--cols", "26", "--frames", "12",
                   "--seed", "3", "--effect-delta", "4.0"])
@@ -967,9 +956,9 @@ class TestCli:
                                    ("registered", chain / "reg" / "registered.lasr")):
                 save_movie(computed[stage][side], tmp_path / "in_run.lasr")
                 assert written.read_bytes() == (tmp_path / "in_run.lasr").read_bytes(), (session, stage)
-                masks = computed[stage][side].masks
-                assert (masks == masks[0]).all()
-                assert np.array_equal(pipeline._load_masked(str(written)).masks, masks), (session, stage)
+                mask = computed[stage][side].mask
+                assert mask.shape == (24, 26)
+                assert np.array_equal(pipeline._load_masked(str(written)).mask, mask), (session, stage)
 
 
 # flag / config key, value text (None: an on/off flag), field, value
@@ -1201,18 +1190,18 @@ class TestCliOptions:
 
     def test_region_pixel_reading_zero_stays_in_every_mask(self, tmp_path):
         # the sitting region cannot move within a segment, so a region pixel
-        # reading 0 in one frame stays in that frame's mask, the registered
+        # reading 0 in one frame stays in the movie's mask, the registered
         # mask and the masks read back from both files
         stack = np.zeros((3, 8, 9))
         stack[:, 2:5, 1:8] = 5.0
         stack[1, 3, 4] = 0.0
         cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
-        assert np.array_equal(cut.masks, np.broadcast_to(stack[0] > 0, stack.shape))
-        registered, _ = pipeline._register_movie(cut)
-        assert (registered.masks == registered.masks[0]).all()
+        assert np.array_equal(cut.mask, stack[0] > 0) and cut[1].support_mask[3, 4]
+        registered, transforms = pipeline._register_movie(cut)
+        assert np.array_equal(registered[1].support_mask, apply_rigid(cut[1], transforms[1]).support_mask)
         for name, movie in (("cut", cut), ("registered", registered)):
             save_movie(movie, tmp_path / f"{name}.lasr")
-            assert np.array_equal(pipeline._load_masked(str(tmp_path / f"{name}.lasr")).masks, movie.masks)
+            assert np.array_equal(pipeline._load_masked(str(tmp_path / f"{name}.lasr")).mask, movie.mask)
 
     def test_disjoint_supports_fail_at_compare(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -290,23 +290,6 @@ class TestQuarterTurn:
             reg._quarter_turn(values, np.zeros((3, 4), dtype=bool))
 
 
-class TestMaskOverlaps:
-    """``ma @ mb.T`` from one product per pair of distinct masks."""
-
-    @pytest.mark.parametrize("layout", ["one mask", "two masks interleaved", "all distinct"])
-    def test_expansion_equals_the_product(self, layout):
-        rng = np.random.default_rng(22)
-        pool = rng.random((9, 40)) < 0.6
-        idx = {"one mask": [4] * 9, "two masks interleaved": [1, 3, 3, 1, 3, 1, 1, 3, 1],
-               "all distinct": list(range(9))}[layout]
-        ma = pool[idx].astype(np.float64)
-        mb = pool[idx[::-1][:7]].astype(np.float64)
-        got = reg._overlaps(ma, mb)
-        want = orc.mask_overlaps(ma, mb)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-
-
 class TestApplyRigid:
     def test_integer_translation_moves_pixels_exactly(self):
         rng = np.random.default_rng(2)
@@ -451,8 +434,11 @@ class TestFrameCorrelation:
 # ---------------------------------------------------------------------------
 
 
-def noise_movie(rng, n, rows=6, cols=6, fps=2.0):
-    return Movie(tuple(noise_frame(rng, rows, cols) for _ in range(n)), fps=fps)
+def noise_movie(rng, n, rows=6, cols=6, fps=2.0, density=0.8):
+    """``n`` noise frames on one random support mask, drawn for this movie."""
+    mask = rng.random((rows, cols)) < density
+    return Movie(tuple(Frame(np.where(mask, rng.uniform(0.5, 9.0, (rows, cols)), 0.0), support_mask=mask)
+                       for _ in range(n)), fps=fps)
 
 
 def shifted_pair(seed, n, lag, m0_pad=0):
@@ -501,12 +487,10 @@ class TestIcrLag:
     def test_profile_matches_loop_reference(self):
         rng = np.random.default_rng(17)
         a, b = noise_movie(rng, 14, 5, 5), noise_movie(rng, 17, 5, 5)
+        union = a.mask | b.mask
+        assert union.sum() > max(a.mask.sum(), b.mask.sum())  # the domain is neither side's mask
         lag = icr_lag(a, b, m0=3, max_lag=4)
-        fa = [f.values for f in a.frames]
-        ma = [f.support_mask for f in a.frames]
-        fb = [f.values for f in b.frames]
-        mb = [f.support_mask for f in b.frames]
-        prof = orc.lag_profile_loop(fa, ma, fb, mb, 3, 4)
+        prof = orc.lag_profile_loop(list(a.values), [a.mask] * len(a), list(b.values), [b.mask] * len(b), 3, 4)
         for idx, j in enumerate(lag.lags.tolist()):
             got = lag.cor_avg[idx]
             ref = prof[j]
@@ -515,7 +499,10 @@ class TestIcrLag:
 
     def test_tie_prefers_positive_then_small_magnitude(self):
         rng = np.random.default_rng(18)
-        p0, p1 = noise_frame(rng, 5, 5), noise_frame(rng, 5, 5)
+        mask = rng.random((5, 5)) < 0.8
+        # integer values make every self-correlation exactly 1, so the ties are exact
+        p0, p1 = (Frame(np.where(mask, rng.integers(1, 10, mask.shape), 0.0), support_mask=mask)
+                  for _ in range(2))
         frames = tuple(p0 if i % 2 == 0 else p1 for i in range(20))
         a = Movie(frames, fps=1.0)
         b = Movie(frames[1:] + (p0 if len(frames) % 2 == 0 else p1,), fps=1.0)
@@ -526,9 +513,9 @@ class TestIcrLag:
 
     def test_undefined_lags_are_skipped(self):
         rng = np.random.default_rng(19)
-        frames = [noise_frame(rng, 5, 5) for _ in range(10)]
-        flat = Frame(np.full((5, 5), 3.0), support_mask=np.ones((5, 5), dtype=bool))
-        frames[4] = flat  # one undefined pairing at each lag touching index 4
+        frames = list(noise_movie(rng, 10, 5, 5).frames)
+        # all zero, so constant on any domain: one undefined pairing at each lag touching index 4
+        frames[4] = Frame(np.zeros((5, 5)), support_mask=frames[0].support_mask)
         a = Movie(tuple(frames), fps=1.0)
         b = noise_movie(np.random.default_rng(20), 10, 5, 5)
         lag = icr_lag(a, b, m0=0, max_lag=2)
