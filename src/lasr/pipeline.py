@@ -1,22 +1,21 @@
 """End-to-end runs and the command line interface.
 
-A run compares one movie segment from a "before" session against one from
-an "after" session: segment each movie (mixture threshold from its first
-stable frame, majority-vote sitting region for the whole segment, which
-becomes the movie's one support mask), self-register the segment (one SRLP
-transform from its mean frame, applied to every frame), optionally align
-the movies in time (dynamic mode, when both selected segments are
-stimulation blocks), then difference paired frames, smooth (one fit and
-one stacked t/p pass, since all pairs share one mask), and screen each
-pair's t-map at FDR level q.  A run writes only the
-comparison: the maps, per pair in a static run and as movies in a dynamic
-one (``_compare_movies``), and a line-oriented ``report.txt`` of
-thresholds, transforms, lag, smoothing traces, and rejection counts.  The
-segmented and registered movies stay in memory; ``segment`` then
-``register`` on the same segment file write them, through the same
-``_segment_movie`` and ``_register_movie``.  Runs are deterministic given
-the configuration and seed; on failure, partially written outputs are
-removed and the failing stage is named.
+A run compares one movie segment from a "before" session against one from an
+"after" session: segment each movie (mixture threshold from its first stable
+frame, majority-vote sitting region for the whole segment, which becomes the
+movie's one support mask), self-register the segment (one SRLP transform from
+its mean frame, applied to every frame), optionally align the movies in time
+(dynamic mode, when both selected segments are stimulation blocks), then
+difference paired frames (or the mean frames, with ``mean_frame``), smooth
+(one fit and one stacked t/p pass, since all pairs share one mask), and screen
+each pair's t-map at FDR level q.  A run writes only the comparison: the maps,
+per pair in a static run and as movies in a dynamic one (``_compare_movies``),
+and a line-oriented ``report.txt`` of thresholds, transforms, lag, smoothing
+traces, and rejection counts.  The segmented and registered movies stay in
+memory; ``segment`` then ``register`` on the same segment file write them,
+through the same ``_segment_movie`` and ``_register_movie``.  Runs are
+deterministic given the configuration and seed; on failure, partially written
+outputs are removed and the failing stage is named.
 
 The CLI's run options live in one table, ``_OPTIONS``, of which each
 subcommand exposes a subset; ``_validate`` alone judges the values.  Every
@@ -132,7 +131,8 @@ def _select_segment(segments: Sequence, index: int, which: str):
 
 
 def _mean_movie(movie: fr.Movie) -> fr.Movie:
-    return fr._movie(movie.values.mean(axis=0)[None], fps=movie.fps)
+    # summed in C order, as a stack read from a file is: a registered stack is frames-innermost
+    return fr._movie(np.ascontiguousarray(movie.values).mean(axis=0)[None], movie.mask, movie.fps)
 
 
 def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
@@ -192,7 +192,7 @@ def _register_movie(movie: fr.Movie):
     return fr._movie(values, mask, movie.fps, movie.signed), [t] * len(movie)
 
 
-def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
+def _load_masked(path: str) -> fr.Movie:
     """A stage movie file with its support mask restored: the union over
     frames of ``values > 0``, the movie's one mask.
 
@@ -202,8 +202,6 @@ def _load_masked(path: str, mean_frame: bool = False) -> fr.Movie:
     a quarter of the weight on the nearest source pixel.
     """
     movie = fr.load_movie(path)
-    if mean_frame:
-        movie = _mean_movie(movie)
     return fr._movie(movie.values, (movie.values > 0).any(axis=0), movie.fps)
 
 
@@ -245,15 +243,15 @@ class _Outputs:
 
 def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Outputs,
                     report: dict, first: Tuple[int, int] = (0, 0), movies: bool = False) -> None:
-    """Difference -> smooth -> t -> p -> FDR per frame pair; writes the
-    maps and each pair's report keys.  Frame k of one movie pairs with frame
-    k of the other up to the shorter one's length; ``first`` holds the
-    source frame numbers of pair 0.  Each movie is one segment on one
-    support mask, so every pair's mask is the intersection of the two
-    movies' masks.  The smoother (rim padding included) depends only on
-    that mask, so the comparison takes one fit and one stacked t/p pass;
-    the step-up screen stays per pair.  Maps, report keys and errors equal
-    those of the per-pair chain: the first failing pair raises.
+    """Difference -> smooth -> t -> p -> FDR per frame pair; writes the maps
+    and each pair's report keys.  Frame k of one movie pairs with frame k of
+    the other up to the shorter one's length; ``first`` holds the source
+    frame numbers of pair 0.  With ``cfg.mean_frame`` (``run`` and ``ssm``
+    alike) the one pair is the two movies' mean frames.  Each movie is one
+    segment on one support mask, so every pair's mask is the intersection of
+    the two movies' masks.  The smoother (rim padding included) depends only
+    on that mask, so the comparison takes one fit and one stacked t/p pass;
+    the step-up screen stays per pair, and the first failing pair raises.
 
     Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
     each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with
@@ -261,6 +259,8 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     every pair's map stacked in pair order, and the P-movie ``pmap.lasr``,
     one frame per pair.
     """
+    if cfg.mean_frame:
+        before, after = _mean_movie(before), _mean_movie(after)
     n = min(len(before), len(after))
     mask = before.mask & after.mask
     if not mask.any():
@@ -322,8 +322,6 @@ def run_lasr(config: RunConfig) -> dict:
             raise ConfigError("mean-frame averaging applies to static comparisons only")
         if dynamic and movie_b.fps != movie_a.fps:
             raise DataError(f"dynamic comparison needs one frame rate, got {movie_b.fps!r} and {movie_a.fps!r} fps")
-        if cfg.mean_frame:
-            movie_b, movie_a = _mean_movie(movie_b), _mean_movie(movie_a)
 
         out.makedirs()
         report = {"mode": "dynamic" if dynamic else "static", **_compare_keys(cfg),
@@ -412,7 +410,8 @@ _OPTIONS = {
     "bandwidth": ("bandwidth", float, None), "kernel": ("kernel", str, None),
     "rim": ("rim", int, None), "m0": ("m0", int, None),
     "max-lag": ("max_lag", int, None), "fdr": ("fdr_mode", str, None),
-    "two-sided": ("two_sided", _switch, None), "mean-frame": ("mean_frame", _switch, None),
+    "two-sided": ("two_sided", _switch, None),
+    "mean-frame": ("mean_frame", _switch, "compare the two mean registered frames (static only)"),
     "seed": ("seed", int, None), "workers": ("workers", int, "accepted for compatibility and ignored"),
     "components": ("candidates", _components, "candidate mixture sizes"),
 }
@@ -622,7 +621,7 @@ def _cmd_ssm(ns) -> int:
         cfg = _validate(_run_config(ns, _SSM_KEYS, before=ns.before, after=ns.after,
                                     out_dir=ns.out))
         out.stage = "load"
-        before, after = (_load_masked(p, cfg.mean_frame) for p in (cfg.before, cfg.after))
+        before, after = (_load_masked(p) for p in (cfg.before, cfg.after))
         if before.shape != after.shape:
             raise DataError("before/after frame dimensions differ")
         out.makedirs()

@@ -369,8 +369,9 @@ def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment
     each correlation taken over the union of the two movies' masks.
 
     The first ``m0`` (unstable) frames of each movie are discarded.  Lags
-    are scanned in the order 0, 1, -1, 2, -2, ...; the first maximum wins
-    ties.  A positive j0 pairs A_i with B_{i+j0}.
+    are scanned in the order 0, 1, -1, 2, -2, ...; the first maximum of the
+    computed averages wins ties, and lags tied in exact arithmetic can
+    differ in the last bit.  A positive j0 pairs A_i with B_{i+j0}.
     """
     if a.shape != b.shape:
         raise DataError("movies must have equal frame shape")

@@ -35,9 +35,11 @@ from lasr import (
     gen_pose_pair,
     gen_session,
     icr_lag,
+    load_session,
     local_quadratic_smooth,
     optimal_threshold,
     p_map,
+    positive_samples,
     refit,
     registration_error,
     run_lasr,
@@ -413,14 +415,32 @@ def test_pipeline_null_dynamic_pairs_controlled(null_sessions, tmp_path):
     assert np.mean(hits) <= bound, f"{sum(hits)} of {len(hits)} null pairs rejected something (bound {bound:.4f})"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: an m = 3 mixture's cut falls inside the "
-                                       "clipped background, so the sitting region grows past the contact")
 def test_pipeline_null_mean_frame_runs_controlled(null_sessions, tmp_path):
     reports = _null_runs(null_sessions, "default", tmp_path, mean_frame=True)
     hits = _pair_hits(reports)
     assert len(hits) == len(NULL_SEEDS)
     bound = _null_bound(len(hits))
     assert np.mean(hits) <= bound, f"{sum(hits)} of {len(hits)} null runs rejected something (bound {bound:.4f})"
+
+
+@pytest.mark.xfail(reason="ROADMAP item 1: an m = 3 mixture's cut falls inside the clipped "
+                          "background, so the cut keeps background pixels past the contact")
+def test_raw_mean_frame_cut_keeps_the_noiseless_support(null_sessions):
+    """The segmentation cut on a raw mean frame (a segment's frames averaged
+    before any cut) keeps the phantom's noiseless support, give or take 10
+    pixels: the raw mean frames of both compared segments of every null seed."""
+    spec = PhantomSpec(center=(18.5, 20.0), radii=(0.30 * 38, 0.40 * 41))  # ``lasr phantom``'s
+    support = int((blob_field(spec)[0] > 0).sum())
+    assert support == 590
+    kept = []
+    for s in NULL_SEEDS:
+        before, after = null_sessions["default", s]
+        for movie in (load_session(before).segments[0][1], load_session(after).segments[-1][1]):
+            mean = Frame(movie.values.mean(axis=0))
+            model = select_model(positive_samples(mean), (2, 3), init=InitSpec(seed=0))
+            kept.append(int((mean.values > optimal_threshold(model).t).sum()))
+    assert len(kept) == 24
+    assert all(abs(k - support) <= 10 for k in kept), f"pixels kept per mean frame: {kept}"
 
 
 # ---------------------------------------------------------------------------

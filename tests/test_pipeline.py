@@ -159,6 +159,18 @@ class TestRunStatic:
         assert report["n_pairs"] == 1
         assert not (tmp_path / "m" / "pair0001_diff.csv").exists()
 
+    def test_mean_frame_does_not_depend_on_the_stack_layout(self):
+        """A registered stack is frames-innermost; its mean frame equals, bit
+        for bit, that of the same values in C order, as ``ssm`` reads them,
+        and keeps the movie's mask."""
+        values = np.random.default_rng(0).random((20, 9, 11))
+        inner = np.moveaxis(np.moveaxis(values, 0, -1).copy(), -1, 0)
+        assert not inner.flags.c_contiguous
+        mask = np.ones((9, 11), dtype=bool)
+        mean = pipeline._mean_movie(fr._movie(inner, mask))
+        assert mean.values.tobytes() == values.mean(axis=0)[None].tobytes()
+        assert mean.mask is mask
+
     def test_unequal_segments_pair_up_to_the_shorter_one(self, tmp_path):
         """Frame k pairs with frame k; the longer side's extra frames are left out."""
         before, after = session_pair(replace(BASE_SPEC, n_frames=12),
@@ -1267,7 +1279,7 @@ class TestCliOptions:
 
         ref = pipeline._Outputs(str(tmp_path / "ref"))
         ref.makedirs()
-        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", mean_frame=True))
+        cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o"))
         report = {}
         pipeline._compare_movies(mean(registered[0]), mean(registered[1]), cfg, ref, report)
         got = tree_bytes(maps)
@@ -1277,3 +1289,9 @@ class TestCliOptions:
         assert sorted(got) == [f"pair0000_{n}" for n in ("diff.csv", "pmap.csv", "pmap.pgm", "tmap.csv")]
         assert disk["n_pairs"] == "1"
         assert all(disk[k] == pipeline._fmt(v) for k, v in report.items())
+
+        # the one-shot run averages the same registered frames
+        run = tmp_path / "run"
+        assert cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
+                         "--out", str(run), "--mean-frame"]) == 0
+        assert {n: b for n, b in tree_bytes(run).items() if n.startswith("pair")} == got

@@ -49,7 +49,7 @@ def battery_sample(rep):
 
 
 def mean_frame_sample(seed):
-    """EM sample of the first segment's mean frame, as ``lasr run --mean-frame`` fits it."""
+    """EM sample of the first segment's raw mean frame (its frames averaged before any cut)."""
     layout, _ = gen_session(PhantomSpec(seed=seed))
     return positive_samples(Frame(layout.segments[0][1].values.mean(axis=0)))
 
