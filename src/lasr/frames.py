@@ -132,17 +132,16 @@ class Movie:
 
     A movie is one segment on one support: ``values`` is a read-only
     (nframes, rows, cols) float64 array, ``mask`` one read-only boolean
-    (rows, cols) grid that every frame shares, or None, and ``signed``
-    holds for every frame.  ``Movie(frames, fps)`` stacks ``Frame``s that
-    agree in shape, in their support mask and in ``signed``.  ``movie[k]``
-    is frame k, a ``Frame``; ``movie[a:b]`` is a movie sharing this one's
-    arrays.
+    (rows, cols) grid that every frame shares, or None.  Values are
+    nonnegative: a movie is never signed, as ``load_movie`` could not read
+    it back.  ``Movie(frames, fps)`` stacks ``Frame``s that agree in shape
+    and in their support mask.  ``movie[k]`` is frame k, a ``Frame``;
+    ``movie[a:b]`` is a movie sharing this one's arrays.
     """
 
     values: np.ndarray
     mask: Optional[np.ndarray]
     fps: float
-    signed: bool
 
     def __init__(self, frames, fps: float = 2.0):
         fr = tuple(frames)
@@ -155,21 +154,19 @@ class Movie:
                 raise DataError(f"frame {k} has shape {f.shape}, expected {fr[0].shape}")
             if not np.array_equal(f.support_mask, fr[0].support_mask):  # None equals only None
                 raise DataError(f"frame {k} and frame 0 differ in their support mask")
-            if f.signed != fr[0].signed:
-                raise DataError(f"frame {k} and frame 0 differ in being signed")
-        self._adopt(np.stack([f.values for f in fr]), fr[0].support_mask, fps, fr[0].signed)
+        self._adopt(np.stack([f.values for f in fr]), fr[0].support_mask, fps)
 
-    def _adopt(self, values: np.ndarray, mask: Optional[np.ndarray], fps: float, signed: bool) -> None:
+    def _adopt(self, values: np.ndarray, mask: Optional[np.ndarray], fps: float) -> None:
         """Check the stack and the mask once and freeze them in place, without a copy."""
         if values.dtype != np.float64 or values.ndim != 3 or values.size == 0:
             raise DataError(f"movie values must be a nonempty float64 stack, got shape {values.shape}")
-        _check(values, mask, signed)
+        _check(values, mask, signed=False)
         if not (float(fps) > 0):
             raise DataError("fps must be positive")
         values.setflags(write=False)
         if mask is not None:
             mask.setflags(write=False)
-        for name, v in (("values", values), ("mask", mask), ("fps", float(fps)), ("signed", bool(signed))):
+        for name, v in (("values", values), ("mask", mask), ("fps", float(fps))):
             object.__setattr__(self, name, v)
 
     def __len__(self) -> int:
@@ -177,8 +174,8 @@ class Movie:
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return _movie(self.values[k], self.mask, self.fps, self.signed)
-        return Frame(self.values[k], self.mask, self.signed)
+            return _movie(self.values[k], self.mask, self.fps)
+        return Frame(self.values[k], self.mask)
 
     @property
     def shape(self) -> tuple:
@@ -189,12 +186,11 @@ class Movie:
         return tuple(self[k] for k in range(len(self)))
 
 
-def _movie(values: np.ndarray, mask: Optional[np.ndarray] = None, fps: float = 2.0,
-           signed: bool = False) -> Movie:
+def _movie(values: np.ndarray, mask: Optional[np.ndarray] = None, fps: float = 2.0) -> Movie:
     """A movie adopting a (nframes, rows, cols) float64 stack and its one
     (rows, cols) mask, if any: the caller hands them over."""
     movie = Movie.__new__(Movie)
-    movie._adopt(values, mask, fps, signed)
+    movie._adopt(values, mask, fps)
     return movie
 
 

@@ -18,11 +18,11 @@ deterministic given the configuration and seed; on failure, partially written
 outputs are removed and the failing stage is named.
 
 The CLI's run options live in one table, ``_OPTIONS``, of which each
-subcommand exposes a subset; ``_validate`` alone judges the values.  Every
-file-writing subcommand names the failing stage and removes its partial
-files.  CLI exit codes: 0 success, 2 usage or configuration error, 3 data
-error, 4 numeric failure.  ``LASR_SEED`` overrides the seed of every
-command that takes one.
+subcommand exposes a subset; the command line is the only place they are
+set, and ``_validate`` alone judges the values.  Every file-writing
+subcommand names the failing stage and removes its partial files.  CLI exit
+codes: 0 success, 2 usage or configuration error, 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import registration as reg
 from . import segmentation as seg
 from . import ssm
 from . import synthgen
-from .errors import ConfigError, DataError, FormatError, LasrError, NumericError, StageError
+from .errors import ConfigError, DataError, LasrError, NumericError, StageError
 
 __all__ = ["RunConfig", "run_lasr", "cli_main", "main"]
 
@@ -67,7 +67,7 @@ class RunConfig:
     mean_frame: bool = False
     candidates: Tuple[int, ...] = (2, 3)
     seed: int = 0
-    workers: int = 1                # accepted, range-checked and reported; ignored
+    workers: int = 1                # ignored; perfbench/workloads.py still passes it
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -83,8 +83,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("m0 must be >= 0")
     if cfg.max_lag < 0:
         raise ConfigError("max_lag must be >= 0")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.mode not in ("auto", "static", "dynamic"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not cfg.candidates or min(cfg.candidates) < 2:
@@ -114,10 +112,11 @@ def _compare_keys(cfg: RunConfig) -> dict:
             "fdr_mode": cfg.fdr_mode, "two_sided": cfg.two_sided}
 
 
-def _transform_keys(prefix: str, transforms) -> dict:
-    """``{prefix}.{i}.theta / .u / .v`` for each frame's SRLP transform."""
+def _transform_keys(prefix: str, t: reg.RigidTransform, n: int) -> dict:
+    """``{prefix}.{i}.theta / .u / .v`` for each of ``n`` frames, all of
+    which take the segment's one SRLP transform ``t``."""
     keys = {}
-    for i, t in enumerate(transforms):
+    for i in range(n):
         keys.update({f"{prefix}.{i}.theta": t.theta, f"{prefix}.{i}.u": t.u,
                      f"{prefix}.{i}.v": t.v})
     return keys
@@ -131,8 +130,7 @@ def _select_segment(segments: Sequence, index: int, which: str):
 
 
 def _mean_movie(movie: fr.Movie) -> fr.Movie:
-    # summed in C order, as a stack read from a file is: a registered stack is frames-innermost
-    return fr._movie(np.ascontiguousarray(movie.values).mean(axis=0)[None], movie.mask, movie.fps)
+    return fr._movie(movie.values.mean(axis=0)[None], movie.mask, movie.fps)
 
 
 def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
@@ -175,21 +173,20 @@ def _segment_movie(movie: fr.Movie, cfg: RunConfig):
 
 
 def _register_movie(movie: fr.Movie):
-    """SRLP-register a segment; returns the movie and the per-frame transforms.
+    """SRLP-register a segment; returns the movie and its one transform.
 
     The sitting region cannot move within a segment, so the segment takes
     one transform: ``srlp_register``'s on the mean frame over the movie's
     mask (the consensus region, for a segmented movie), applied to every
     frame in one stacked resampling.  The quarter turn is the mean frame's
     too, so no single noisy frame can flip 180 degrees.  The registered
-    movie has the one registered mask, and every frame repeats the one
-    transform.
+    movie has the one registered mask.
     """
     if movie.mask is None:
         raise DataError("frame has no support mask; segment it first")
     t = reg.srlp_register(fr.Frame(movie.values.mean(axis=0), support_mask=movie.mask))[1]
     values, mask = reg._resample(movie.values, movie.mask, t)
-    return fr._movie(values, mask, movie.fps, movie.signed), [t] * len(movie)
+    return fr._movie(values, mask, movie.fps), t
 
 
 def _load_masked(path: str) -> fr.Movie:
@@ -326,7 +323,7 @@ def run_lasr(config: RunConfig) -> dict:
         out.makedirs()
         report = {"mode": "dynamic" if dynamic else "static", **_compare_keys(cfg),
                   "mean_frame": cfg.mean_frame, "m0": cfg.m0, "max_lag": cfg.max_lag,
-                  "seed": cfg.seed, "workers": cfg.workers}
+                  "seed": cfg.seed}
 
         out.stage = "segment"
         seg_movies, reg_movies = {}, {}
@@ -347,9 +344,9 @@ def run_lasr(config: RunConfig) -> dict:
 
         out.stage = "register"
         for which in ("before", "after"):
-            registered, transforms = _register_movie(seg_movies[which])
+            registered, t = _register_movie(seg_movies[which])
             reg_movies[which] = registered
-            report.update(_transform_keys(f"{which}.srlp", transforms))
+            report.update(_transform_keys(f"{which}.srlp", t, len(registered)))
 
         out.stage = "align"
         rb, ra = reg_movies["before"], reg_movies["after"]
@@ -383,14 +380,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _switch(text: str) -> bool:
-    """``true`` or ``false`` in any letter case; anything else is a ValueError."""
-    value = text.lower()
-    if value not in ("true", "false"):
-        raise ValueError(text)
-    return value == "true"
-
-
 def _components(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -398,10 +387,9 @@ def _components(text: str) -> Tuple[int, ...]:
         raise ConfigError(f"bad --components value {text!r}") from None
 
 
-# The one option table: flag --key (and config-file key) -> (RunConfig
-# field, parser of its text, help).  ``_switch`` options are on/off flags
-# with a ``--no-`` form, so a flag can turn off what a config file set.
-# A subcommand exposes a subset; an option left unset keeps the RunConfig
+# The one option table: flag --key -> (RunConfig field, parser of its text,
+# help); ``bool`` marks an on/off flag, which sets its field to True.  A
+# subcommand exposes a subset; an option left unset keeps the RunConfig
 # default, and _validate alone judges the values.
 _OPTIONS = {
     "before-segment": ("before_segment", int, "segment index in the before session (default 0)"),
@@ -410,12 +398,12 @@ _OPTIONS = {
     "bandwidth": ("bandwidth", float, None), "kernel": ("kernel", str, None),
     "rim": ("rim", int, None), "m0": ("m0", int, None),
     "max-lag": ("max_lag", int, None), "fdr": ("fdr_mode", str, None),
-    "two-sided": ("two_sided", _switch, None),
-    "mean-frame": ("mean_frame", _switch, "compare the two mean registered frames (static only)"),
-    "seed": ("seed", int, None), "workers": ("workers", int, "accepted for compatibility and ignored"),
+    "two-sided": ("two_sided", bool, None),
+    "mean-frame": ("mean_frame", bool, "compare the two mean registered frames (static only)"),
+    "seed": ("seed", int, None),
     "components": ("candidates", _components, "candidate mixture sizes"),
 }
-_RUN_KEYS = tuple(k for k in _OPTIONS if k != "components")  # also the config-file keys
+_RUN_KEYS = tuple(k for k in _OPTIONS if k != "components")
 _SSM_KEYS = ("q", "bandwidth", "kernel", "rim", "fdr", "two-sided", "mean-frame")
 _SEGMENT_KEYS = ("components", "m0", "seed")
 
@@ -423,51 +411,19 @@ _SEGMENT_KEYS = ("components", "m0", "seed")
 def _add_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
     for key in keys:
         field, parse, text = _OPTIONS[key]
-        kind = (dict(action=argparse.BooleanOptionalAction) if parse is _switch
+        kind = (dict(action="store_true") if parse is bool
                 else dict(type=parse, metavar=key.upper().replace("-", "_")))
         parser.add_argument(f"--{key}", dest=field, default=None, help=text, **kind)
 
 
-def _env_seed(seed: int) -> int:
-    """``LASR_SEED`` when set, else ``seed``."""
-    raw = os.environ.get("LASR_SEED", seed)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"LASR_SEED must be an integer, got {raw!r}") from None
-
-
 def _run_config(ns, keys: Sequence[str], **kwargs) -> RunConfig:
     """``RunConfig(**kwargs)`` with every option of ``keys`` given on the
-    command line set over it, and ``LASR_SEED`` over that when the command
-    takes a seed."""
+    command line set over it."""
     for key in keys:
         field = _OPTIONS[key][0]
         if getattr(ns, field) is not None:
             kwargs[field] = getattr(ns, field)
-    if "seed" in keys:
-        kwargs["seed"] = _env_seed(kwargs.get("seed", RunConfig.seed))
     return RunConfig(**kwargs)
-
-
-def _read_config_file(path: str) -> dict:
-    """The RunConfig fields a ``key = value`` file sets; every error names the file."""
-    try:
-        pairs = fr._read_kv(path)
-    except OSError as e:
-        raise DataError(f"config file {path}: {e.strerror}") from None
-    except FormatError as e:  # names the file already
-        raise FormatError(f"config file {e}") from None
-    out = {}
-    for key, val in pairs:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"config file {path}: unknown config key {key!r}")
-        field, parse, _ = _OPTIONS[key]
-        try:
-            out[field] = parse(val)
-        except ValueError:
-            raise ConfigError(f"config file {path}: bad value for config key {key!r}: {val!r}") from None
-    return out
 
 
 def _build_parser() -> _Parser:
@@ -497,7 +453,6 @@ def _build_parser() -> _Parser:
     rn.add_argument("--before", required=True, help="before session directory")
     rn.add_argument("--after", required=True, help="after session directory")
     rn.add_argument("--out", default="lasr_out")
-    rn.add_argument("--config", default=None, help="key = value file with run options")
     _add_options(rn, _RUN_KEYS)
 
     sg = sub.add_parser("segment", help="threshold one movie")
@@ -537,7 +492,6 @@ def _cmd_phantom(ns) -> int:
                            ("noise-signal", ns.noise_signal >= 0, ">= 0")):
         if not ok:
             raise ConfigError(f"--{flag} must be {rule}, got {getattr(ns, flag.replace('-', '_'))}")
-    seed = _env_seed(ns.seed)
     effect = None
     if ns.effect_delta != 0.0:
         r0, r1 = _span(ns.effect_rows, ns.rows, (ns.rows // 2 - 3, ns.rows // 2 + 3))
@@ -550,17 +504,17 @@ def _cmd_phantom(ns) -> int:
                   center=(ns.rows / 2.0 - 0.5, ns.cols / 2.0 - 0.5),
                   radii=(0.30 * ns.rows, 0.40 * ns.cols))
     spec_b = synthgen.PhantomSpec(stim=synthgen.StimSpec(ns.stim_period, ns.stim_left, ns.stim_right, 0),
-                                  seed=seed, **common)
+                                  seed=ns.seed, **common)
     # a delayed pattern shows at frame t what the zero-lag pattern shows at
     # t - lag, i.e. a phase advance of -lag
     spec_a = synthgen.PhantomSpec(stim=synthgen.StimSpec(ns.stim_period, ns.stim_left, ns.stim_right, -ns.lag),
-                                  effect=effect, seed=seed + 1, **common)
+                                  effect=effect, seed=ns.seed + 1, **common)
     before, _ = synthgen.gen_session(spec_b, session_id="s1")
     after, truth = synthgen.gen_session(spec_a, session_id="s2")
     os.makedirs(ns.out, exist_ok=True)
     fr.save_session(before, os.path.join(ns.out, "s1"))
     fr.save_session(after, os.path.join(ns.out, "s2"))
-    lines = {"seed": seed, "effect_delta": ns.effect_delta, "stim_lag": ns.lag}
+    lines = {"seed": ns.seed, "effect_delta": ns.effect_delta, "stim_lag": ns.lag}
     _write_report(lines, os.path.join(ns.out, "truth.txt"))
     if effect is not None:
         fr.save_map_csv(effect.mask.astype(float), os.path.join(ns.out, "effect_mask.csv"))
@@ -569,12 +523,7 @@ def _cmd_phantom(ns) -> int:
 
 
 def _cmd_run(ns) -> int:
-    options = {}
-    if ns.config is not None:
-        with _Outputs(ns.out):  # stage 'config'; nothing is written yet
-            options = _read_config_file(ns.config)
-    report = run_lasr(_run_config(ns, _RUN_KEYS, before=ns.before, after=ns.after,
-                                  out_dir=ns.out, **options))
+    report = run_lasr(_run_config(ns, _RUN_KEYS, before=ns.before, after=ns.after, out_dir=ns.out))
     print(f"wrote {report['n_pairs']} pair map(s) and report.txt to {ns.out}")
     return 0
 
@@ -607,11 +556,11 @@ def _cmd_register(ns) -> int:
         out.stage = "load"
         movie = _load_masked(ns.infile)
         out.stage = "register"
-        registered, transforms = _register_movie(movie)
+        registered, t = _register_movie(movie)
         out.makedirs()
         out.emit("registered.lasr", fr.save_movie, registered)
         out.stage = "report"
-        out.emit("register_report.txt", _write_report, _transform_keys("frame", transforms))
+        out.emit("register_report.txt", _write_report, _transform_keys("frame", t, len(registered)))
     print(f"registered {len(registered)} frame(s); wrote {ns.out}/registered.lasr")
     return 0
 

@@ -256,11 +256,13 @@ def _resample(stack: np.ndarray, mask: Optional[np.ndarray], t: RigidTransform,
 
     The sample coordinates and interpolation weights are computed once and
     applied to every frame, each frame getting exactly the arithmetic a
-    lone frame would.
+    lone frame would.  Samples are gathered from the flattened frames, so
+    the stack comes back in C order, as a stack read from a file is.
     """
     if interp not in ("bilinear", "nearest"):
         raise DataError(f"unknown interpolation {interp!r}")
-    _, rows, cols = stack.shape
+    n, rows, cols = stack.shape
+    flat = stack.reshape(n, -1)
     inv = t.inverse()
     rr, cc = np.meshgrid(np.arange(rows, dtype=np.float64),
                          np.arange(cols, dtype=np.float64), indexing="ij")
@@ -283,10 +285,12 @@ def _resample(stack: np.ndarray, mask: Optional[np.ndarray], t: RigidTransform,
         c1 = np.minimum(c0 + 1, cols - 1)
         fr = sr_c - r0
         fc = sc_c - c0
-        out = ((1 - fr) * (1 - fc) * stack[:, r0, c0] + (1 - fr) * fc * stack[:, r0, c1]
-               + fr * (1 - fc) * stack[:, r1, c0] + fr * fc * stack[:, r1, c1])
+        out = ((1 - fr) * (1 - fc) * np.take(flat, r0 * cols + c0, axis=1)
+               + (1 - fr) * fc * np.take(flat, r0 * cols + c1, axis=1)
+               + fr * (1 - fc) * np.take(flat, r1 * cols + c0, axis=1)
+               + fr * fc * np.take(flat, r1 * cols + c1, axis=1))
     else:
-        out = stack[:, rn, cn]
+        out = np.take(flat, rn * cols + cn, axis=1)
 
     out_mask = in_dom & mask[rn, cn] if mask is not None else in_dom
     return np.where(out_mask, out, 0.0), out_mask

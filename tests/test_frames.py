@@ -94,12 +94,14 @@ class TestMovie:
             Movie((), fps=1.0)
 
     def test_rejects_mixed_mask_presence_and_mixed_sign(self):
-        plain, signed = Frame(np.ones((2, 2))), Frame(np.ones((2, 2)), signed=True)
+        plain, signed = Frame(np.ones((2, 2))), Frame(-np.ones((2, 2)), signed=True)
         masked = Frame(np.ones((2, 2)), support_mask=np.ones((2, 2), dtype=bool))
         with pytest.raises(DataError, match="support mask"):
             Movie((plain, masked), fps=1.0)
-        with pytest.raises(DataError, match="signed"):
-            Movie((plain, signed), fps=1.0)
+        # a movie is never signed: negative values fail as load_movie fails them
+        for frames in ((plain, signed), (signed,)):
+            with pytest.raises(DataError, match="nonnegative"):
+                Movie(frames, fps=1.0)
 
     def test_rejects_a_frame_whose_mask_differs(self):
         rng = np.random.default_rng(4)
@@ -127,12 +129,12 @@ class TestMovie:
     def test_item_is_a_frame_of_the_arrays(self):
         rng = np.random.default_rng(2)
         mask = rng.random((4, 5)) > 0.5
-        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (4, 5))), support_mask=mask, signed=True)
+        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (4, 5))), support_mask=mask)
                         for _ in range(3)), fps=2.0)
         assert m.mask.shape == (4, 5) and not m.mask.flags.writeable
         for k in (0, 2, -1):
             f = m[k]
-            assert isinstance(f, Frame) and f.signed
+            assert isinstance(f, Frame) and not f.signed
             assert np.array_equal(f.values, m.values[k]) and np.array_equal(f.support_mask, m.mask)
             assert not f.support_mask.flags.writeable
         assert rand_movie(rng).mask is None and rand_movie(rng)[1].support_mask is None

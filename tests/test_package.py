@@ -9,6 +9,7 @@ name once per unit of work.  These tests only read
 ``perfbench/``; they change nothing there.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -47,6 +48,21 @@ class TestPublicApi:
 
     def test_the_package_list_is_the_module_lists(self):
         assert lasr.__all__ == [attr for name in MODULES for attr in module(name).__all__]
+
+    def test_no_module_reads_the_environment(self):
+        """Run options come from the command line or a RunConfig only, so
+        no environment variable can change an output."""
+        src = os.path.dirname(os.path.abspath(lasr.__file__))
+        for fname in sorted(os.listdir(src)):
+            if not fname.endswith(".py"):
+                continue
+            with open(os.path.join(src, fname), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=fname)
+            names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names}
+            assert not names & {"environ", "environb", "getenv", "getenvb"}, fname
 
 
 class TestBenchmarkContract:

@@ -143,33 +143,11 @@ class TestRunStatic:
         assert r1 == r2
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        before, after = session_pair()
-        r1 = run_lasr(quick_config(before, after, tmp_path / "serial", workers=1))
-        r2 = run_lasr(quick_config(before, after, tmp_path / "pool", workers=2))
-        assert r1 == {**r2, "workers": 1}
-        b1 = tree_bytes(tmp_path / "serial")
-        b2 = tree_bytes(tmp_path / "pool")
-        assert set(b1) == set(b2)
-        assert all(b1[k] == b2[k] for k in b1 if k != "report.txt")
-
     def test_mean_frame_collapses_to_one_pair(self, tmp_path):
         before, after = session_pair()
         report = run_lasr(quick_config(before, after, tmp_path / "m", mean_frame=True))
         assert report["n_pairs"] == 1
         assert not (tmp_path / "m" / "pair0001_diff.csv").exists()
-
-    def test_mean_frame_does_not_depend_on_the_stack_layout(self):
-        """A registered stack is frames-innermost; its mean frame equals, bit
-        for bit, that of the same values in C order, as ``ssm`` reads them,
-        and keeps the movie's mask."""
-        values = np.random.default_rng(0).random((20, 9, 11))
-        inner = np.moveaxis(np.moveaxis(values, 0, -1).copy(), -1, 0)
-        assert not inner.flags.c_contiguous
-        mask = np.ones((9, 11), dtype=bool)
-        mean = pipeline._mean_movie(fr._movie(inner, mask))
-        assert mean.values.tobytes() == values.mean(axis=0)[None].tobytes()
-        assert mean.mask is mask
 
     def test_unequal_segments_pair_up_to_the_shorter_one(self, tmp_path):
         """Frame k pairs with frame k; the longer side's extra frames are left out."""
@@ -305,7 +283,7 @@ class TestRunFailures:
     def test_config_errors_name_the_stage(self, tmp_path):
         before, after = session_pair()
         bad = [dict(q=0.0), dict(bandwidth=0.0), dict(kernel="box"), dict(rim=-1),
-               dict(m0=-1), dict(max_lag=-1), dict(workers=0), dict(mode="both"),
+               dict(m0=-1), dict(max_lag=-1), dict(mode="both"),
                dict(candidates=(1,))]
         for kw in bad:
             cfg = quick_config(before, after, tmp_path / "cfg", **kw)
@@ -566,8 +544,6 @@ class TestViewFrames:
         stack[2, 1, 1] = -1.0
         with pytest.raises(DataError, match="nonnegative"):
             fr._movie(stack)
-        frames = fr._movie(stack, signed=True).frames
-        assert [f.signed for f in frames] == [True] * 3
         with pytest.raises(DataError, match="finite"):
             fr._movie(np.full((1, 2, 2), np.nan))
         with pytest.raises(DataError, match="support mask"):
@@ -601,9 +577,19 @@ class TestRegisterMovie:
         for g, r in zip(got.frames, ref):
             assert np.array_equal(g.values, r.values)
             assert np.array_equal(g.support_mask, r.support_mask)
-            assert g.signed == r.signed
-        assert got_t == [ref_t] * len(movie)
+        assert got_t == ref_t
         return ref_t
+
+    def test_registered_stack_is_in_c_order(self):
+        """The registered stack is C-ordered, as a stack read from a file is,
+        so its mean frame sums in the order ``ssm`` sums its input; the mean
+        frame keeps the movie's mask."""
+        rng = np.random.default_rng(7)
+        mask = self.band((20, 24), 7, 13, 3, 21, tilt=0.1)
+        registered, _ = pipeline._register_movie(Movie(tuple(self.tilted(rng, mask) for _ in range(5)),
+                                                       fps=2.0))
+        assert registered.values.flags.c_contiguous
+        assert pipeline._mean_movie(registered).mask is registered.mask
 
     def test_half_turn_on_the_same_mask(self):
         rng = np.random.default_rng(2)
@@ -691,61 +677,6 @@ class TestCli:
         assert disk["mode"] == "static"
         assert disk["before.path"] == str(ph / "s1")
         assert "wrote" in capsys.readouterr().out
-
-    def test_run_config_file_and_flag_precedence(self, tmp_path):
-        ph = tmp_path / "ph"
-        cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
-        cfgfile = tmp_path / "opts.cfg"
-        cfgfile.write_text("# options\nq = 0.1\nbandwidth = 2.0\nm0 = 2\n")
-        out = tmp_path / "out"
-        rc = cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
-                       "--out", str(out), "--config", str(cfgfile), "--q", "0.2"])
-        assert rc == 0
-        disk = read_report(out / "report.txt")
-        assert float(disk["q"]) == 0.2          # flag beats file
-        assert float(disk["bandwidth"]) == 2.0  # file beats default
-
-    def test_bad_config_file_keys(self, tmp_path):
-        ph = tmp_path / "ph"
-        cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("qq = 0.1\n")
-        rc = cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
-                       "--out", str(tmp_path / "o"), "--config", str(bad)])
-        assert rc == 2
-        bad.write_text("q = apple\n")
-        rc = cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
-                       "--out", str(tmp_path / "o"), "--config", str(bad)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("text,code,needle", [
-        ("q = 0.1\nbroken\n", 3, "line 2: expected 'key = value'"),
-        ("qq = 0.1\n", 2, "unknown config key 'qq'"),
-        (None, 3, "No such file or directory"),
-        ("q = 0.1 # caf\u00e9\n", 3, "not ASCII text"),
-        ("q = 0.1\nbandwidth = 2\nq = 0.2\n", 3, "line 3: key 'q' given twice"),
-        ("two-sided = yes\n", 2, "bad value for config key 'two-sided': 'yes'"),
-        ("mean-frame = 1\n", 2, "bad value for config key 'mean-frame': '1'"),
-    ])
-    def test_config_file_errors_name_the_stage_and_the_file(self, tmp_path, capsys, text, code, needle):
-        cfgfile = tmp_path / "opts.cfg"
-        if text is not None:
-            cfgfile.write_text(text, encoding="utf-8")
-        out = tmp_path / "o"
-        rc = cli_main(["run", "--before", str(tmp_path / "s1"), "--after", str(tmp_path / "s2"),
-                       "--out", str(out), "--config", str(cfgfile)])
-        assert rc == code
-        err = capsys.readouterr().err
-        assert f"stage 'config' failed: config file {cfgfile}: " in err and needle in err
-        assert not out.exists()
-
-    def test_env_seed_overrides(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LASR_SEED", "9")
-        ph = tmp_path / "ph"
-        assert cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS) == 0
-        assert read_report(ph / "truth.txt")["seed"] == "9"
-        monkeypatch.setenv("LASR_SEED", "apple")
-        assert cli_main(["phantom", "--out", str(tmp_path / "p2")] + PHANTOM_ARGS) == 2
 
     def test_usage_errors_exit_2(self, capsys):
         assert cli_main([]) == 2
@@ -973,7 +904,7 @@ class TestCli:
                 assert np.array_equal(pipeline._load_masked(str(written)).mask, mask), (session, stage)
 
 
-# flag / config key, value text (None: an on/off flag), field, value
+# flag, value text (None: an on/off flag), field, value
 RUN_OPTIONS = [
     ("before-segment", "1", "before_segment", 1),
     ("after-segment", "2", "after_segment", 2),
@@ -988,25 +919,23 @@ RUN_OPTIONS = [
     ("two-sided", None, "two_sided", True),
     ("mean-frame", None, "mean_frame", True),
     ("seed", "5", "seed", 5),
-    ("workers", "2", "workers", 2),
 ]
 SSM_KEYS = ("q", "bandwidth", "kernel", "rim", "fdr", "two-sided", "mean-frame")
-NO_FLAGS = {"--no-two-sided", "--no-mean-frame"}  # the off forms of the on/off flags
 HELP_FLAGS = {
     "phantom": {"--out", "--seed", "--rows", "--cols", "--frames", "--fps", "--noise-bg",
                 "--noise-signal", "--effect-delta", "--effect-rows", "--effect-cols",
                 "--stim-period", "--stim-left", "--stim-right", "--lag"},
-    "run": {"--before", "--after", "--out", "--config"} | {f"--{k}" for k, *_ in RUN_OPTIONS} | NO_FLAGS,
+    "run": {"--before", "--after", "--out"} | {f"--{k}" for k, *_ in RUN_OPTIONS},
     "segment": {"--in", "--out", "--components", "--m0", "--seed"},
     "register": {"--in", "--out"},
-    "ssm": {"--before", "--after", "--out"} | {f"--{k}" for k in SSM_KEYS} | NO_FLAGS,
+    "ssm": {"--before", "--after", "--out"} | {f"--{k}" for k in SSM_KEYS},
 }
 
 
 class TestCliOptions:
-    """One option table: every flag and config key lands on its RunConfig
-    field, unset options keep the RunConfig defaults, and the file-writing
-    subcommands share one output context."""
+    """One option table: every flag lands on its RunConfig field, unset
+    options keep the RunConfig defaults, and the file-writing subcommands
+    share one output context."""
 
     class Captured(Exception):
         pass
@@ -1023,7 +952,6 @@ class TestCliOptions:
 
     def capture_run(self, monkeypatch):
         seen = []
-        monkeypatch.delenv("LASR_SEED", raising=False)
         monkeypatch.setattr(pipeline, "run_lasr", lambda cfg: seen.append(cfg) or {"n_pairs": 0})
         return seen
 
@@ -1034,7 +962,6 @@ class TestCliOptions:
             seen.append(cfg)
             raise self.Captured
 
-        monkeypatch.delenv("LASR_SEED", raising=False)
         monkeypatch.setattr(pipeline, "_validate", capture)
         return seen
 
@@ -1042,44 +969,19 @@ class TestCliOptions:
         assert list(pipeline._RUN_KEYS) == [k for k, *_ in RUN_OPTIONS]
 
     @pytest.mark.parametrize("key,text,field,value", RUN_OPTIONS, ids=[k for k, *_ in RUN_OPTIONS])
-    def test_run_flag_and_config_key_land_on_the_field(self, tmp_path, monkeypatch, key, text, field, value):
+    def test_run_flag_lands_on_the_field(self, monkeypatch, key, text, field, value):
         seen = self.capture_run(monkeypatch)
-        base = ["run", "--before", "b", "--after", "a", "--out", "o"]
-        assert cli_main(base + self.flag_args(key, text)) == 0
-        cfgfile = tmp_path / "opts.cfg"
-        cfgfile.write_text(f"{key} = {'true' if text is None else text}\n")
-        assert cli_main(base + ["--config", str(cfgfile)]) == 0
-        assert len(seen) == 2
-        for cfg in seen:
-            assert (cfg.before, cfg.after, cfg.out_dir) == ("b", "a", "o")
-            self.assert_only(cfg, **{field: value})
+        assert cli_main(["run", "--before", "b", "--after", "a", "--out", "o"] + self.flag_args(key, text)) == 0
+        assert (seen[0].before, seen[0].after, seen[0].out_dir) == ("b", "a", "o")
+        self.assert_only(seen[0], **{field: value})
 
-    @pytest.mark.parametrize("text,value", [("TRUE", True), ("False", False)])
-    def test_config_switch_ignores_letter_case(self, tmp_path, monkeypatch, text, value):
+    @pytest.mark.parametrize("args", [["--config", "opts.cfg"], ["--workers", "2"], ["--no-mean-frame"],
+                                      ["--no-two-sided"]], ids=lambda args: args[0])
+    def test_options_off_the_table_exit_2(self, monkeypatch, capsys, args):
         seen = self.capture_run(monkeypatch)
-        cfgfile = tmp_path / "opts.cfg"
-        cfgfile.write_text(f"two-sided = {text}\nmean-frame = {text.lower()}\n")
-        assert cli_main(["run", "--before", "b", "--after", "a", "--config", str(cfgfile)]) == 0
-        self.assert_only(seen[0], two_sided=value, mean_frame=value)
-
-    @pytest.mark.parametrize("key,field", [("two-sided", "two_sided"), ("mean-frame", "mean_frame")])
-    def test_flag_turns_off_a_switch_the_config_file_sets(self, tmp_path, monkeypatch, key, field):
-        seen = self.capture_run(monkeypatch)
-        cfgfile = tmp_path / "opts.cfg"
-        cfgfile.write_text(f"{key} = true\n")
-        base = ["run", "--before", "b", "--after", "a", "--config", str(cfgfile)]
-        assert cli_main(base + [f"--no-{key}"]) == 0
-        assert cli_main(base + [f"--{key}"]) == 0
-        assert cli_main(base) == 0
-        assert [getattr(cfg, field) for cfg in seen] == [False, True, True]
-        self.assert_only(seen[0])
-
-    @pytest.mark.parametrize("key,field", [("two-sided", "two_sided"), ("mean-frame", "mean_frame")])
-    def test_ssm_off_flag_lands_on_the_field(self, monkeypatch, key, field):
-        seen = self.capture_validate(monkeypatch)
-        with pytest.raises(self.Captured):
-            cli_main(["ssm", "--before", "b", "--after", "a", "--out", "o", f"--no-{key}"])
-        self.assert_only(seen[0], **{field: False})
+        assert cli_main(["run", "--before", "b", "--after", "a"] + args) == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+        assert seen == []
 
     def test_run_without_options_keeps_the_defaults(self, monkeypatch):
         seen = self.capture_run(monkeypatch)
@@ -1104,21 +1006,6 @@ class TestCliOptions:
             cfg = seen.pop()
             assert (cfg.before, cfg.out_dir) == ("m.lasr", "o")
             self.assert_only(cfg, **fields)
-
-    def test_segment_applies_lasr_seed(self, tmp_path, monkeypatch):
-        ph = tmp_path / "ph"
-        assert cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS) == 0
-        seeds = []
-
-        def select(samples, candidates, init):
-            seeds.append(init.seed)
-            return select_model(samples, candidates, init=init)
-
-        monkeypatch.setattr(pipeline.seg, "select_model", select)
-        monkeypatch.setenv("LASR_SEED", "9")
-        assert cli_main(["segment", "--in", str(ph / "s1" / "seg0.lasr"),
-                         "--out", str(tmp_path / "seg"), "--seed", "1"]) == 0
-        assert seeds == [9]
 
     @pytest.mark.parametrize("cmd", sorted(HELP_FLAGS))
     def test_help_lists_the_same_flags(self, cmd, capsys):
@@ -1172,16 +1059,20 @@ class TestCliOptions:
             assert not out.exists()
 
     def test_one_pixel_sitting_region_fails_at_segment(self, tmp_path, capsys):
-        # an m = 3 threshold inside the noise: the majority vote keeps one pixel,
+        # an m = 2 cut between background and a block that only frame m0 = 10
+        # shows: the majority vote keeps the one pixel bright in every frame,
         # which register could not take
         rng = np.random.default_rng(0)
-        stack = np.maximum(rng.normal(0.0, 1.0, (12, 16, 18)), 0.0)
-        stack[10, 4:12, 4:14] += 30.0
+        stack = 5.0 + rng.normal(0.0, 0.5, (12, 16, 18))
+        stack[:, 2, 2] = 30.0 + rng.normal(0.0, 1.0, 12)
+        stack[10, 4:12, 4:14] = 30.0 + rng.normal(0.0, 1.0, (8, 10))
         movie = Movie(tuple(Frame(v) for v in stack), fps=2.0)
         save_movie(movie, tmp_path / "m.lasr")
         save_session(SessionLayout((("NoStim", movie),)), tmp_path / "s")
         saved = load_movie(tmp_path / "m.lasr")
-        t = optimal_threshold(select_model(positive_samples(saved[10]), (2, 3))).t
+        model = select_model(positive_samples(saved[10]), (2, 3))
+        assert model.m == 2
+        t = optimal_threshold(model).t
         assert pipeline._consensus_region(saved.values, t).sum() == 1
         for argv in (["segment", "--in", str(tmp_path / "m.lasr")],
                      ["run", "--before", str(tmp_path / "s"), "--after", str(tmp_path / "s")]):
@@ -1209,8 +1100,8 @@ class TestCliOptions:
         stack[1, 3, 4] = 0.0
         cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
         assert np.array_equal(cut.mask, stack[0] > 0) and cut[1].support_mask[3, 4]
-        registered, transforms = pipeline._register_movie(cut)
-        assert np.array_equal(registered[1].support_mask, apply_rigid(cut[1], transforms[1]).support_mask)
+        registered, t = pipeline._register_movie(cut)
+        assert np.array_equal(registered[1].support_mask, apply_rigid(cut[1], t).support_mask)
         for name, movie in (("cut", cut), ("registered", registered)):
             save_movie(movie, tmp_path / f"{name}.lasr")
             assert np.array_equal(pipeline._load_masked(str(tmp_path / f"{name}.lasr")).mask, movie.mask)
