@@ -25,7 +25,8 @@ as ``1_0``), goes to a line walker, which reads every value with ``float``
 and finds the first bad line; the C reader reads every value as ``float``
 does.  The walker builds the array only from rows it has read, so a header
 that promises more than the body holds costs no memory.  A parsed movie
-adopts the parsed array as its ``values``, without a copy.
+is ``Movie(values, fps=fps)``, which takes the parsed array over without
+a copy.
 
 The writers format only the values that vary.  Segmented movies and
 per-pair maps repeat the same exact zeros (and, in t-maps, NaNs) in the
@@ -49,6 +50,8 @@ file.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -86,8 +89,9 @@ def _check(values: np.ndarray, mask: Optional[np.ndarray], signed: bool) -> None
         raise DataError("frame values must be finite")
     if not signed and (values < 0).any():
         raise DataError("frame values must be nonnegative")
-    if mask is not None and (mask.shape != values.shape[-2:] or mask.dtype != np.bool_):
-        raise DataError("support mask must be a boolean grid matching the frame shape")
+    if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
+                                 and mask.shape == values.shape[-2:]):
+        raise DataError("support mask must be a boolean ndarray of the frame shape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,72 +130,50 @@ class Frame:
         return self.values.shape
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Movie:
     """Equally sized frames sampled at ``fps`` frames/sec, as one array.
 
-    A movie is one segment on one support: ``values`` is a read-only
-    (nframes, rows, cols) float64 array, ``mask`` one read-only boolean
-    (rows, cols) grid that every frame shares, or None.  Values are
-    nonnegative: a movie is never signed, as ``load_movie`` could not read
-    it back.  ``Movie(frames, fps)`` stacks ``Frame``s that agree in shape
-    and in their support mask.  ``movie[k]`` is frame k, a ``Frame``;
-    ``movie[a:b]`` is a movie sharing this one's arrays.
+    A movie is one segment on one support: ``values`` is a nonempty
+    (nframes, rows, cols) float64 ndarray, ``mask`` one boolean (rows, cols)
+    ndarray that every frame shares, or None, and ``fps`` a positive finite
+    number.  Values are nonnegative: a movie is never signed, as
+    ``load_movie`` could not read it back.  ``Movie(values, mask, fps)``
+    checks its inputs once and takes the arrays over without a copy: it
+    makes them read-only in place, so the caller hands them over.  Nothing
+    is converted; any other input is a ``DataError``.  ``movie[k]`` is
+    frame k, a ``Frame``; ``movie[a:b]`` is a movie sharing this one's
+    arrays.
     """
 
     values: np.ndarray
-    mask: Optional[np.ndarray]
-    fps: float
+    mask: Optional[np.ndarray] = None
+    fps: float = 2.0
 
-    def __init__(self, frames, fps: float = 2.0):
-        fr = tuple(frames)
-        if not fr:
-            raise DataError("movie must contain at least one frame")
-        for k, f in enumerate(fr):
-            if not isinstance(f, Frame):
-                raise DataError("movie frames must be Frame instances")
-            if f.shape != fr[0].shape:
-                raise DataError(f"frame {k} has shape {f.shape}, expected {fr[0].shape}")
-            if not np.array_equal(f.support_mask, fr[0].support_mask):  # None equals only None
-                raise DataError(f"frame {k} and frame 0 differ in their support mask")
-        self._adopt(np.stack([f.values for f in fr]), fr[0].support_mask, fps)
-
-    def _adopt(self, values: np.ndarray, mask: Optional[np.ndarray], fps: float) -> None:
-        """Check the stack and the mask once and freeze them in place, without a copy."""
-        if values.dtype != np.float64 or values.ndim != 3 or values.size == 0:
-            raise DataError(f"movie values must be a nonempty float64 stack, got shape {values.shape}")
-        _check(values, mask, signed=False)
-        if not (float(fps) > 0):
-            raise DataError("fps must be positive")
-        values.setflags(write=False)
-        if mask is not None:
-            mask.setflags(write=False)
-        for name, v in (("values", values), ("mask", mask), ("fps", float(fps))):
-            object.__setattr__(self, name, v)
+    def __post_init__(self):
+        v, m, fps = self.values, self.mask, self.fps
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 3 and v.size):
+            got = f"{v.dtype} array of shape {v.shape}" if isinstance(v, np.ndarray) else type(v).__name__
+            raise DataError(f"movie values must be a nonempty 3-D float64 ndarray, got {got}")
+        _check(v, m, signed=False)
+        if not (isinstance(fps, numbers.Real) and math.isfinite(fps) and fps > 0):
+            raise DataError(f"fps must be a positive finite number, got {fps!r}")
+        v.setflags(write=False)
+        if m is not None:
+            m.setflags(write=False)
+        object.__setattr__(self, "fps", float(fps))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return _movie(self.values[k], self.mask, self.fps)
+            return Movie(self.values[k], self.mask, self.fps)
         return Frame(self.values[k], self.mask)
 
     @property
     def shape(self) -> tuple:
         return self.values.shape[1:]
-
-    @property
-    def frames(self) -> tuple:
-        return tuple(self[k] for k in range(len(self)))
-
-
-def _movie(values: np.ndarray, mask: Optional[np.ndarray] = None, fps: float = 2.0) -> Movie:
-    """A movie adopting a (nframes, rows, cols) float64 stack and its one
-    (rows, cols) mask, if any: the caller hands them over."""
-    movie = Movie.__new__(Movie)
-    movie._adopt(values, mask, fps)
-    return movie
 
 
 def _check_tag(tag) -> None:
@@ -316,7 +298,7 @@ def load_movie(path) -> Movie:
     values = _parse_fast(lines, rows, cols, nframes)
     if values is None:
         values = _parse_walk(lines, rows, cols, nframes)
-    return _movie(values, fps=fps)
+    return Movie(values, fps=fps)
 
 
 def _read_text(path) -> str:

@@ -72,8 +72,8 @@ class RunConfig:
 
 def _validate(cfg: RunConfig) -> RunConfig:
     ssm.FdrConfig(cfg.q, cfg.fdr_mode)  # range-checks q and the mode
-    if cfg.bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
+    if not (math.isfinite(cfg.bandwidth) and cfg.bandwidth > 0):
+        raise ConfigError(f"bandwidth must be positive and finite, got {cfg.bandwidth}")
     if cfg.kernel not in ssm.KERNELS:
         raise ConfigError(f"unknown kernel {cfg.kernel!r}")
     rim = cfg.rim if cfg.rim is not None else int(math.ceil(cfg.bandwidth))
@@ -81,6 +81,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("rim must be >= 0")
     if cfg.m0 < 0:
         raise ConfigError("m0 must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.max_lag < 0:
         raise ConfigError("max_lag must be >= 0")
     if cfg.mode not in ("auto", "static", "dynamic"):
@@ -130,7 +132,7 @@ def _select_segment(segments: Sequence, index: int, which: str):
 
 
 def _mean_movie(movie: fr.Movie) -> fr.Movie:
-    return fr._movie(movie.values.mean(axis=0)[None], movie.mask, movie.fps)
+    return fr.Movie(movie.values.mean(axis=0)[None], movie.mask, movie.fps)
 
 
 def _consensus_region(stack: np.ndarray, t: float) -> np.ndarray:
@@ -160,7 +162,7 @@ def _cut_movie(movie: fr.Movie, t: float) -> fr.Movie:
     if max(region.any(axis=0).sum(), region.any(axis=1).sum()) < 2:
         raise DataError(f"sitting region at the threshold {t:.12g} spans fewer than 2 columns "
                         "along its long axis, too few to register")
-    return fr._movie(np.where(region, movie.values, 0.0), region, movie.fps)
+    return fr.Movie(np.where(region, movie.values, 0.0), region, movie.fps)
 
 
 def _segment_movie(movie: fr.Movie, cfg: RunConfig):
@@ -186,7 +188,7 @@ def _register_movie(movie: fr.Movie):
         raise DataError("frame has no support mask; segment it first")
     t = reg.srlp_register(fr.Frame(movie.values.mean(axis=0), support_mask=movie.mask))[1]
     values, mask = reg._resample(movie.values, movie.mask, t)
-    return fr._movie(values, mask, movie.fps), t
+    return fr.Movie(values, mask, movie.fps), t
 
 
 def _load_masked(path: str) -> fr.Movie:
@@ -199,7 +201,7 @@ def _load_masked(path: str) -> fr.Movie:
     a quarter of the weight on the nearest source pixel.
     """
     movie = fr.load_movie(path)
-    return fr._movie(movie.values, (movie.values > 0).any(axis=0), movie.fps)
+    return fr.Movie(movie.values, (movie.values > 0).any(axis=0), movie.fps)
 
 
 class _Outputs:
@@ -291,7 +293,7 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     if movies:
         out.emit("diff.csv", fr.save_map_csv, list(diffs))
         out.emit("tmap.csv", fr.save_map_csv, [tmap.values for tmap in tmaps])
-        out.emit("pmap.lasr", fr.save_movie, fr._movie(pgrids, fps=before.fps))
+        out.emit("pmap.lasr", fr.save_movie, fr.Movie(pgrids, fps=before.fps))
 
 
 def run_lasr(config: RunConfig) -> dict:
@@ -486,10 +488,17 @@ def _span(text: Optional[str], limit: int, default: Tuple[int, int]) -> Tuple[in
 
 
 def _cmd_phantom(ns) -> int:
+    finite = math.isfinite
     for flag, ok, rule in (("rows", ns.rows >= 1, ">= 1"), ("cols", ns.cols >= 1, ">= 1"),
-                           ("frames", ns.frames >= 1, ">= 1"), ("fps", ns.fps > 0, "> 0"),
-                           ("noise-bg", ns.noise_bg >= 0, ">= 0"),
-                           ("noise-signal", ns.noise_signal >= 0, ">= 0")):
+                           ("frames", ns.frames >= 1, ">= 1"), ("seed", ns.seed >= 0, ">= 0"),
+                           ("fps", finite(ns.fps) and ns.fps > 0, "> 0 and finite"),
+                           ("noise-bg", finite(ns.noise_bg) and ns.noise_bg >= 0, ">= 0 and finite"),
+                           ("noise-signal", finite(ns.noise_signal) and ns.noise_signal >= 0,
+                            ">= 0 and finite"),
+                           ("effect-delta", finite(ns.effect_delta), "finite"),
+                           ("stim-period", ns.stim_period >= 2, ">= 2"),
+                           ("stim-left", finite(ns.stim_left), "finite"),
+                           ("stim-right", finite(ns.stim_right), "finite")):
         if not ok:
             raise ConfigError(f"--{flag} must be {rule}, got {getattr(ns, flag.replace('-', '_'))}")
     effect = None

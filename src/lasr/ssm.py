@@ -179,13 +179,15 @@ def pad_rim(diff: Frame, rim: int) -> Frame:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_offsets(h: float, kernel: str):
+def _kernel_offsets(h: float, kernel: str, shape: tuple):
+    """The kernel's (row, col) offsets and weights; none reaches past a
+    ``shape`` grid, where no neighbor can lie."""
     try:
         cutoff, profile = KERNELS[kernel]
     except KeyError:
         raise ConfigError(f"unknown kernel {kernel!r}") from None
     radius = cutoff * h
-    r = int(np.floor(radius))
+    r = min(int(np.floor(radius)), max(shape) - 1)
     dr, dc = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
     dist = np.hypot(dr, dc)
     keep = dist <= radius
@@ -218,8 +220,8 @@ def local_quadratic_smooth(diff: Frame, h: float = 3.0, kernel: str = "tgauss",
 
 def _hat_fit(mask: np.ndarray, h: float, kernel: str, rim: int) -> SmoothFit:
     """The mask-only part of a fit; m_hat, rss and sigma_hat are left for ``refit``."""
-    if h <= 0:
-        raise ConfigError("bandwidth must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ConfigError(f"bandwidth must be positive and finite, got {h}")
     n = int(mask.sum())
     if n == 0:
         raise DataError("empty analysis region")
@@ -230,7 +232,7 @@ def _hat_fit(mask: np.ndarray, h: float, kernel: str, rim: int) -> SmoothFit:
     padded = pad_rim(Frame(own, support_mask=mask, signed=True), rim)
     flat_index = np.where(padded.support_mask, padded.values, -1).astype(np.int64)
 
-    dr, dc, w = _kernel_offsets(h, kernel)
+    dr, dc, w = _kernel_offsets(h, kernel, mask.shape)
     k = dr.size
     # design over offsets is shared by every pixel
     X = np.column_stack([np.ones(k), dr, dc, 0.5 * dr ** 2, 0.5 * dc ** 2, dr * dc])

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DataError
-from .frames import Frame, Movie, SessionLayout, _movie
+from .frames import Frame, Movie, SessionLayout
 from .registration import RigidTransform, apply_rigid
 
 __all__ = [
@@ -179,7 +179,7 @@ def gen_session(spec: PhantomSpec, session_id: str = "s1",
         rng = _noise_rng(spec.seed, seg)
         grids = [_noisy(base if tag == "NoStim" else _stim_clean(stim, t, base, left, right), support, spec, rng)
                  for t in range(spec.n_frames)]
-        segments.append((tag, _movie(np.stack(grids), fps=spec.fps)))
+        segments.append((tag, Movie(np.stack(grids), fps=spec.fps)))
     layout = SessionLayout(tuple(segments), session_id=session_id, subject_id=subject_id)
     truth = GroundTruth(support, pose, stim.phase_lag, effect_mask, delta)
     return layout, truth
@@ -286,7 +286,7 @@ def gen_lagged_pair(spec: PhantomSpec, lag: int) -> Tuple[Movie, Movie, GroundTr
     rng = _noise_rng(spec.seed, 101)
     grids = [_noisy(_stim_clean(stim, t, base, left, right), support, spec, rng)
              for t in range(spec.n_frames + lag)]
-    master = _movie(np.stack(grids), fps=spec.fps)
+    master = Movie(np.stack(grids), fps=spec.fps)
     a, b = master[lag:], master[:spec.n_frames]  # A starts `lag` frames in
     truth = GroundTruth(support, RigidTransform(0.0, 0.0, 0.0), lag, None, 0.0)
     return a, b, truth

@@ -503,7 +503,7 @@ def frames_equal(a, b):
 
 def movies_equal(a, b):
     return (len(a) == len(b) and a.fps == b.fps
-            and all(frames_equal(x, y) for x, y in zip(a.frames, b.frames)))
+            and all(frames_equal(x, y) for x, y in zip(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +556,8 @@ def frame_correlation(a, b):
     """
     if a.shape != b.shape:
         raise DataError("frames must have equal shape")
-    c = reg._pairwise_correlation(*reg._flat_values_mask(Movie((a,))),
-                                  *reg._flat_values_mask(Movie((b,))))[0, 0]
+    c = reg._pairwise_correlation(*reg._flat_values_mask(Movie(a.values[None], a.support_mask)),
+                                  *reg._flat_values_mask(Movie(b.values[None], b.support_mask)))[0, 0]
     if not np.isfinite(c):
         raise NumericError("correlation undefined (zero variance over the domain)")
     return float(c)

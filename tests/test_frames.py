@@ -31,8 +31,7 @@ def q6(a):
 
 
 def rand_movie(rng, rows=4, cols=5, n=3, fps=2.0):
-    frames = tuple(Frame(q6(rng.uniform(0.0, 9.0, (rows, cols)))) for _ in range(n))
-    return Movie(frames, fps=fps)
+    return Movie(q6(rng.uniform(0.0, 9.0, (n * rows, cols))).reshape(n, rows, cols), fps=fps)
 
 
 # ---------------------------------------------------------------------------
@@ -80,57 +79,68 @@ class TestMovie:
         m = rand_movie(rng, n=4)
         assert len(m) == 4
         assert m.shape == (4, 5)
-        assert np.array_equal(m[2].values, m.frames[2].values)
+        assert np.array_equal(m[2].values, m.values[2])
         assert m.values.shape == (4, 4, 5)
 
+    def test_takes_the_arrays_over_without_a_copy(self):
+        stack, mask = np.ones((3, 2, 2)), np.ones((2, 2), dtype=bool)
+        m = Movie(stack, mask, 5.0)
+        assert m.values is stack and m.mask is mask and m.fps == 5.0
+        for a in (stack, mask):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+
+    def test_defaults_to_no_mask_at_two_fps(self):
+        m = Movie(np.zeros((1, 2, 3)))
+        assert m.mask is None and m.fps == 2.0 and type(m.fps) is float
+
+    @pytest.mark.parametrize("values", [
+        [[[1.0]]], np.ones((2, 2)), np.ones((1, 2, 2, 2)), np.ones((0, 2, 2)),
+        np.ones((1, 2, 2), dtype=np.float32), np.ones((1, 2, 2), dtype=np.int64)])
+    def test_rejects_values_that_are_not_a_nonempty_float64_stack(self, values):
+        with pytest.raises(DataError, match="nonempty 3-D float64 ndarray"):
+            Movie(values)
+
+    @pytest.mark.parametrize("mask", [
+        [[True, True], [True, True]], np.ones((2, 2), dtype=np.int64),
+        np.ones((2, 3), dtype=bool), np.ones((1, 2, 2), dtype=bool)])
+    def test_rejects_a_mask_that_is_not_a_boolean_grid_of_the_frame_shape(self, mask):
+        with pytest.raises(DataError, match="support mask must be a boolean ndarray"):
+            Movie(np.ones((1, 2, 2)), mask)
+
     def test_rejects_mixed_shapes_and_bad_fps(self):
-        a = Frame(np.zeros((2, 2)))
-        b = Frame(np.zeros((2, 3)))
-        with pytest.raises(DataError):
-            Movie((a, b), fps=1.0)
-        with pytest.raises(DataError):
-            Movie((a,), fps=0.0)
-        with pytest.raises(DataError):
-            Movie((), fps=1.0)
+        with pytest.raises(DataError, match="frame shape"):
+            Movie(np.zeros((2, 2, 2)), np.ones((2, 3), dtype=bool))
+        for fps in (0.0, "2"):
+            with pytest.raises(DataError, match="fps"):
+                Movie(np.zeros((1, 2, 2)), fps=fps)
+        with pytest.raises(DataError, match="nonempty"):
+            Movie(np.zeros((0, 2, 2)))
 
-    def test_rejects_mixed_mask_presence_and_mixed_sign(self):
-        plain, signed = Frame(np.ones((2, 2))), Frame(-np.ones((2, 2)), signed=True)
-        masked = Frame(np.ones((2, 2)), support_mask=np.ones((2, 2), dtype=bool))
-        with pytest.raises(DataError, match="support mask"):
-            Movie((plain, masked), fps=1.0)
+    def test_rejects_mixed_sign(self):
         # a movie is never signed: negative values fail as load_movie fails them
-        for frames in ((plain, signed), (signed,)):
+        for stack in (-np.ones((1, 2, 2)), np.stack([np.ones((2, 2)), -np.ones((2, 2))])):
             with pytest.raises(DataError, match="nonnegative"):
-                Movie(frames, fps=1.0)
-
-    def test_rejects_a_frame_whose_mask_differs(self):
-        rng = np.random.default_rng(4)
-        mask = rng.random((3, 4)) > 0.5
-        other = mask.copy()
-        other[1, 2] = not other[1, 2]
-        frames = [Frame(q6(rng.uniform(0.0, 9.0, (3, 4))), support_mask=m)
-                  for m in (mask, mask, other, mask)]
-        with pytest.raises(DataError, match="frame 2 and frame 0 differ in their support mask"):
-            Movie(tuple(frames), fps=1.0)
-        assert np.array_equal(Movie(tuple(frames[:2]), fps=1.0).mask, mask)
+                Movie(stack, fps=1.0)
 
     def test_slice_shares_the_read_only_arrays(self):
         rng = np.random.default_rng(1)
         mask = rng.random((3, 4)) > 0.5
-        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (3, 4))), support_mask=mask) for _ in range(5)),
-                  fps=4.0)
+        m = Movie(q6(rng.uniform(0.0, 9.0, (15, 4))).reshape(5, 3, 4), mask, 4.0)
         part = m[1:4]
         assert isinstance(part, Movie) and len(part) == 3 and part.fps == 4.0
         assert np.shares_memory(m.values, part.values) and np.array_equal(part.values, m.values[1:4])
         assert part.mask is m.mask and np.array_equal(m.mask, mask)
         for a in (m.values, part.values, m.mask):
             assert not a.flags.writeable
+        with pytest.raises(DataError):
+            m[5:]
 
     def test_item_is_a_frame_of_the_arrays(self):
         rng = np.random.default_rng(2)
         mask = rng.random((4, 5)) > 0.5
-        m = Movie(tuple(Frame(q6(rng.uniform(0.0, 9.0, (4, 5))), support_mask=mask)
-                        for _ in range(3)), fps=2.0)
+        m = Movie(q6(rng.uniform(0.0, 9.0, (12, 5))).reshape(3, 4, 5), mask, 2.0)
         assert m.mask.shape == (4, 5) and not m.mask.flags.writeable
         for k in (0, 2, -1):
             f = m[k]
@@ -162,22 +172,29 @@ class TestMovieIO:
         assert m2.fps == 12.5
 
     def test_round_trip_single_frame_and_integers(self, tmp_path):
-        m = Movie((Frame(np.array([[0.0, 1.0], [250.0, 3.0]])),), fps=1.0)
+        m = Movie(np.array([[[0.0, 1.0], [250.0, 3.0]]]), fps=1.0)
         p = tmp_path / "one.lasr"
         save_movie(m, p)
         assert movies_equal(m, load_movie(p))
 
     def test_header_layout(self, tmp_path):
-        m = Movie((Frame(np.array([[1.5]])),), fps=2.0)
+        m = Movie(np.array([[[1.5]]]), fps=2.0)
         p = tmp_path / "h.lasr"
         save_movie(m, p)
         first = p.read_text().splitlines()[0]
         assert first == "LASR1 1 1 1 2"
 
-    @pytest.mark.parametrize("fps", [30000 / 1001, 1 / 3, 1e-5, 1e6, 2.0 ** -20])
+    @pytest.mark.parametrize("fps", [30000 / 1001, 1 / 3, 1e-5, 1e6, 2.0 ** -20, 2, 1e-320, 1e308,
+                                     0, -1, float("nan"), float("inf")])
     def test_fps_round_trips_exactly(self, tmp_path, fps):
+        """A movie takes only an fps its file can hold."""
+        try:
+            movie = Movie(np.array([[[1.5]]]), fps=fps)
+        except DataError:
+            assert not (np.isfinite(fps) and fps > 0)
+            return
         p = tmp_path / "f.lasr"
-        save_movie(Movie((Frame(np.array([[1.5]])),), fps=fps), p)
+        save_movie(movie, p)
         header = p.read_text().splitlines()[0]
         assert "e" not in header.lower()
         assert load_movie(p).fps == fps
@@ -197,7 +214,7 @@ class TestMovieIO:
         p = tmp_path / "m.lasr"
         save_movie(rand_movie(rng, rows=3, cols=4, n=3), p)
         m = load_movie(p)
-        for f in m.frames:
+        for f in m:
             assert not f.values.flags.writeable and f.support_mask is None
             with pytest.raises(ValueError):
                 f.values[0, 0] = 1.0
@@ -296,7 +313,7 @@ class TestWritersMatchReference:
         for s0 in starts(shape, FORMAT_PROBES):
             stack = np.stack([probe_grid(rng, *shape, start=s0 + k * shape[0] * shape[1])
                               for k in range(n)])
-            save_movie(Movie(tuple(Frame(g) for g in stack), fps=12.5), tmp_path / "new.lasr")
+            save_movie(Movie(stack, fps=12.5), tmp_path / "new.lasr")
             _oracles.save_movie_reference(stack, 12.5, tmp_path / "ref.lasr")
             assert (tmp_path / "new.lasr").read_bytes() == (tmp_path / "ref.lasr").read_bytes()
 
@@ -334,7 +351,7 @@ def same_as_reference(tmp_path, kind, v):
     the template path) and compare each write with the reference writer."""
     new, ref = tmp_path / f"new.{kind}", tmp_path / f"ref.{kind}"
     if kind == "lasr":
-        writer = lambda g, p: save_movie(Movie(tuple(Frame(x) for x in g), fps=2.0), p)
+        writer = lambda g, p: save_movie(Movie(g, fps=2.0), p)
         reference = lambda g, p: _oracles.save_movie_reference(g, 2.0, p)
     elif kind == "csv":
         writer, reference = save_map_csv, _oracles.save_map_csv_reference
@@ -691,7 +708,7 @@ class TestSession:
             assert movies_equal(a, b)
 
     def test_bad_tag_rejected(self):
-        m = Movie((Frame(np.zeros((2, 2))),), fps=1.0)
+        m = Movie(np.zeros((1, 2, 2)), fps=1.0)
         with pytest.raises(DataError):
             SessionLayout(segments=(("Warmup", m),), session_id="x")
 

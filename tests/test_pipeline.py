@@ -39,7 +39,6 @@ from lasr import (
     select_model,
     t_map,
 )
-from lasr import frames as fr
 from lasr import apply_rigid, pipeline, srlp_register
 
 import _oracles as orc
@@ -125,7 +124,7 @@ class TestRunStatic:
         for which, session, index in (("before", before, cfg.before_segment),
                                       ("after", after, cfg.after_segment)):
             movie = session.segments[index][1]
-            ref = movie.frames[min(cfg.m0, len(movie) - 1)]
+            ref = movie[min(cfg.m0, len(movie) - 1)]
             model = select_model(positive_samples(ref), cfg.candidates,
                                  init=InitSpec(seed=cfg.seed))
             assert report[f"{which}.mixture_m"] == model.m
@@ -232,8 +231,8 @@ class TestRunDynamic:
         assert len(movie) == n and movie.fps == 2.0
         grids = [np.loadtxt(per_pair / name, delimiter=",", ndmin=2) for name in pmaps]
         assert sum((g > 0).sum() for g in grids) > 0
-        for frame, grid in zip(movie.frames, grids):
-            assert np.array_equal(frame.values, np.vectorize(lambda v: float("%.6g" % v))(grid))
+        for values, grid in zip(movie.values, grids):
+            assert np.array_equal(values, np.vectorize(lambda v: float("%.6g" % v))(grid))
 
     def test_dynamic_requires_stim_tags(self, tmp_path):
         before, after = session_pair()
@@ -282,8 +281,9 @@ class TestRunDynamic:
 class TestRunFailures:
     def test_config_errors_name_the_stage(self, tmp_path):
         before, after = session_pair()
-        bad = [dict(q=0.0), dict(bandwidth=0.0), dict(kernel="box"), dict(rim=-1),
-               dict(m0=-1), dict(max_lag=-1), dict(mode="both"),
+        bad = [dict(q=0.0), dict(bandwidth=0.0), dict(bandwidth=float("inf")),
+               dict(bandwidth=float("nan")), dict(kernel="box"), dict(rim=-1),
+               dict(m0=-1), dict(max_lag=-1), dict(mode="both"), dict(seed=-1),
                dict(candidates=(1,))]
         for kw in bad:
             cfg = quick_config(before, after, tmp_path / "cfg", **kw)
@@ -439,8 +439,7 @@ class TestCompareMovies:
         masks = [wide, narrow]  # each movie is one segment on one mask
 
         def movie(shift, m):
-            return Movie(tuple(Frame(np.where(m, 20.0 + shift * m + rng.normal(0, 1, m.shape), 0.0),
-                                     support_mask=m) for _ in range(5)), fps=2.0)
+            return Movie(np.where(m, 20.0 + shift * m + rng.normal(0, 1, (5,) + m.shape), 0.0), m, 2.0)
 
         before = movie(0.0, wide)
         effect = np.zeros_like(wide)
@@ -459,7 +458,7 @@ class TestCompareMovies:
         pipeline._compare_movies(before, after, cfg, out, report)
         assert len(builds) == 1  # the pairs share one mask, so one fit serves them all
         assert report["n_pairs"] == len(before)
-        for k, (b, a) in enumerate(zip(before.frames, after.frames)):
+        for k, (b, a) in enumerate(zip(before, after)):
             diff = difference_map(a, b)
             fit = local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
             tm = t_map(fit)
@@ -488,15 +487,15 @@ class TestCompareMovies:
         wide = left | right
 
         def frame(m):
-            return Frame(np.where(m, 20.0 + rng.normal(0, 1, m.shape), 0.0), support_mask=m)
+            return np.where(m, 20.0 + rng.normal(0, 1, m.shape), 0.0)
 
         shared = [frame(wide), frame(wide)]
         before = [frame(wide), frame(wide), shared[0], frame(wide), shared[1], frame(wide)]
         after = [frame(wide), frame(wide), shared[0], frame(wide), shared[1], frame(wide)]
-        before, after = Movie(tuple(before), fps=2.0), Movie(tuple(after), fps=2.0)
+        before, after = Movie(np.stack(before), wide, 2.0), Movie(np.stack(after), wide, 2.0)
         cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o", bandwidth=2.5))
         with pytest.raises(NumericError) as ref:
-            for b, a in zip(before.frames, after.frames):
+            for b, a in zip(before, after):
                 t_map(local_quadratic_smooth(difference_map(a, b), h=cfg.bandwidth, kernel=cfg.kernel,
                                              rim=cfg.rim))
         with pytest.raises(NumericError) as got:
@@ -505,8 +504,8 @@ class TestCompareMovies:
         assert "sigma_hat" in str(got.value)
         # supports that do not overlap fail before any fit
         with pytest.raises(DataError, match="registered supports do not overlap"):
-            pipeline._compare_movies(Movie((frame(left),) * 2, fps=2.0), Movie((frame(right),) * 2, fps=2.0),
-                                     cfg, self.Capture(), {})
+            pipeline._compare_movies(Movie(np.stack([frame(left)] * 2), left, 2.0),
+                                     Movie(np.stack([frame(right)] * 2), right, 2.0), cfg, self.Capture(), {})
 
         save_movie(before, tmp_path / "b.lasr")
         save_movie(after, tmp_path / "a.lasr")
@@ -529,25 +528,25 @@ class TestViewFrames:
         registered, _ = pipeline._register_movie(cut)
         masked = pipeline._load_masked(str(path))
         for movie in (loaded, cut, registered, masked):
-            for f in movie.frames:
+            for f in movie:
                 arrays = [f.values] + ([f.support_mask] if f.support_mask is not None else [])
                 for a in arrays:
                     assert not a.flags.writeable
                     with pytest.raises(ValueError):
                         a[0, 0] = a[0, 0]
             assert not movie.values.flags.writeable
-        for f in masked.frames:
+        for f in masked:
             assert np.array_equal(f.support_mask, (masked.values > 0).any(axis=0))
 
     def test_view_frames_are_checked_once(self):
         stack = np.ones((3, 2, 2))
         stack[2, 1, 1] = -1.0
         with pytest.raises(DataError, match="nonnegative"):
-            fr._movie(stack)
+            Movie(stack)
         with pytest.raises(DataError, match="finite"):
-            fr._movie(np.full((1, 2, 2), np.nan))
+            Movie(np.full((1, 2, 2), np.nan))
         with pytest.raises(DataError, match="support mask"):
-            fr._movie(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool))
+            Movie(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool))
 
 
 class TestRegisterMovie:
@@ -569,12 +568,17 @@ class TestRegisterMovie:
         centre = r0 + tilt * (cc - c0)
         return (rr >= centre) & (rr < centre + (r1 - r0)) & (cc >= c0) & (cc < c1)
 
+    @staticmethod
+    def movie(frames):
+        """The frames of one mask as one movie."""
+        return Movie(np.stack([f.values for f in frames]), frames[0].support_mask, 2.0)
+
     def assert_matches_reference(self, frames):
-        movie = Movie(tuple(frames), fps=2.0)
+        movie = self.movie(frames)
         got, got_t = pipeline._register_movie(movie)
-        ref, ref_t = orc.register_reference(movie.frames, srlp_register, apply_rigid)
+        ref, ref_t = orc.register_reference(list(movie), srlp_register, apply_rigid)
         assert len(got) == len(ref)
-        for g, r in zip(got.frames, ref):
+        for g, r in zip(got, ref):
             assert np.array_equal(g.values, r.values)
             assert np.array_equal(g.support_mask, r.support_mask)
         assert got_t == ref_t
@@ -586,8 +590,7 @@ class TestRegisterMovie:
         frame keeps the movie's mask."""
         rng = np.random.default_rng(7)
         mask = self.band((20, 24), 7, 13, 3, 21, tilt=0.1)
-        registered, _ = pipeline._register_movie(Movie(tuple(self.tilted(rng, mask) for _ in range(5)),
-                                                       fps=2.0))
+        registered, _ = pipeline._register_movie(self.movie([self.tilted(rng, mask) for _ in range(5)]))
         assert registered.values.flags.c_contiguous
         assert pipeline._mean_movie(registered).mask is registered.mask
 
@@ -624,7 +627,7 @@ class TestRegisterMovie:
 
         count("_quarter_turn")
         count("srlp_register")
-        registered, _ = pipeline._register_movie(Movie(tuple(frames), fps=2.0))
+        registered, _ = pipeline._register_movie(self.movie(frames))
         # the segment's one mask takes one turn, inside its one SRLP call
         assert calls == ["srlp_register", "_quarter_turn"]
         assert registered.mask.shape == mask.shape
@@ -647,7 +650,7 @@ class TestRegisterMovie:
         with pytest.raises(DataError) as ref:
             orc.register_reference(frames, srlp_register, apply_rigid)
         with pytest.raises(DataError) as got:
-            pipeline._register_movie(Movie(tuple(frames), fps=2.0))
+            pipeline._register_movie(self.movie(frames))
         assert type(got.value) is type(ref.value)
         assert str(got.value) == str(ref.value)
 
@@ -755,7 +758,7 @@ class TestCli:
         assert float(rep["threshold"]) > 0
         assert int(rep["mixture_m"]) >= 2
         movie = load_movie(ph / "s1" / "seg0.lasr")
-        model = select_model(positive_samples(movie.frames[min(10, len(movie) - 1)]), (2, 3),
+        model = select_model(positive_samples(movie[min(10, len(movie) - 1)]), (2, 3),
                              init=InitSpec(seed=0))
         assert int(rep["mixture_m"]) == model.m
         assert rep["loglik"] == pipeline._fmt(model.loglik)
@@ -806,11 +809,11 @@ class TestCli:
         blob[3:13, 3:15] = 1.0
 
         def frame():
-            return Frame(blob * (20.0 + rng.normal(0, 1, blob.shape)))
+            return blob * (20.0 + rng.normal(0, 1, blob.shape))
 
         same = frame()
-        save_movie(Movie((frame(), same), fps=2.0), tmp_path / "b.lasr")
-        save_movie(Movie((frame(), same), fps=2.0), tmp_path / "a.lasr")
+        save_movie(Movie(np.stack([frame(), same])), tmp_path / "b.lasr")
+        save_movie(Movie(np.stack([frame(), same])), tmp_path / "a.lasr")
         ssm_args = ["ssm", "--before", str(tmp_path / "b.lasr"), "--after", str(tmp_path / "a.lasr")]
         maps = tmp_path / "maps"
         # pair 0 is written before pair 1, identical frames, hits sigma_hat = 0
@@ -1031,7 +1034,7 @@ class TestCliOptions:
         assert not out.exists()
 
     def test_register_empty_support_fails_at_register(self, tmp_path, capsys):
-        save_movie(Movie((Frame(np.zeros((8, 9))),) * 2, fps=2.0), tmp_path / "empty.lasr")
+        save_movie(Movie(np.zeros((2, 8, 9))), tmp_path / "empty.lasr")
         out = tmp_path / "o"
         assert cli_main(["register", "--in", str(tmp_path / "empty.lasr"), "--out", str(out)]) == 3
         assert "stage 'register'" in capsys.readouterr().err
@@ -1044,7 +1047,7 @@ class TestCliOptions:
         stack = np.maximum(rng.normal(0.0, 0.2, (12, 16, 18)), 0.0)
         stack[10] = np.maximum(rng.normal(0.0, 1.0, (16, 18)), 0.0)
         stack[10, 4:12, 4:14] = 20.0 + rng.normal(0.0, 1.0, (8, 10))
-        movie = Movie(tuple(Frame(v) for v in stack), fps=2.0)
+        movie = Movie(stack)
         save_movie(movie, tmp_path / "m.lasr")
         save_session(SessionLayout((("NoStim", movie),)), tmp_path / "s")
         saved = load_movie(tmp_path / "m.lasr")[10]
@@ -1066,7 +1069,7 @@ class TestCliOptions:
         stack = 5.0 + rng.normal(0.0, 0.5, (12, 16, 18))
         stack[:, 2, 2] = 30.0 + rng.normal(0.0, 1.0, 12)
         stack[10, 4:12, 4:14] = 30.0 + rng.normal(0.0, 1.0, (8, 10))
-        movie = Movie(tuple(Frame(v) for v in stack), fps=2.0)
+        movie = Movie(stack)
         save_movie(movie, tmp_path / "m.lasr")
         save_session(SessionLayout((("NoStim", movie),)), tmp_path / "s")
         saved = load_movie(tmp_path / "m.lasr")
@@ -1087,7 +1090,7 @@ class TestCliOptions:
         # register turns the long axis horizontal, so a tall one-column region registers
         stack = np.zeros((3, 8, 9))
         stack[:, 2:6, 4] = 5.0
-        cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
+        cut = pipeline._cut_movie(Movie(stack), 1.0)
         assert cut[0].support_mask.sum() == 4
         srlp_register(cut[0])
 
@@ -1098,7 +1101,7 @@ class TestCliOptions:
         stack = np.zeros((3, 8, 9))
         stack[:, 2:5, 1:8] = 5.0
         stack[1, 3, 4] = 0.0
-        cut = pipeline._cut_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), 1.0)
+        cut = pipeline._cut_movie(Movie(stack), 1.0)
         assert np.array_equal(cut.mask, stack[0] > 0) and cut[1].support_mask[3, 4]
         registered, t = pipeline._register_movie(cut)
         assert np.array_equal(registered[1].support_mask, apply_rigid(cut[1], t).support_mask)
@@ -1111,7 +1114,7 @@ class TestCliOptions:
         for name, cols in (("b", slice(1, 8)), ("a", slice(10, 17))):
             stack = np.zeros((2, 12, 18))
             stack[:, 2:10, cols] = 20.0 + rng.normal(0.0, 1.0, (2, 8, 7))
-            save_movie(Movie(tuple(Frame(v) for v in stack), fps=2.0), tmp_path / f"{name}.lasr")
+            save_movie(Movie(stack), tmp_path / f"{name}.lasr")
         maps = tmp_path / "maps"
         assert cli_main(["ssm", "--before", str(tmp_path / "b.lasr"), "--after", str(tmp_path / "a.lasr"),
                          "--out", str(maps)]) == 3
@@ -1130,12 +1133,28 @@ class TestCliOptions:
         ("--rows", "0", "--rows must be >= 1, got 0"), ("--cols", "-2", "--cols must be >= 1"),
         ("--frames", "0", "--frames must be >= 1"), ("--fps", "0", "--fps must be > 0"),
         ("--fps", "nan", "--fps must be > 0"), ("--noise-bg", "-1", "--noise-bg must be >= 0"),
-        ("--noise-signal", "-0.5", "--noise-signal must be >= 0")])
+        ("--noise-signal", "-0.5", "--noise-signal must be >= 0"), ("--fps", "inf", "--fps must be > 0"),
+        ("--noise-bg", "inf", "--noise-bg must be >= 0 and finite"),
+        ("--effect-delta", "nan", "--effect-delta must be finite"),
+        ("--effect-delta", "inf", "--effect-delta must be finite"),
+        ("--stim-left", "inf", "--stim-left must be finite"), ("--stim-right", "nan", "--stim-right must be finite"),
+        ("--stim-period", "1", "--stim-period must be >= 2"), ("--seed", "-1", "--seed must be >= 0")])
     def test_phantom_bad_number_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value, needle):
         out = tmp_path / "ph"
         assert cli_main(["phantom", "--out", str(out), flag, value]) == 2
         assert needle in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_bandwidth_exits_without_a_traceback(self, tmp_path):
+        # no stencil offset reaches past the grid, so a bandwidth far wider
+        # than the phantom costs no more than one as wide as the grid
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert cli_main(["phantom", "--out", str(tmp_path / "ph")] + PHANTOM_ARGS) == 0
+        proc = subprocess.run([sys.executable, "-m", "lasr", "run", "--before", "ph/s1", "--after", "ph/s2",
+                               "--out", "o", "--bandwidth", "1e6"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
 
     @pytest.mark.parametrize("cmd", ["segment", "register"])
     def test_failed_report_removes_the_stage_outputs(self, tmp_path, monkeypatch, capsys, cmd):
@@ -1166,7 +1185,7 @@ class TestCliOptions:
 
         def mean(path):
             v = load_movie(path).values.mean(axis=0)
-            return Movie((Frame(v, support_mask=v > 0),), fps=2.0)
+            return Movie(v[None], v > 0)
 
         ref = pipeline._Outputs(str(tmp_path / "ref"))
         ref.makedirs()

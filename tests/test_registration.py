@@ -437,17 +437,14 @@ class TestFrameCorrelation:
 def noise_movie(rng, n, rows=6, cols=6, fps=2.0, density=0.8):
     """``n`` noise frames on one random support mask, drawn for this movie."""
     mask = rng.random((rows, cols)) < density
-    return Movie(tuple(Frame(np.where(mask, rng.uniform(0.5, 9.0, (rows, cols)), 0.0), support_mask=mask)
-                       for _ in range(n)), fps=fps)
+    return Movie(np.where(mask, rng.uniform(0.5, 9.0, (n, rows, cols)), 0.0), mask, fps)
 
 
 def shifted_pair(seed, n, lag, m0_pad=0):
     """Two windows of one master movie: b lags a by ``lag`` frames."""
     rng = np.random.default_rng(seed)
     master = noise_movie(rng, n + lag + m0_pad)
-    a = Movie(master.frames[lag:], fps=master.fps)
-    b = Movie(master.frames[: len(master) - lag], fps=master.fps)
-    return a, b
+    return master[lag:], master[: len(master) - lag]
 
 
 class TestIcrLag:
@@ -501,11 +498,9 @@ class TestIcrLag:
         rng = np.random.default_rng(18)
         mask = rng.random((5, 5)) < 0.8
         # integer values make every self-correlation exactly 1, so the ties are exact
-        p0, p1 = (Frame(np.where(mask, rng.integers(1, 10, mask.shape), 0.0), support_mask=mask)
-                  for _ in range(2))
-        frames = tuple(p0 if i % 2 == 0 else p1 for i in range(20))
-        a = Movie(frames, fps=1.0)
-        b = Movie(frames[1:] + (p0 if len(frames) % 2 == 0 else p1,), fps=1.0)
+        p0, p1 = (np.where(mask, rng.integers(1, 10, mask.shape), 0.0) for _ in range(2))
+        a, b = (Movie(np.stack([p0 if i % 2 == 0 else p1 for i in range(start, start + 20)]), mask, 1.0)
+                for start in (0, 1))
         lag = icr_lag(a, b, m0=2, max_lag=3)
         assert lag.j0 == 1  # +1 and -1 tie at correlation 1; positive wins
         periodic = icr_lag(a, a, m0=2, max_lag=4)
@@ -513,17 +508,17 @@ class TestIcrLag:
 
     def test_undefined_lags_are_skipped(self):
         rng = np.random.default_rng(19)
-        frames = list(noise_movie(rng, 10, 5, 5).frames)
+        m = noise_movie(rng, 10, 5, 5)
+        values = m.values.copy()
         # all zero, so constant on any domain: one undefined pairing at each lag touching index 4
-        frames[4] = Frame(np.zeros((5, 5)), support_mask=frames[0].support_mask)
-        a = Movie(tuple(frames), fps=1.0)
+        values[4] = 0.0
+        a = Movie(values, m.mask, 1.0)
         b = noise_movie(np.random.default_rng(20), 10, 5, 5)
         lag = icr_lag(a, b, m0=0, max_lag=2)
         assert np.isfinite(lag.cor_avg).all()
 
     def test_all_flat_movies_raise(self):
-        flat = Frame(np.full((4, 4), 2.0), support_mask=np.ones((4, 4), dtype=bool))
-        m = Movie((flat,) * 8, fps=1.0)
+        m = Movie(np.full((8, 4, 4), 2.0), np.ones((4, 4), dtype=bool), 1.0)
         with pytest.raises(NumericError):
             icr_lag(m, m, m0=2, max_lag=2)
 
@@ -544,11 +539,9 @@ class TestAlignMovies:
         a, b = shifted_pair(30, 400, 7)
         lag = icr_lag(a, b, m0=10, max_lag=10)
         assert lag.j0 == 7 and lag.n_used == (390, 390)
-        ta = Movie(a.frames[10:], fps=a.fps)
-        tb = Movie(b.frames[10:], fps=b.fps)
-        oa, ob = align_movies(ta, tb, lag)
+        oa, ob = align_movies(a[10:], b[10:], lag)
         assert len(oa) == len(ob) == 383
-        for fa, fb in zip(oa.frames, ob.frames):
+        for fa, fb in zip(oa, ob):
             assert np.array_equal(fa.values, fb.values)
 
     def test_documented_pair_count_for_lag_seven(self):
@@ -564,7 +557,7 @@ class TestAlignMovies:
         assert lag.j0 == -5
         oa, ob = align_movies(b, a, lag)
         assert len(oa) == len(ob) == 55
-        for fa, fb in zip(oa.frames, ob.frames):
+        for fa, fb in zip(oa, ob):
             assert np.array_equal(fa.values, fb.values)
 
     def test_unequal_lengths(self):
@@ -578,7 +571,7 @@ class TestAlignMovies:
     def test_no_overlap_rejected(self):
         a, b = shifted_pair(34, 10, 0)
         lag = icr_lag(a, b, m0=2, max_lag=2)
-        short = Movie(b.frames[:1], fps=b.fps)
+        short = b[:1]
         from dataclasses import replace
 
         big = replace(lag, j0=5)

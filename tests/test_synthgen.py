@@ -110,7 +110,7 @@ class TestGenSession:
     def test_layout_structure(self):
         layout, truth = gen_session(SMALL, session_id="s9", subject_id="p1")
         assert [tag for tag, _ in layout.segments] == ["NoStim", "Stim", "NoStim"]
-        assert all(len(m.frames) == 6 for _, m in layout.segments)
+        assert all(len(m) == 6 for _, m in layout.segments)
         assert all(m.fps == 2.0 for _, m in layout.segments)
         assert layout.session_id == "s9" and layout.subject_id == "p1"
         assert truth.support.sum() > 0
@@ -119,13 +119,13 @@ class TestGenSession:
         a, _ = gen_session(SMALL)
         b, _ = gen_session(SMALL)
         for (_, ma), (_, mb) in zip(a.segments, b.segments):
-            for fa, fb in zip(ma.frames, mb.frames):
+            for fa, fb in zip(ma, mb):
                 assert np.array_equal(fa.values, fb.values)
 
     def test_segments_use_independent_noise(self):
         layout, _ = gen_session(SMALL)
-        first = layout.segments[0][1].frames[0].values
-        last = layout.segments[2][1].frames[0].values
+        first = layout.segments[0][1].values[0]
+        last = layout.segments[2][1].values[0]
         assert not np.array_equal(first, last)
 
     def test_stim_square_wave_timing(self):
@@ -135,7 +135,7 @@ class TestGenSession:
         base, left, right = blob_field(spec)
         layout, truth = gen_session(spec)
         stim_movie = layout.segments[1][1]
-        for t, frame in enumerate(stim_movie.frames):
+        for t, frame in enumerate(stim_movie):
             if ((t + 2) % 6) < 3:
                 want = base + 0.7 * left
             else:
@@ -143,7 +143,7 @@ class TestGenSession:
             assert np.array_equal(frame.values, want), f"frame {t}"
         assert truth.lag == 2
         # no-stim segments carry the bare field
-        assert np.array_equal(layout.segments[0][1].frames[0].values, base)
+        assert np.array_equal(layout.segments[0][1].values[0], base)
 
     def test_effect_added_everywhere(self):
         mask = np.zeros((24, 26), dtype=bool)
@@ -153,7 +153,7 @@ class TestGenSession:
         spec = replace(spec, effect=EffectSpec(mask, 4.5))
         layout, truth = gen_session(spec)
         base = blob_field(SMALL)[0]
-        got = layout.segments[0][1].frames[0].values
+        got = layout.segments[0][1].values[0]
         assert np.array_equal(got, base + np.where(mask, 4.5, 0.0))
         assert truth.effect_delta == 4.5
         assert np.array_equal(truth.effect_mask, mask)
@@ -254,19 +254,19 @@ class TestGenPosePair:
 class TestGenLaggedPair:
     def test_b_is_a_delayed_exactly(self):
         a, b, truth = gen_lagged_pair(SMALL, lag=4)
-        assert len(a.frames) == len(b.frames) == 6
-        for i in range(len(a.frames) - 4):
-            assert np.array_equal(a.frames[i].values, b.frames[i + 4].values)
+        assert len(a) == len(b) == 6
+        for i in range(len(a) - 4):
+            assert np.array_equal(a.values[i], b.values[i + 4])
         assert truth.lag == 4
 
     def test_zero_lag_is_identical(self):
         a, b, _ = gen_lagged_pair(SMALL, lag=0)
-        for fa, fb in zip(a.frames, b.frames):
+        for fa, fb in zip(a, b):
             assert np.array_equal(fa.values, fb.values)
 
     def test_correlation_is_one_at_planted_lag(self):
         a, b, _ = gen_lagged_pair(SMALL, lag=3)
-        assert frame_correlation(a.frames[0], b.frames[3]) == pytest.approx(1.0, abs=1e-12)
+        assert frame_correlation(a[0], b[3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_icr_recovers_planted_lag(self):
         from dataclasses import replace
