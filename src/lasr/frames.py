@@ -393,20 +393,19 @@ def save_map_image(frame_or_values, path) -> None:
 def save_map_csv(values, path) -> None:
     """Write a 2-D map as CSV, one line per row (NaN spelled ``nan``).
 
-    Given a list of 2-D maps of one shape (rows, cols), writes them map
-    after map through one handle: map k is rows ``k*rows`` to
-    ``k*rows + rows - 1``, so the file is the maps' one-map files
-    concatenated.
+    A 3-D stack of maps (or a list of 2-D maps of one shape) is written map
+    after map, map k as rows ``k*rows`` to ``k*rows + rows - 1``: the file
+    is the maps' one-map files concatenated.
     """
-    stacked = isinstance(values, list) and len(values) > 0 and np.ndim(values[0]) == 2
-    maps = [np.asarray(v, dtype=np.float64) for v in (values if stacked else [values])]
-    if any(v.ndim != 2 for v in maps):
-        raise DataError("map must be 2-D")
-    if any(v.shape != maps[0].shape for v in maps):
-        raise DataError("stacked maps must share one shape")
-    fmt = _GridFormat("%.10g", ",", maps[0].shape)
+    try:
+        maps = np.asarray(values, dtype=np.float64)
+    except ValueError:  # a list of maps of differing shapes
+        maps = None
+    if maps is None or maps.ndim not in (2, 3):
+        raise DataError("each map must be 2-D and stacked maps must share one shape")
+    fmt = _GridFormat("%.10g", ",", maps.shape[-2:])
     with open(path, "w", encoding="ascii") as fh:
-        for v in maps:
+        for v in maps.reshape((-1,) + maps.shape[-2:]):
             fh.write(fmt(v))
 
 

@@ -114,14 +114,18 @@ def _compare_keys(cfg: RunConfig) -> dict:
             "fdr_mode": cfg.fdr_mode, "two_sided": cfg.two_sided}
 
 
+def _threshold_keys(prefix: str, result: seg.SegmentationResult) -> dict:
+    """A segment's mixture fit and threshold as report keys, each led by ``prefix``."""
+    m = result.model
+    return {f"{prefix}mixture_m": m.m, f"{prefix}mixture_loglik": m.loglik,
+            f"{prefix}mixture_converged": m.converged, f"{prefix}mixture_n_iter": m.n_iter,
+            f"{prefix}threshold": result.t, f"{prefix}threshold_method": result.method}
+
+
 def _transform_keys(prefix: str, t: reg.RigidTransform, n: int) -> dict:
     """``{prefix}.{i}.theta / .u / .v`` for each of ``n`` frames, all of
     which take the segment's one SRLP transform ``t``."""
-    keys = {}
-    for i in range(n):
-        keys.update({f"{prefix}.{i}.theta": t.theta, f"{prefix}.{i}.u": t.u,
-                     f"{prefix}.{i}.v": t.v})
-    return keys
+    return {f"{prefix}.{i}.{k}": v for i in range(n) for k, v in (("theta", t.theta), ("u", t.u), ("v", t.v))}
 
 
 def _select_segment(segments: Sequence, index: int, which: str):
@@ -269,18 +273,18 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
     diff = fr.Frame(diffs[0], support_mask=mask, signed=True)
     fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
-    sigma, tmaps, pgrids = ssm._stacked_tests(fit, np.ascontiguousarray(diffs[:, fit.mask]), cfg.two_sided)
-    for k, (s, tmap, pvals) in enumerate(zip(sigma, tmaps, pgrids)):
-        rejected, critical = ssm.bh_adjust(pvals[tmap.mask], fdr)
-        rej_grid = np.zeros(tmap.mask.shape, dtype=bool)
-        rej_grid[tmap.mask] = rejected
+    sigma, df, tgrids, pgrids = ssm._stacked_tests(fit, np.ascontiguousarray(diffs[:, fit.mask]), cfg.two_sided)
+    for k, (s, pvals) in enumerate(zip(sigma, pgrids)):
+        rejected, critical = ssm.bh_adjust(pvals[fit.mask], fdr)
+        rej_grid = np.zeros(fit.mask.shape, dtype=bool)
+        rej_grid[fit.mask] = rejected
         pmap = ssm.fdr_map(pvals, rej_grid, critical)
         report.update({
             f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
             f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
-            f"pair.{k}.df": tmap.df, f"pair.{k}.sigma_hat": float(s),
+            f"pair.{k}.df": df, f"pair.{k}.sigma_hat": float(s),
             f"pair.{k}.critical_p": pmap.critical_p, f"pair.{k}.n_rejected": pmap.n_rejected,
-            f"pair.{k}.n_pixels": int(tmap.mask.sum()),
+            f"pair.{k}.n_pixels": len(fit.pixels),
         })
         base = f"pair{k:04d}"
         out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
@@ -288,11 +292,11 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
             pvals[...] = pmap.values    # spent p-values make way for the P-map
         else:
             out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k])
-            out.emit(f"{base}_tmap.csv", fr.save_map_csv, tmap.values)
+            out.emit(f"{base}_tmap.csv", fr.save_map_csv, tgrids[k])
             out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
     if movies:
-        out.emit("diff.csv", fr.save_map_csv, list(diffs))
-        out.emit("tmap.csv", fr.save_map_csv, [tmap.values for tmap in tmaps])
+        out.emit("diff.csv", fr.save_map_csv, diffs)
+        out.emit("tmap.csv", fr.save_map_csv, tgrids)
         out.emit("pmap.lasr", fr.save_movie, fr.Movie(pgrids, fps=before.fps))
 
 
@@ -332,17 +336,10 @@ def run_lasr(config: RunConfig) -> dict:
         for which, tag, movie in (("before", tag_b, movie_b), ("after", tag_a, movie_a)):
             if isinstance(getattr(cfg, which), str):
                 report[f"{which}.path"] = getattr(cfg, which)
-            report[f"{which}.segment_index"] = getattr(cfg, f"{which}_segment")
-            report[f"{which}.tag"] = tag
-            report[f"{which}.n_frames"] = len(movie)
-            segmented, thr = _segment_movie(movie, cfg)
-            seg_movies[which] = segmented
-            report[f"{which}.mixture_m"] = thr.model.m
-            report[f"{which}.mixture_loglik"] = thr.model.loglik
-            report[f"{which}.mixture_converged"] = thr.model.converged
-            report[f"{which}.mixture_n_iter"] = thr.model.n_iter
-            report[f"{which}.threshold"] = thr.t
-            report[f"{which}.threshold_method"] = thr.method
+            report.update({f"{which}.segment_index": getattr(cfg, f"{which}_segment"),
+                           f"{which}.tag": tag, f"{which}.n_frames": len(movie)})
+            seg_movies[which], thr = _segment_movie(movie, cfg)
+            report.update(_threshold_keys(f"{which}.", thr))
 
         out.stage = "register"
         for which in ("before", "after"):
@@ -518,8 +515,15 @@ def _cmd_phantom(ns) -> int:
     # t - lag, i.e. a phase advance of -lag
     spec_a = synthgen.PhantomSpec(stim=synthgen.StimSpec(ns.stim_period, ns.stim_left, ns.stim_right, -ns.lag),
                                   effect=effect, seed=ns.seed + 1, **common)
-    before, _ = synthgen.gen_session(spec_b, session_id="s1")
-    after, truth = synthgen.gen_session(spec_a, session_id="s2")
+    try:
+        with np.errstate(over="raise"):
+            before, _ = synthgen.gen_session(spec_b, session_id="s1")
+            after, _ = synthgen.gen_session(spec_a, session_id="s2")
+    except FloatingPointError:
+        raise ConfigError("phantom values overflow; reduce --noise-bg, --noise-signal, --effect-delta, "
+                          "--stim-left or --stim-right") from None
+    except MemoryError:
+        raise ConfigError("the phantom does not fit in memory; reduce --rows/--cols/--frames") from None
     os.makedirs(ns.out, exist_ok=True)
     fr.save_session(before, os.path.join(ns.out, "s1"))
     fr.save_session(after, os.path.join(ns.out, "s2"))
@@ -547,9 +551,7 @@ def _cmd_segment(ns) -> int:
         segmented, result = _segment_movie(movie, cfg)
         out.makedirs()
         out.emit("segmented.lasr", fr.save_movie, segmented)
-        rep = {"threshold": result.t, "method": result.method, "mixture_m": result.model.m,
-               "loglik": result.model.loglik, "converged": result.model.converged,
-               "n_iter": result.model.n_iter}
+        rep = _threshold_keys("", result)
         for i in range(result.model.m):
             rep[f"component.{i}.weight"] = result.model.weights[i]
             rep[f"component.{i}.mean"] = result.model.means[i]

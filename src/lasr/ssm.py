@@ -16,10 +16,12 @@ the residual variance estimate is sigma^2 = RSS/delta1 and the statistic
 t(x) = a0 / (sigma * ||p(x)||) is referred to a t distribution with
 delta1^2/delta2 degrees of freedom (two-moment approximation).  L, ||p(x)||
 and both traces (exact sparse products) depend only on the analysis mask,
-so maps on one mask share them: ``refit`` redoes only the data part.  P-values
-are screened by Benjamini-Hochberg (or Benjamini-Yekutieli) step-up FDR
-control; the positive-dependence condition backing BH can be probed via
-hat-row inner products, which drive the covariance of the smoothed field.
+so maps on one mask share them: ``refit`` redoes only the data part.  The
+pipeline tests a stack of maps on one mask in one pass through the code
+``refit``, ``t_map`` and ``p_map`` run for one map.  P-values are screened
+by Benjamini-Hochberg (or Benjamini-Yekutieli) step-up FDR control; the
+positive-dependence condition backing BH can be probed via hat-row inner
+products, which drive the covariance of the smoothed field.
 
 Fits near the support's edge also draw on a rim of background pixels, each
 standing for its nearest supported pixel.  The rim is a column map inside L
@@ -291,14 +293,22 @@ def refit(fit: SmoothFit, diff: Frame) -> SmoothFit:
     mask = diff.support_mask if diff.support_mask is not None else np.ones(diff.shape, bool)
     if not np.array_equal(mask, fit.mask):
         raise DataError("difference map mask differs from the fitted mask")
-    pr, pc = fit.pixels[:, 0], fit.pixels[:, 1]
-    y = diff.values[pr, pc]
-    m_hat_vec = fit.hat @ y
-    resid = y - m_hat_vec
-    rss = float(resid @ resid)
-    m_hat = np.full(mask.shape, np.nan)
-    m_hat[pr, pc] = m_hat_vec
-    return replace(fit, m_hat=m_hat, rss=rss, sigma_hat=float(np.sqrt(rss / fit.delta1)))
+    m_hat, rss, sigma = _smooth(fit, diff.values[fit.mask][None])
+    return replace(fit, m_hat=_on_mask(fit.mask, m_hat[0]), rss=float(rss[0]), sigma_hat=float(sigma[0]))
+
+
+def _smooth(fit: SmoothFit, Y: np.ndarray):
+    """m_hat = L y, the RSS and sigma_hat per row y of ``Y`` (values at ``fit.pixels``)."""
+    m_hat = (fit.hat @ Y.T).T
+    rss = np.array([r @ r for r in Y - m_hat])  # contiguous rows, one dot each
+    return m_hat, rss, np.sqrt(rss / fit.delta1)
+
+
+def _on_mask(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Grids holding ``values[..., i]`` at the i-th pixel of ``mask``, NaN off it."""
+    grid = np.full(values.shape[:-1] + mask.shape, np.nan)
+    grid[..., mask] = values
+    return grid
 
 
 def degrees_of_freedom(fit: SmoothFit) -> Tuple[float, float]:
@@ -315,38 +325,28 @@ def degrees_of_freedom(fit: SmoothFit) -> Tuple[float, float]:
 
 def t_map(fit: SmoothFit) -> TMap:
     """Per-pixel t = m_hat / (sigma_hat ||p||), df = delta1^2/delta2."""
+    return TMap(*_t_grids(fit, fit.m_hat[fit.mask], np.asarray(fit.sigma_hat)), fit.mask.copy())
+
+
+def _t_grids(fit: SmoothFit, m_hat: np.ndarray, sigma: np.ndarray) -> Tuple[np.ndarray, float]:
+    """t grids from the rows of ``m_hat`` and their ``sigma``, and the df they share."""
     d1, d2 = degrees_of_freedom(fit)
-    if fit.sigma_hat == 0.0:
+    if (sigma == 0.0).any():
         raise NumericError("sigma_hat is zero (noiseless data); no t-map produced")
-    vals = np.full(fit.mask.shape, np.nan)
-    vals[fit.mask] = fit.m_hat[fit.mask] / (fit.sigma_hat * fit.hat_norm[fit.mask])
-    return TMap(vals, float(d1 * d1 / d2), fit.mask.copy())
+    return _on_mask(fit.mask, m_hat / (sigma[..., None] * fit.hat_norm[fit.mask])), float(d1 * d1 / d2)
 
 
 def _stacked_tests(fit: SmoothFit, Y: np.ndarray,
-                   two_sided: bool = False) -> Tuple[np.ndarray, list, np.ndarray]:
+                   two_sided: bool = False) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """``refit`` -> ``t_map`` -> ``p_map`` for a stack of maps on ``fit.mask``.
 
     Row j of ``Y`` holds map j's values at ``fit.pixels``.  Returns each
-    map's sigma_hat, its TMap and its p-value grid (NaN off the mask), each
-    equal bit for bit to the one-map chain, and raises that chain's error
-    for the first map that fails.  Every map shares the fit's df, so one
-    ``sf`` call serves the whole stack.
-    """
-    d1, d2 = degrees_of_freedom(fit)
-    m_hat = fit.hat @ Y.T                  # column j equals fit.hat @ Y[j]
-    resid = Y - m_hat.T                    # contiguous rows: the dot refit takes
-    sigma = np.sqrt(np.array([r @ r for r in resid]) / fit.delta1)
-    if (sigma == 0.0).any():
-        raise NumericError("sigma_hat is zero (noiseless data); no t-map produced")
-    df = float(d1 * d1 / d2)
-    t = m_hat.T / (sigma[:, None] * fit.hat_norm[fit.mask])
-    p = 2.0 * student_t.sf(np.abs(t), df=df) if two_sided else student_t.sf(t, df=df)
-    tgrid = np.full((Y.shape[0],) + fit.mask.shape, np.nan)
-    tgrid[:, fit.mask] = t
-    pgrid = np.full(tgrid.shape, np.nan)
-    pgrid[:, fit.mask] = p
-    return sigma, [TMap(v, df, fit.mask) for v in tgrid], pgrid
+    map's sigma_hat, their one df, and the t and p grid stacks, bit for bit
+    the one-map chain's, which runs the same code."""
+    m_hat, _, sigma = _smooth(fit, Y)
+    t, df = _t_grids(fit, m_hat, sigma)
+    del m_hat  # frees its room for the p pass, the peak of the stack
+    return sigma, df, t, p_map(TMap(t, df, fit.mask), two_sided)
 
 
 def restrict_tmap(tmap: TMap, mask: np.ndarray) -> TMap:
@@ -361,14 +361,12 @@ def restrict_tmap(tmap: TMap, mask: np.ndarray) -> TMap:
 
 
 def p_map(tmap: TMap, two_sided: bool = False) -> np.ndarray:
-    """Upper-tail (or two-sided) t-distribution p-values, NaN off the mask."""
-    p = np.full(tmap.mask.shape, np.nan)
-    tv = tmap.values[tmap.mask]
-    if two_sided:
-        p[tmap.mask] = 2.0 * student_t.sf(np.abs(tv), df=tmap.df)
-    else:
-        p[tmap.mask] = student_t.sf(tv, df=tmap.df)
-    return p
+    """Upper-tail (or two-sided) t-distribution p-values, NaN off the mask,
+    of one grid or a stack of grids on ``tmap.mask``."""
+    v = tmap.values  # compress keeps a stack's t in C order, which sf takes without a copy
+    t = np.compress(tmap.mask.ravel(), v.reshape(v.shape[:-2] + (-1,)), axis=-1)
+    return _on_mask(tmap.mask, 2.0 * student_t.sf(np.abs(t), df=tmap.df) if two_sided
+                    else student_t.sf(t, df=tmap.df))
 
 
 @functools.lru_cache(maxsize=64)

@@ -668,6 +668,8 @@ class TestMapCsv:
             one.append((tmp_path / f"{k}.csv").read_bytes())
         save_map_csv(maps, tmp_path / "all.csv")
         assert (tmp_path / "all.csv").read_bytes() == b"".join(one)
+        save_map_csv(np.array(maps), tmp_path / "stack.csv")  # a 3-D stack is written the same way
+        assert (tmp_path / "stack.csv").read_bytes() == b"".join(one)
         back = np.loadtxt(tmp_path / "all.csv", delimiter=",")
         assert back.shape == (20, 6)
         assert np.array_equal(back[8:12], np.loadtxt(tmp_path / "2.csv", delimiter=","), equal_nan=True)
@@ -678,6 +680,9 @@ class TestMapCsv:
             save_map_csv([np.zeros((3, 4)), np.zeros((4, 3))], p)
         with pytest.raises(DataError, match="map must be 2-D"):
             save_map_csv([np.zeros((3, 4)), np.zeros(12)], p)
+        for values in ([np.zeros((2, 3, 4))], np.zeros((2, 2, 3, 4)), np.zeros(12)):
+            with pytest.raises(DataError, match="map must be 2-D"):
+                save_map_csv(values, p)
         assert not p.exists()
 
 

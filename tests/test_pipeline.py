@@ -761,9 +761,9 @@ class TestCli:
         model = select_model(positive_samples(movie[min(10, len(movie) - 1)]), (2, 3),
                              init=InitSpec(seed=0))
         assert int(rep["mixture_m"]) == model.m
-        assert rep["loglik"] == pipeline._fmt(model.loglik)
-        assert rep["converged"] == pipeline._fmt(model.converged)
-        assert int(rep["n_iter"]) == model.n_iter
+        assert rep["mixture_loglik"] == pipeline._fmt(model.loglik)
+        assert rep["mixture_converged"] == pipeline._fmt(model.converged)
+        assert int(rep["mixture_n_iter"]) == model.n_iter
         reg1 = tmp_path / "reg1"
         rc = cli_main(["register", "--in", str(seg1 / "segmented.lasr"), "--out", str(reg1)])
         assert rc == 0
@@ -894,8 +894,11 @@ class TestCli:
             chain = tmp_path / session
             assert cli_main(["segment", "--in", str(ph / session / f"seg{seg}.lasr"),
                              "--out", str(chain / "seg")] + (["--m0", m0] if m0 else [])) == 0
-            # equal movies can come from different cuts: the threshold is checked too
-            assert read_report(chain / "seg" / "segment_report.txt")["threshold"] == report[f"{which}.threshold"]
+            # equal movies can come from different cuts: the threshold and its fit are checked too
+            seg_report = read_report(chain / "seg" / "segment_report.txt")
+            for key in ("mixture_m", "mixture_loglik", "mixture_converged", "mixture_n_iter",
+                        "threshold", "threshold_method"):
+                assert seg_report[key] == report[f"{which}.{key}"], (session, key)
             assert cli_main(["register", "--in", str(chain / "seg" / "segmented.lasr"),
                              "--out", str(chain / "reg")]) == 0
             for stage, written in (("segmented", chain / "seg" / "segmented.lasr"),
@@ -1143,6 +1146,25 @@ class TestCliOptions:
         out = tmp_path / "ph"
         assert cli_main(["phantom", "--out", str(out), flag, value]) == 2
         assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    @pytest.mark.parametrize("flag", ["--noise-bg", "--stim-left"])
+    def test_phantom_overflow_exits_2_naming_the_scale_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(out), "--rows", "8", "--cols", "8", "--frames", "2",
+                         flag, "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "phantom values overflow" in err and "--noise-bg" in err and "--stim-left" in err
+        assert not out.exists()
+
+    def test_phantom_out_of_memory_exits_2_naming_the_size_flags(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):  # no test allocates a grid too large for the host
+            raise MemoryError
+        monkeypatch.setattr(pipeline.synthgen, "gen_session", no_memory)
+        out = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(out), "--rows", "100000", "--cols", "100000"]) == 2
+        assert "does not fit in memory; reduce --rows/--cols/--frames" in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_bandwidth_exits_without_a_traceback(self, tmp_path):

@@ -407,6 +407,15 @@ class TestPMapValues:
         tm = TMap(np.where(mask, 1.0, np.nan), 5.0, mask)
         p = p_map(tm)
         assert np.isnan(p[0, 1]) and np.isfinite(p[0, 0])
+        # a stack of grids on one mask gives each grid's p-values, bit for bit
+        mask = np.array([[True, False, True], [True, True, False]])
+        grids = np.where(mask, np.random.default_rng(3).normal(0.0, 2.0, (4, 2, 3)), np.nan)
+        for two_sided in (False, True):
+            stacked = p_map(TMap(grids, 5.0, mask), two_sided)
+            assert stacked.shape == grids.shape
+            for grid, p in zip(grids, stacked):
+                assert p.tobytes() == p_map(TMap(grid, 5.0, mask), two_sided).tobytes()
+                assert np.isnan(p[~mask]).all() and np.isfinite(p[mask]).all()
 
 
 # ---------------------------------------------------------------------------
