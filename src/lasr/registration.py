@@ -28,7 +28,11 @@ ICR aligns two movies in time by the average frame correlation
 after discarding the first ``m0`` frames of each movie; the maximizing
 lag j0 is searched over signed lags (negative lags swap the roles of the
 movies).  Correlations are Pearson over the union of the two movies'
-masks.
+masks.  Only the band of frame pairs the averages use is computed: with
+lag cap J, (2J+1) rows of frames x pixels products rather than the full
+frames x frames correlation matrix, worked through in blocks of frames of
+A that stay in cache, with no matrix product (and so no threaded BLAS
+call).
 
 Transforms act on (row, col) points: p' = R(theta) p + (u, v) with
 R(theta) = [[cos, -sin], [sin, cos]].
@@ -328,29 +332,59 @@ def registration_error(t: RigidTransform, pairs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _flat_values_mask(movie: Movie):
-    """The frames as rows zeroed off the movie's mask, and the mask as one
-    flat row (all True for a movie without one)."""
-    mask = (np.ones(movie.shape, dtype=bool) if movie.mask is None else movie.mask).ravel()
-    return movie.values.reshape(len(movie), -1) * mask.astype(np.float64), mask
+# Frames of A per block of the band.  A block and its window of B (the
+# block plus lag_cap frames on each side) stay in cache across the lags'
+# passes over it: about 0.7 MB on the ~550 union pixels of a 38x41 phantom
+# at lag_cap 12, 2.1 MB on 1558 pixels at lag_cap 20.  One pass per lag over
+# whole movies is bound by memory: on two 390-frame movies of 1558 pixels
+# it took 22 ms against 12 ms in blocks of 64 (lag_cap 20), and blocks of
+# 16 or 32 were no faster than 64.
+_BAND_BLOCK = 64
 
 
-def _pairwise_correlation(xa, ma, xb, mb):
-    """Pearson matrix of every frame of one movie with every frame of the
-    other, over the union of the two movies' masks; undefined entries are NaN.
+def _band_correlation(va: np.ndarray, ma: Optional[np.ndarray],
+                      vb: np.ndarray, mb: Optional[np.ndarray], lag_cap: int) -> np.ndarray:
+    """Pearson correlation of every frame pair (A_i, B_{i+j}) with
+    |j| <= ``lag_cap``, over the union of the two masks (None counts as
+    supported everywhere): entry [lag_cap + j, i] of the result.  Entries
+    whose B_{i+j} does not exist, or whose correlation is undefined, are NaN.
 
-    Values are pre-zeroed off their own mask, so plain sums equal
-    union-domain sums.
+    ``va`` and ``vb`` are (frames, rows, cols) stacks.  Values are zeroed
+    off their own mask, so plain sums over the union pixels are
+    union-domain sums.  Each cross product is one ``np.vecdot`` row over a
+    block of ``_BAND_BLOCK`` frames of A; no matrix product is formed.
     """
-    n = (ma | mb).sum()
-    sx, sy = xa.sum(axis=1), xb.sum(axis=1)
-    sxx, syy = (xa * xa).sum(axis=1), (xb * xb).sum(axis=1)
+    full = np.ones(va.shape[1:], dtype=bool)
+    ma = full if ma is None else ma
+    mb = full if mb is None else mb
+    union = (ma | mb).ravel()
+    n = int(union.sum())
+    # compress keeps each frame's pixels contiguous, as the row products need
+    x = np.compress(union, va.reshape(len(va), -1), axis=1)
+    y = np.compress(union, vb.reshape(len(vb), -1), axis=1)
+    x *= ma.ravel()[union]
+    y *= mb.ravel()[union]
+    na, nb = len(x), len(y)
+    lags = np.arange(-lag_cap, lag_cap + 1)
+
+    dots = np.full((lags.size, na), np.nan)
+    for s in range(0, na, _BAND_BLOCK):
+        e = min(s + _BAND_BLOCK, na)
+        for k, j in enumerate(lags.tolist()):
+            lo, hi = max(s, -j), min(e, nb - j)
+            if lo < hi:
+                dots[k, lo:hi] = np.vecdot(x[lo:hi], y[lo + j:hi + j])
+
+    sx, sy = x.sum(axis=1), y.sum(axis=1)
+    sxx, syy = np.vecdot(x, x), np.vecdot(y, y)
+    ib = np.clip(np.arange(na) + lags[:, None], 0, nb - 1)  # B_{i+j}; off-band cells are NaN already
+    sy, syy = sy[ib], syy[ib]
     with np.errstate(invalid="ignore", divide="ignore"):
-        cov = xa @ xb.T - sx[:, None] * sy[None, :] / n
-        vx = sxx[:, None] - sx[:, None] ** 2 / n
-        vy = syy[None, :] - sy[None, :] ** 2 / n
+        cov = dots - sx * sy / n
+        vx = sxx - sx ** 2 / n
+        vy = syy - sy ** 2 / n
         cor = cov / np.sqrt(vx * vy)
-    scale = np.sqrt(np.maximum(sxx[:, None], 1e-300) * np.maximum(syy[None, :], 1e-300))
+    scale = np.sqrt(np.maximum(sxx, 1e-300) * np.maximum(syy, 1e-300))
     bad = (n < 2) | (vx <= 1e-12 * scale) | (vy <= 1e-12 * scale)
     cor[bad] = np.nan
     return cor
@@ -372,10 +406,13 @@ def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment
     """Find the lag maximizing the average inter-movie frame correlation,
     each correlation taken over the union of the two movies' masks.
 
-    The first ``m0`` (unstable) frames of each movie are discarded.  Lags
-    are scanned in the order 0, 1, -1, 2, -2, ...; the first maximum of the
-    computed averages wins ties, and lags tied in exact arithmetic can
-    differ in the last bit.  A positive j0 pairs A_i with B_{i+j0}.
+    The first ``m0`` (unstable) frames of each movie are discarded.  Only
+    the pairs (A_i, B_{i+j}) with |j| <= min(max_lag, frames left - 1) are
+    correlated (``_band_correlation``); undefined correlations are left out
+    of a lag's average.  Lags are scanned in the order 0, 1, -1, 2, -2, ...;
+    the first maximum of the computed averages wins ties, and lags tied in
+    exact arithmetic can differ in the last bit.  A positive j0 pairs A_i
+    with B_{i+j0}.
     """
     if a.shape != b.shape:
         raise DataError("movies must have equal frame shape")
@@ -388,16 +425,14 @@ def icr_lag(a: Movie, b: Movie, m0: int = 10, max_lag: int = 50) -> LagAlignment
         raise DataError("max_lag must be >= 0")
     lag_cap = min(max_lag, min(na, nb) - 1)
 
-    xa, ma = _flat_values_mask(a[m0:])
-    xb, mb = _flat_values_mask(b[m0:])
-    cor = _pairwise_correlation(xa, ma, xb, mb)
+    cor = _band_correlation(a.values[m0:], a.mask, b.values[m0:], b.mask, lag_cap)
 
     lags = np.arange(-lag_cap, lag_cap + 1)
     cor_avg = np.full(lags.size, np.nan)
-    for idx, j in enumerate(lags):
-        diag = np.diagonal(cor, offset=int(j))
-        if diag.size and not np.all(np.isnan(diag)):
-            cor_avg[idx] = np.nanmean(diag)
+    for idx, j in enumerate(lags.tolist()):
+        pairs = cor[idx, max(0, -j):min(na, nb - j)]
+        if not np.all(np.isnan(pairs)):
+            cor_avg[idx] = np.nanmean(pairs)
 
     best_j, best_c = None, -np.inf
     for j in sorted(lags.tolist(), key=lambda q: (abs(q), q < 0)):

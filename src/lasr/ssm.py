@@ -39,7 +39,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import binary_dilation
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .errors import ConfigError, DataError, NumericError
 from .frames import Frame
@@ -363,10 +363,11 @@ def restrict_tmap(tmap: TMap, mask: np.ndarray) -> TMap:
 def p_map(tmap: TMap, two_sided: bool = False) -> np.ndarray:
     """Upper-tail (or two-sided) t-distribution p-values, NaN off the mask,
     of one grid or a stack of grids on ``tmap.mask``."""
-    v = tmap.values  # compress keeps a stack's t in C order, which sf takes without a copy
+    v = tmap.values
     t = np.compress(tmap.mask.ravel(), v.reshape(v.shape[:-2] + (-1,)), axis=-1)
-    return _on_mask(tmap.mask, 2.0 * student_t.sf(np.abs(t), df=tmap.df) if two_sided
-                    else student_t.sf(t, df=tmap.df))
+    # stdtr(df, -t) is the t distribution's upper tail, the value scipy.stats' t.sf
+    # computes without that wrapper's argument checks and temporaries
+    return _on_mask(tmap.mask, 2.0 * stdtr(tmap.df, -np.abs(t)) if two_sided else stdtr(tmap.df, -t))
 
 
 @functools.lru_cache(maxsize=64)

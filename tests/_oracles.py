@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy.special import erfc, logsumexp
 
-from lasr import DataError, Frame, GroundTruth, Movie, NumericError, blob_field, gen_frame
+from lasr import DataError, Frame, GroundTruth, NumericError, blob_field, gen_frame
 from lasr import registration as reg
 
 mpmath.mp.dps = 40
@@ -551,13 +551,12 @@ def prds_covariance_check(fit, pairs):
 def frame_correlation(a, b):
     """Pearson correlation of two frames over the union of their supports
     (a frame without a mask counts as supported everywhere), through the
-    stacked correlation the lag search uses.  Raises if the correlation is
-    undefined (either side constant over the domain).
+    band correlation the lag search uses, at lag 0.  Raises if the
+    correlation is undefined (either side constant over the domain).
     """
     if a.shape != b.shape:
         raise DataError("frames must have equal shape")
-    c = reg._pairwise_correlation(*reg._flat_values_mask(Movie(a.values[None], a.support_mask)),
-                                  *reg._flat_values_mask(Movie(b.values[None], b.support_mask)))[0, 0]
+    c = reg._band_correlation(a.values[None], a.support_mask, b.values[None], b.support_mask, 0)[0, 0]
     if not np.isfinite(c):
         raise NumericError("correlation undefined (zero variance over the domain)")
     return float(c)

@@ -481,13 +481,24 @@ class TestIcrLag:
         lag = icr_lag(a, b, m0=2, max_lag=50)
         assert lag.lags.max() == 5  # min usable - 1
 
-    def test_profile_matches_loop_reference(self):
+    @pytest.mark.parametrize("n_a, n_b, max_lag, flat", [
+        (14, 17, 4, None),
+        # more than two 64-frame band blocks, a lag window wider than a block,
+        # and an all-zero frame of A in the second block (undefined band cells)
+        (150, 137, 70, 93),
+    ], ids=["short", "blocks"])
+    def test_profile_matches_loop_reference(self, n_a, n_b, max_lag, flat):
         rng = np.random.default_rng(17)
-        a, b = noise_movie(rng, 14, 5, 5), noise_movie(rng, 17, 5, 5)
+        a, b = noise_movie(rng, n_a, 5, 5), noise_movie(rng, n_b, 5, 5)
+        if flat is not None:
+            values = a.values.copy()
+            values[flat] = 0.0
+            a = Movie(values, a.mask, a.fps)
         union = a.mask | b.mask
         assert union.sum() > max(a.mask.sum(), b.mask.sum())  # the domain is neither side's mask
-        lag = icr_lag(a, b, m0=3, max_lag=4)
-        prof = orc.lag_profile_loop(list(a.values), [a.mask] * len(a), list(b.values), [b.mask] * len(b), 3, 4)
+        lag = icr_lag(a, b, m0=3, max_lag=max_lag)
+        prof = orc.lag_profile_loop(list(a.values), [a.mask] * len(a), list(b.values), [b.mask] * len(b),
+                                    3, max_lag)
         for idx, j in enumerate(lag.lags.tolist()):
             got = lag.cor_avg[idx]
             ref = prof[j]
