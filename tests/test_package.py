@@ -13,7 +13,9 @@ import ast
 import importlib
 import importlib.util
 import os
+import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -63,6 +65,29 @@ class TestPublicApi:
             names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                       for alias in node.names}
             assert not names & {"environ", "environb", "getenv", "getenvb"}, fname
+
+    def test_a_run_imports_no_scipy_optimize_or_stats(self, tmp_path):
+        """``scipy.optimize`` and ``scipy.stats`` each cost about 21 MB of
+        resident memory and a few tenths of a second of start-up, for one
+        root search and one t tail the package computes itself.  A fresh
+        interpreter imports the package, writes a tiny phantom and runs a
+        static comparison on it, and neither subpackage may then be loaded."""
+        script = textwrap.dedent("""
+            import sys
+            import lasr
+            assert lasr.cli_main(["phantom", "--out", "ph", "--rows", "16", "--cols", "18",
+                                  "--frames", "6", "--seed", "3"]) == 0
+            report = lasr.run_lasr(lasr.RunConfig("ph/s1", "ph/s2", "out", bandwidth=2.0, m0=2))
+            assert report["mode"] == "static" and report["n_pairs"] == 6, report
+            print("loaded:", *sorted(m for m in sys.modules
+                                     if m.startswith(("scipy.optimize", "scipy.stats"))))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lasr.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
 class TestBenchmarkContract:

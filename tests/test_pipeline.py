@@ -39,7 +39,7 @@ from lasr import (
     select_model,
     t_map,
 )
-from lasr import apply_rigid, pipeline, srlp_register
+from lasr import apply_rigid, pipeline, segmentation, srlp_register
 
 import _oracles as orc
 
@@ -796,6 +796,22 @@ class TestCli:
                        "--out", str(tmp_path / "maps"), "--bandwidth", "2.0"])
         assert rc == 4
         assert "sigma_hat" in capsys.readouterr().err
+
+    def test_unconverged_threshold_search_exits_4_at_segment(self, tmp_path, capsys, monkeypatch):
+        """The root search's iteration cap raises NumericError, so the
+        command fails like any numeric failure: exit 4, the stage named and
+        nothing written."""
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
+        monkeypatch.setattr(segmentation, "_BRENT_MAXITER", 1)
+        with pytest.raises(NumericError, match="did not converge after 1 iterations"):
+            optimal_threshold(select_model(positive_samples(load_movie(ph / "s1" / "seg0.lasr")[2]), (2,)))
+        capsys.readouterr()
+        out = tmp_path / "seg"
+        assert cli_main(["segment", "--in", str(ph / "s1" / "seg0.lasr"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: stage 'segment' failed: threshold root search did not converge after 1 iterations")
+        assert not out.exists()
 
     def test_segment_bad_components_exit_2(self, tmp_path):
         assert cli_main(["segment", "--in", "x.lasr", "--out", str(tmp_path),

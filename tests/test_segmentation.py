@@ -1,11 +1,16 @@
 """Mixture fitting, model choice, and the optimal threshold."""
 
 import functools
+import inspect
 import math
+import sys
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -158,7 +163,7 @@ class TestThresholdClosedForms:
             yield MixtureModel(m, w, mu, sd, 0.0, True, 0, np.array([0.0]))
 
     def test_closed_form_normal_equals_scipy_stats_at_points(self):
-        # the brentq path: one scalar t per call, as a float and as np.float64
+        # the root search's path: one scalar t per call, as a float and as np.float64
         rng = np.random.default_rng(23)
         for model in self.random_models(rng, 100):
             w, mu, sd = model.weights, model.means, model.sds
@@ -200,6 +205,149 @@ class TestThresholdClosedForms:
         m = model2([0.5, 0.5], [0.0, 4.0], [1.0, 1.0])
         with pytest.raises(NumericError):
             SegmentationResult(5.0, m, "root")
+
+
+# ---------------------------------------------------------------------------
+# the root search: a port of scipy's brentq
+# ---------------------------------------------------------------------------
+
+
+# the branches of ``_brentq`` counted, each by the text of its one line
+BRENT_BRANCHES = {
+    "interpolate": "stry = -fcur * (xcur - xpre)",
+    "extrapolate": "dpre = (fpre - fcur)",
+    "zero division": "except ZeroDivisionError",
+    "rejected step": "spre = scur = sbis",
+    "minimum step": "xcur += delta if sbis > 0 else -delta",
+}
+
+
+@contextmanager
+def counting_branches():
+    """Counts, by name, the lines of ``BRENT_BRANCHES`` that ``_brentq`` runs."""
+    lines, first = inspect.getsourcelines(segmentation._brentq)
+    where = {first + i: name for name, text in BRENT_BRANCHES.items()
+             for i, line in enumerate(lines) if text in line}
+    assert sorted(Counter(where.values()).items()) == sorted(
+        (name, 2 if name == "rejected step" else 1) for name in BRENT_BRANCHES)
+    code = segmentation._brentq.__code__
+    counts = Counter()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in where:
+            counts[where[frame.f_lineno]] += 1
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield counts
+    finally:
+        sys.settrace(old)
+
+
+def port(f, lo, hi, xtol, rtol):
+    return segmentation._brentq(f, lo, hi, float(f(lo)), float(f(hi)), xtol, rtol)
+
+
+class TestBrentPort:
+    """``_brentq`` takes scipy's ``brentq`` iterates, so every root is equal with ``==``."""
+
+    XTOL, RTOL = 1e-14, 8.9e-16  # optimal_threshold's tolerances
+
+    @staticmethod
+    def bracketed_models(rng, count):
+        """Random m = 2-4 mixtures (sds down to 1e-3) whose gap changes sign on (mu_1, mu_2)."""
+        found = 0
+        while found < count:
+            for model in TestThresholdClosedForms.random_models(rng, 1):
+                lo, hi = float(model.means[0]), float(model.means[1])
+                glo, ghi = (segmentation._density_gap(model, x) for x in (lo, hi))
+                if np.isfinite(glo) and np.isfinite(ghi) and glo > 0 > ghi:
+                    found += 1
+                    yield model, functools.partial(segmentation._density_gap, model), lo, hi
+
+    def test_mixture_roots_equal_scipy(self):
+        """A gap that is subnormal over most of the bracket can use up the
+        100 iterations: scipy raises RuntimeError there, the port NumericError."""
+        rng = np.random.default_rng(31)
+        roots = capped = 0
+        with counting_branches() as counts:
+            for model, gap, lo, hi in self.bracketed_models(rng, 2000):
+                try:
+                    expected = brentq(gap, lo, hi, xtol=self.XTOL, rtol=self.RTOL)
+                except RuntimeError:
+                    with pytest.raises(NumericError, match="did not converge after 100 iterations"):
+                        port(gap, lo, hi, self.XTOL, self.RTOL)
+                    capped += 1
+                    continue
+                t = port(gap, lo, hi, self.XTOL, self.RTOL)
+                assert t == expected
+                res = optimal_threshold(model)
+                if res.method == "root":
+                    assert res.t == t
+                    roots += 1
+        assert roots > 1000 and capped < 5
+        for name in ("interpolate", "extrapolate", "rejected step", "minimum step"):
+            assert counts[name] > 100, name
+
+    # f, lo, hi: gaps so small that the extrapolation's products underflow
+    # to 0 (C divides 0 by 0 there and bisects), and plain roots that end
+    # in steps of the minimum length delta
+    HAND_MADE = [
+        (lambda x: 1e-200 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0),
+        (lambda x: 1e-170 * (math.exp(x) - 3.0), -1.0, 4.0),
+        (lambda x: -1e-190 * math.atan(x - 0.3) * (x * x + 1.0), -2.0, 5.0),
+        (lambda x: x - 1.0 / 3.0, 0.0, 1.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    ]
+
+    def test_hand_made_cases_reach_the_zero_division_and_minimum_steps(self):
+        with counting_branches() as counts:
+            for f, lo, hi in self.HAND_MADE:
+                for xtol in (self.XTOL, 1e-9, 2e-12):
+                    assert port(f, lo, hi, xtol, self.RTOL) == brentq(f, lo, hi, xtol=xtol, rtol=self.RTOL)
+        assert counts["zero division"] > 0
+        assert counts["minimum step"] > 0
+
+    def test_random_cubics_and_tolerances_equal_scipy(self):
+        rng = np.random.default_rng(37)
+        cases = 0
+        while cases < 1000:
+            c = rng.standard_normal(4) * 10.0 ** rng.uniform(-3.0, 3.0, 4)
+            lo, hi = np.sort(rng.uniform(-10.0, 10.0, 2)).tolist()
+            f = lambda x, c=c.tolist(): ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+            if not f(lo) * f(hi) < 0:
+                continue
+            cases += 1
+            xtol = 10.0 ** rng.uniform(-15.0, -1.0)
+            rtol = 8.9e-16 * 10.0 ** rng.uniform(0.0, 8.0)
+            assert port(f, lo, hi, xtol, rtol) == brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+
+    def test_iteration_cap_matches_scipy_non_convergence(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        failed = 0
+        for model, gap, lo, hi in self.bracketed_models(rng, 300):
+            cap = int(rng.integers(1, 12))
+            monkeypatch.setattr(segmentation, "_BRENT_MAXITER", cap)
+            try:
+                expected = brentq(gap, lo, hi, xtol=self.XTOL, rtol=self.RTOL, maxiter=cap)
+            except RuntimeError:
+                with pytest.raises(NumericError, match=f"did not converge after {cap} iterations"):
+                    port(gap, lo, hi, self.XTOL, self.RTOL)
+                failed += 1
+            else:
+                assert port(gap, lo, hi, self.XTOL, self.RTOL) == expected
+        assert 0 < failed < 300
+
+    def test_nan_value_raises_numeric_error(self):
+        """scipy refuses a nan function value with ValueError; the port raises NumericError."""
+        f = lambda x: math.nan if x == 0.5 else 1.0 - 2.0 * x  # the first step bisects onto 0.5
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0, xtol=self.XTOL, rtol=self.RTOL)
+        with pytest.raises(NumericError, match="is nan"):
+            port(f, 0.0, 1.0, self.XTOL, self.RTOL)
 
 
 # ---------------------------------------------------------------------------
