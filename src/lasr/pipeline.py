@@ -7,13 +7,16 @@ movie's one support mask), self-register the segment (one SRLP transform from
 its mean frame, applied to every frame), optionally align the movies in time
 (dynamic mode, when both selected segments are stimulation blocks), then
 difference paired frames (or the mean frames, with ``mean_frame``), smooth
-(one fit and one stacked t/p pass, since all pairs share one mask), and screen
+(one fit and one stacked t pass, since all pairs share one mask), and screen
 each pair's t-map at FDR level q.  A run writes only the comparison: the maps,
-per pair in a static run and as movies in a dynamic one (``_compare_movies``),
+per pair in a static run and as movies in a dynamic one (``_compare_maps``),
 and a line-oriented ``report.txt`` of thresholds, transforms, lag, smoothing
 traces, and rejection counts.  The segmented and registered movies stay in
 memory; ``segment`` then ``register`` on the same segment file write them,
-through the same ``_segment_movie`` and ``_register_movie``.  Runs are
+through the same ``_segment_movie`` and ``_register_movie``.  Each stage
+releases the movies of the stage before it once it has built its own, and
+the differences release the registered movies, so a side holds at most two
+stages of its movie at once and the comparison holds none.  Runs are
 deterministic given the configuration and seed; on failure, partially written
 outputs are removed and the failing stage is named.
 
@@ -244,23 +247,14 @@ class _Outputs:
         writer(*args, path)
 
 
-def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Outputs,
-                    report: dict, first: Tuple[int, int] = (0, 0), movies: bool = False) -> None:
-    """Difference -> smooth -> t -> p -> FDR per frame pair; writes the maps
-    and each pair's report keys.  Frame k of one movie pairs with frame k of
-    the other up to the shorter one's length; ``first`` holds the source
-    frame numbers of pair 0.  With ``cfg.mean_frame`` (``run`` and ``ssm``
-    alike) the one pair is the two movies' mean frames.  Each movie is one
-    segment on one support mask, so every pair's mask is the intersection of
-    the two movies' masks.  The smoother (rim padding included) depends only
-    on that mask, so the comparison takes one fit and one stacked t/p pass;
-    the step-up screen stays per pair, and the first failing pair raises.
+def _differences(before: fr.Movie, after: fr.Movie, cfg: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The frame pairs' differences, after - before, and their one mask.
 
-    Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
-    each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with
-    ``movies`` (a dynamic one) those become ``diff.csv`` and ``tmap.csv``,
-    every pair's map stacked in pair order, and the P-movie ``pmap.lasr``,
-    one frame per pair.
+    Frame k of one movie pairs with frame k of the other up to the shorter
+    one's length; with ``cfg.mean_frame`` (``run`` and ``ssm`` alike) the
+    one pair is the two movies' mean frames.  Each movie is one segment on
+    one support mask, so every pair's mask is the intersection of the two
+    movies' masks; differences are 0 off it.
     """
     if cfg.mean_frame:
         before, after = _mean_movie(before), _mean_movie(after)
@@ -268,17 +262,32 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
     mask = before.mask & after.mask
     if not mask.any():
         raise DataError("registered supports do not overlap")
-    diffs = np.where(mask, after.values[:n] - before.values[:n], 0.0)
-    report["n_pairs"] = n
-    fdr = ssm.FdrConfig(cfg.q, cfg.fdr_mode)
+    diffs = after.values[:n] - before.values[:n]
+    diffs[:, ~mask] = 0.0
+    return diffs, mask
+
+
+def _compare_maps(diffs: np.ndarray, mask: np.ndarray, cfg: RunConfig, out: _Outputs, report: dict,
+                  first: Tuple[int, int] = (0, 0), fps: Optional[float] = None) -> None:
+    """Smooth -> t -> p -> FDR per difference map (``_differences``); writes
+    the maps and each pair's report keys.  ``first`` holds the source frame
+    numbers of pair 0.  The smoother (rim padding included) depends only on
+    the one mask, so the comparison takes one fit and one stacked t pass;
+    the step-up screen stays per pair, and the first failing pair raises.
+
+    Each pair gets ``pairNNNN_pmap.csv``.  A static comparison also writes
+    each pair's ``_diff.csv``, ``_tmap.csv`` and ``_pmap.pgm``; with ``fps``
+    (a dynamic one) those become ``diff.csv`` and ``tmap.csv``, every pair's
+    map stacked in pair order, and the P-movie ``pmap.lasr`` at ``fps``,
+    one frame per pair.
+    """
+    report["n_pairs"] = len(diffs)
     diff = fr.Frame(diffs[0], support_mask=mask, signed=True)
     fit = ssm.local_quadratic_smooth(diff, h=cfg.bandwidth, kernel=cfg.kernel, rim=cfg.rim)
-    sigma, df, tgrids, pgrids = ssm._stacked_tests(fit, np.ascontiguousarray(diffs[:, fit.mask]), cfg.two_sided)
-    for k, (s, pvals) in enumerate(zip(sigma, pgrids)):
-        rejected, critical = ssm.bh_adjust(pvals[fit.mask], fdr)
-        rej_grid = np.zeros(fit.mask.shape, dtype=bool)
-        rej_grid[fit.mask] = rejected
-        pmap = ssm.fdr_map(pvals, rej_grid, critical)
+    sigma, df, tgrids, pmaps = ssm._stacked_tests(fit, np.ascontiguousarray(diffs[:, fit.mask]),
+                                                  ssm.FdrConfig(cfg.q, cfg.fdr_mode), cfg.two_sided)
+    pmovie = np.zeros(tgrids.shape) if fps is not None else None
+    for k, (s, pmap) in enumerate(zip(sigma, pmaps)):
         report.update({
             f"pair.{k}.before_frame": first[0] + k, f"pair.{k}.after_frame": first[1] + k,
             f"pair.{k}.delta1": fit.delta1, f"pair.{k}.delta2": fit.delta2,
@@ -288,43 +297,49 @@ def _compare_movies(before: fr.Movie, after: fr.Movie, cfg: RunConfig, out: _Out
         })
         base = f"pair{k:04d}"
         out.emit(f"{base}_pmap.csv", fr.save_map_csv, pmap.values)
-        if movies:
-            pvals[...] = pmap.values    # spent p-values make way for the P-map
+        if pmovie is not None:
+            pmovie[k] = pmap.values
         else:
             out.emit(f"{base}_diff.csv", fr.save_map_csv, diffs[k])
             out.emit(f"{base}_tmap.csv", fr.save_map_csv, tgrids[k])
             out.emit(f"{base}_pmap.pgm", fr.save_map_image, pmap.values)
-    if movies:
+    if pmovie is not None:
         out.emit("diff.csv", fr.save_map_csv, diffs)
         out.emit("tmap.csv", fr.save_map_csv, tgrids)
-        out.emit("pmap.lasr", fr.save_movie, fr.Movie(pgrids, fps=before.fps))
+        out.emit("pmap.lasr", fr.save_movie, fr.Movie(pmovie, fps=fps))
 
 
 def run_lasr(config: RunConfig) -> dict:
-    """Run the full comparison; returns the report dict (also written to disk)."""
+    """Run the full comparison; returns the report dict (also written to disk).
+
+    Each stage replaces a side's movie of the stage before (parsed,
+    segmented, registered), and the registered movies are dropped once
+    differenced, so a long recording is never held at three stages at once.
+    """
     with _Outputs(config.out_dir) as out:
         cfg = _validate(config)
 
         out.stage = "load"
-        picked = {}
+        tags, movies = {}, {}  # side -> its movie at the latest stage
         for which in ("before", "after"):
             src, index = getattr(cfg, which), getattr(cfg, f"{which}_segment")
             if isinstance(src, str):
                 # the whole manifest is checked, but only the compared movie is parsed
                 tag, path = _select_segment(fr._manifest(src)[0], index, which)
-                picked[which] = (tag, fr.load_movie(path))
+                tags[which], movies[which] = tag, fr.load_movie(path)
             else:
-                picked[which] = _select_segment(src.segments, index, which)
-        (tag_b, movie_b), (tag_a, movie_a) = picked["before"], picked["after"]
-        if movie_b.shape != movie_a.shape:
+                tags[which], movies[which] = _select_segment(src.segments, index, which)
+        tag_b, tag_a = tags["before"], tags["after"]
+        if movies["before"].shape != movies["after"].shape:
             raise DataError("before/after frame dimensions differ")
         dynamic = (tag_b == "Stim" and tag_a == "Stim") if cfg.mode == "auto" else cfg.mode == "dynamic"
         if cfg.mode == "dynamic" and not (tag_b == "Stim" and tag_a == "Stim"):
             raise DataError("dynamic comparison requires Stim segments on both sides")
         if cfg.mean_frame and dynamic:
             raise ConfigError("mean-frame averaging applies to static comparisons only")
-        if dynamic and movie_b.fps != movie_a.fps:
-            raise DataError(f"dynamic comparison needs one frame rate, got {movie_b.fps!r} and {movie_a.fps!r} fps")
+        fps_b, fps_a = movies["before"].fps, movies["after"].fps
+        if dynamic and fps_b != fps_a:
+            raise DataError(f"dynamic comparison needs one frame rate, got {fps_b!r} and {fps_a!r} fps")
 
         out.makedirs()
         report = {"mode": "dynamic" if dynamic else "static", **_compare_keys(cfg),
@@ -332,23 +347,21 @@ def run_lasr(config: RunConfig) -> dict:
                   "seed": cfg.seed}
 
         out.stage = "segment"
-        seg_movies, reg_movies = {}, {}
-        for which, tag, movie in (("before", tag_b, movie_b), ("after", tag_a, movie_a)):
+        for which in ("before", "after"):
             if isinstance(getattr(cfg, which), str):
                 report[f"{which}.path"] = getattr(cfg, which)
             report.update({f"{which}.segment_index": getattr(cfg, f"{which}_segment"),
-                           f"{which}.tag": tag, f"{which}.n_frames": len(movie)})
-            seg_movies[which], thr = _segment_movie(movie, cfg)
+                           f"{which}.tag": tags[which], f"{which}.n_frames": len(movies[which])})
+            movies[which], thr = _segment_movie(movies[which], cfg)
             report.update(_threshold_keys(f"{which}.", thr))
 
         out.stage = "register"
         for which in ("before", "after"):
-            registered, t = _register_movie(seg_movies[which])
-            reg_movies[which] = registered
-            report.update(_transform_keys(f"{which}.srlp", t, len(registered)))
+            movies[which], t = _register_movie(movies[which])
+            report.update(_transform_keys(f"{which}.srlp", t, len(movies[which])))
 
         out.stage = "align"
-        rb, ra = reg_movies["before"], reg_movies["after"]
+        rb, ra = movies.pop("before"), movies.pop("after")
         offset_b = offset_a = 0
         if dynamic:
             lag = reg.icr_lag(rb, ra, m0=cfg.m0, max_lag=cfg.max_lag)
@@ -362,7 +375,10 @@ def run_lasr(config: RunConfig) -> dict:
             report["icr.applied"] = False
 
         out.stage = "compare"
-        _compare_movies(rb, ra, cfg, out, report, first=(offset_b, offset_a), movies=dynamic)
+        diffs, mask = _differences(rb, ra, cfg)
+        del rb, ra  # the registered movies are spent
+        _compare_maps(diffs, mask, cfg, out, report, first=(offset_b, offset_a),
+                      fps=fps_b if dynamic else None)
 
         out.stage = "report"
         out.emit("report.txt", _write_report, report)
@@ -587,7 +603,7 @@ def _cmd_ssm(ns) -> int:
         out.makedirs()
         report = _compare_keys(cfg)
         out.stage = "compare"
-        _compare_movies(before, after, cfg, out, report)
+        _compare_maps(*_differences(before, after, cfg), cfg, out, report)
         out.stage = "report"
         out.emit("report.txt", _write_report, report)
     print(f"wrote {report['n_pairs']} pair map(s) and report.txt to {ns.out}")

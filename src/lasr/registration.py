@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, NumericError
 from .frames import Frame, Movie
@@ -258,10 +259,16 @@ def _resample(stack: np.ndarray, mask: Optional[np.ndarray], t: RigidTransform,
     """Resample a (frames, rows, cols) stack sharing one support mask (or
     none) under one rigid transform; returns the stack and its new mask.
 
-    The sample coordinates and interpolation weights are computed once and
-    applied to every frame, each frame getting exactly the arithmetic a
-    lone frame would.  Samples are gathered from the flattened frames, so
-    the stack comes back in C order, as a stack read from a file is.
+    The resampling is one sparse operator, built once and applied to the
+    whole stack: a CSR row per output pixel in the new mask, holding that
+    pixel's interpolation weights at its source pixels, (r0,c0), (r0,c1),
+    (r1,c0), (r1,c1) in that order (bilinear) or its nearest pixel
+    (weight 1); zero weights are left out.  Each weight is the product
+    ``(1-fr)*(1-fc)`` etc. of the dense formula, and each row sums its
+    terms in that formula's order from +0.0, so every value is the dense
+    formula's bit for bit: a zero term changes no nonzero sum, and a zero
+    sum takes the formula's sign below.  Off the new mask values are 0.
+    The stack comes back in C order, as a stack read from a file is.
     """
     if interp not in ("bilinear", "nearest"):
         raise DataError(f"unknown interpolation {interp!r}")
@@ -281,23 +288,32 @@ def _resample(stack: np.ndarray, mask: Optional[np.ndarray], t: RigidTransform,
     sc_c = np.clip(sc, 0, cols - 1)
     rn = np.clip(np.rint(sr_c).astype(np.intp), 0, rows - 1)
     cn = np.clip(np.rint(sc_c).astype(np.intp), 0, cols - 1)
+    out_mask = in_dom & mask[rn, cn] if mask is not None else in_dom
 
     if interp == "bilinear":
-        r0 = np.clip(np.floor(sr_c).astype(np.intp), 0, max(rows - 2, 0))
-        c0 = np.clip(np.floor(sc_c).astype(np.intp), 0, max(cols - 2, 0))
+        sr_k, sc_k = sr_c[out_mask], sc_c[out_mask]
+        r0 = np.clip(np.floor(sr_k).astype(np.intp), 0, max(rows - 2, 0))
+        c0 = np.clip(np.floor(sc_k).astype(np.intp), 0, max(cols - 2, 0))
         r1 = np.minimum(r0 + 1, rows - 1)
         c1 = np.minimum(c0 + 1, cols - 1)
-        fr = sr_c - r0
-        fc = sc_c - c0
-        out = ((1 - fr) * (1 - fc) * np.take(flat, r0 * cols + c0, axis=1)
-               + (1 - fr) * fc * np.take(flat, r0 * cols + c1, axis=1)
-               + fr * (1 - fc) * np.take(flat, r1 * cols + c0, axis=1)
-               + fr * fc * np.take(flat, r1 * cols + c1, axis=1))
+        fr = sr_k - r0
+        fc = sc_k - c0
+        src = np.column_stack([r0 * cols + c0, r0 * cols + c1, r1 * cols + c0, r1 * cols + c1])
+        w = np.column_stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
     else:
-        out = np.take(flat, rn * cols + cn, axis=1)
-
-    out_mask = in_dom & mask[rn, cn] if mask is not None else in_dom
-    return np.where(out_mask, out, 0.0), out_mask
+        src = (rn * cols + cn)[out_mask][:, None]
+        w = np.ones(src.shape)
+    nz = w != 0
+    indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+    op = sp.csr_matrix((w[nz], src[nz], indptr), shape=(len(src), rows * cols))
+    sampled = op @ flat.T  # (pixels, frames)
+    # a row whose terms are all -0.0 sums to +0.0, where the formula gives -0.0
+    i, f = np.nonzero(sampled == 0.0)
+    neg = np.signbit(w[i] * flat[f[:, None], src[i]]).all(axis=1)
+    sampled[i[neg], f[neg]] = -0.0
+    out = np.zeros((n, rows * cols))
+    out[:, out_mask.ravel()] = sampled.T
+    return out.reshape(n, rows, cols), out_mask
 
 
 def apply_rigid(frame: Frame, t: RigidTransform, interp: str = "bilinear") -> Frame:

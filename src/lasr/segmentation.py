@@ -16,6 +16,8 @@ threshold is the one ``scipy.optimize.brentq`` gives, bit for bit.  The
 port replaces that one call because importing ``scipy.optimize`` pulled in
 ``scipy.linalg``, ``scipy.spatial`` and ``scipy.fft`` besides: 21.6 MB of
 resident memory and about 0.3 s of start-up for every ``lasr`` command.
+Where the search runs out of iterations (a gap that is subnormal over most
+of the bracket can do that), the cut comes from the PMC grid instead.
 
 Exact zeros are always background: they are excluded from the EM sample
 and can never exceed a positive threshold.
@@ -400,6 +402,10 @@ def _pmc(model: MixtureModel, t):
     return pmc
 
 
+class _IterationCap(NumericError):
+    """``_brentq`` used up its ``_BRENT_MAXITER`` iterations."""
+
+
 def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol):
     """Root of ``f`` between ``xpre`` and ``xcur`` by Brent's method.
 
@@ -410,8 +416,9 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol):
     two ends, nonzero and of opposite signs.  Where C divides by zero and
     gets inf or nan, the step test fails and C bisects; Python raises
     ``ZeroDivisionError`` there, and the port bisects too.  A nan value of
-    ``f``, on which scipy raises, and ``_BRENT_MAXITER`` iterations without
-    convergence raise NumericError.
+    ``f``, on which scipy raises, raises NumericError, and
+    ``_BRENT_MAXITER`` iterations without convergence its subclass
+    ``_IterationCap``.
     """
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
@@ -457,19 +464,20 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol):
         fcur = float(f(xcur))
         if math.isnan(fcur):
             raise NumericError(f"threshold root search: the density gap at {xcur!r} is nan")
-    raise NumericError(f"threshold root search did not converge after {_BRENT_MAXITER} "
-                       f"iterations, value is {xcur!r}")
+    raise _IterationCap(f"threshold root search did not converge after {_BRENT_MAXITER} "
+                        f"iterations, value is {xcur!r}")
 
 
 def optimal_threshold(model: MixtureModel) -> SegmentationResult:
     """Background/signal threshold for a fitted mixture (m >= 2).
 
     Solves the equal-density equation by Brent's method on (mu_1, mu_2);
-    when no sign change exists there, or the root is not a local PMC
-    minimum, falls back to the PMC grid minimizer.  The root search is
-    ``_brentq``, a port of scipy's C ``brentq`` that takes the same iterates
-    bit for bit: importing ``scipy.optimize`` for that one call cost 21.6 MB
-    of resident memory and about 0.3 s of start-up.
+    when no sign change exists there, the search runs out of iterations, or
+    the root is not a local PMC minimum, falls back to the PMC grid
+    minimizer.  The root search is ``_brentq``, a port of scipy's C
+    ``brentq`` that takes the same iterates bit for bit: importing
+    ``scipy.optimize`` for that one call cost 21.6 MB of resident memory
+    and about 0.3 s of start-up.
     """
     if model.m < 2:
         raise DataError("threshold needs at least 2 components")
@@ -478,12 +486,16 @@ def optimal_threshold(model: MixtureModel) -> SegmentationResult:
     glo = _density_gap(model, lo)
     ghi = _density_gap(model, hi)
     if np.isfinite(glo) and np.isfinite(ghi) and glo > 0 > ghi:
-        t = _brentq(lambda s: _density_gap(model, s), lo, hi, float(glo), float(ghi),
-                    xtol=1e-14, rtol=8.9e-16)
-        # accept the root only if it is a local PMC minimum
-        eps = 1e-6 * max(1.0, hi - lo)
-        if _pmc(model, t) <= min(_pmc(model, t - eps), _pmc(model, t + eps)) + 1e-15:
-            return SegmentationResult(t, model, "root")
+        try:
+            t = _brentq(lambda s: _density_gap(model, s), lo, hi, float(glo), float(ghi),
+                        xtol=1e-14, rtol=8.9e-16)
+        except _IterationCap:
+            pass  # no root within the cap: the grid gives the cut
+        else:
+            # accept the root only if it is a local PMC minimum
+            eps = 1e-6 * max(1.0, hi - lo)
+            if _pmc(model, t) <= min(_pmc(model, t - eps), _pmc(model, t + eps)) + 1e-15:
+                return SegmentationResult(t, model, "root")
     return SegmentationResult(pmc_oracle(model), model, "grid-fallback")
 
 

@@ -18,10 +18,18 @@ delta1^2/delta2 degrees of freedom (two-moment approximation).  L, ||p(x)||
 and both traces (exact sparse products) depend only on the analysis mask,
 so maps on one mask share them: ``refit`` redoes only the data part.  The
 pipeline tests a stack of maps on one mask in one pass through the code
-``refit``, ``t_map`` and ``p_map`` run for one map.  P-values are screened
-by Benjamini-Hochberg (or Benjamini-Yekutieli) step-up FDR control; the
+``refit`` and ``t_map`` run for one map.  P-values are screened by
+Benjamini-Hochberg (or Benjamini-Yekutieli) step-up FDR control; the
 positive-dependence condition backing BH can be probed via hat-row inner
 products, which drive the covariance of the smoothed field.
+
+The step-up over m tests rejects no p-value above its last threshold
+m q/(m c) (c = 1 for BH, sum 1/i for BY), so the stacked pass computes p
+only where the statistic reaches the t quantile of that threshold, and
+runs the step-up on those p-values with the full count m
+(``_screened_pmaps``): on a null map most pixels are never evaluated, and
+no p grid is held.  Every p-value, rejection and P-map is the unscreened
+chain's, bit for bit.
 
 Fits near the support's edge also draw on a rim of background pixels, each
 standing for its nearest supported pixel.  The rim is a column map inside L
@@ -34,12 +42,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import binary_dilation
-from scipy.special import stdtr
+from scipy.special import stdtr, stdtrit
 
 from .errors import ConfigError, DataError, NumericError
 from .frames import Frame
@@ -69,6 +77,11 @@ KERNELS = {
     "tgauss": (1.0, lambda u: np.exp(-4.5 * u * u)),
     "tricube": (1.0, lambda u: (1.0 - u ** 3) ** 3),
 }
+
+# Relative margin (at least this much absolute) below the statistic at which
+# p reaches the step-up's last threshold; p at the margin's cut exceeds that
+# threshold by about 1e-6 * t relatively, far beyond the rounding of stdtr.
+_SCREEN_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class SmoothFit:
@@ -336,17 +349,56 @@ def _t_grids(fit: SmoothFit, m_hat: np.ndarray, sigma: np.ndarray) -> Tuple[np.n
     return _on_mask(fit.mask, m_hat / (sigma[..., None] * fit.hat_norm[fit.mask])), float(d1 * d1 / d2)
 
 
-def _stacked_tests(fit: SmoothFit, Y: np.ndarray,
-                   two_sided: bool = False) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """``refit`` -> ``t_map`` -> ``p_map`` for a stack of maps on ``fit.mask``.
+def _stacked_tests(fit: SmoothFit, Y: np.ndarray, fdr: FdrConfig,
+                   two_sided: bool = False) -> Tuple[np.ndarray, float, np.ndarray, Iterator[PMap]]:
+    """``refit`` -> ``t_map`` -> ``p_map`` -> ``bh_adjust`` -> ``fdr_map`` for
+    a stack of maps on ``fit.mask``.
 
     Row j of ``Y`` holds map j's values at ``fit.pixels``.  Returns each
-    map's sigma_hat, their one df, and the t and p grid stacks, bit for bit
-    the one-map chain's, which runs the same code."""
+    map's sigma_hat, their one df, the t grid stack and an iterator over
+    the maps' P-maps (``_screened_pmaps``), bit for bit the one-map chain's.
+    """
     m_hat, _, sigma = _smooth(fit, Y)
     t, df = _t_grids(fit, m_hat, sigma)
-    del m_hat  # frees its room for the p pass, the peak of the stack
-    return sigma, df, t, p_map(TMap(t, df, fit.mask), two_sided)
+    return sigma, df, t, _screened_pmaps(t, df, fit.mask, fdr, two_sided)
+
+
+def _screened_pmaps(t: np.ndarray, df: float, mask: np.ndarray, fdr: FdrConfig,
+                    two_sided: bool = False) -> Iterator[PMap]:
+    """``p_map`` -> ``bh_adjust`` -> ``fdr_map`` for each grid of the stack
+    ``t``, computing p only where the step-up can reject.
+
+    The step-up rejects no p-value above its last threshold m q/(m c), so
+    p is computed only where the statistic (|t| two-sided) reaches
+    ``_screen``'s cut, and the step-up runs on those values with the full
+    count m.  The p-values, critical p, rejections and P-map are the
+    unscreened chain's, bit for bit; no p grid is made.
+    """
+    pixels = np.flatnonzero(mask)
+    m = pixels.size
+    cut = _screen(df, m * fdr.q / (m * _fdr_constant(fdr, m)), two_sided)
+    for grid in t:
+        stat = grid.ravel()[pixels]
+        hit = np.flatnonzero((np.abs(stat) if two_sided else stat) >= cut)
+        p = _p_values(stat[hit], df, two_sided)
+        rejected, critical = bh_adjust(p, fdr, m)
+        values = np.zeros(mask.shape)
+        values.flat[pixels[hit[rejected]]] = 1.0 - p[rejected]
+        yield PMap(values, critical, int(rejected.sum()), mask)
+
+
+def _screen(df: float, bound: float, two_sided: bool) -> float:
+    """The least statistic (|t| two-sided) whose p-value can be <= ``bound``,
+    less a margin: -stdtrit at ``bound`` (or ``bound``/2).
+
+    Every statistic below the cut has p above ``bound``, as the guard
+    checks at the cut itself (p is monotone in t, to far less than the
+    margin), so the screened set does not rest on the last digits of
+    ``stdtrit``; where the guard fails, nothing is screened out.
+    """
+    cut = -float(stdtrit(df, bound / 2.0 if two_sided else bound))
+    cut -= _SCREEN_MARGIN * (1.0 + abs(cut))
+    return cut if _p_values(np.array([cut]), df, two_sided)[0] > bound else -math.inf
 
 
 def restrict_tmap(tmap: TMap, mask: np.ndarray) -> TMap:
@@ -365,9 +417,16 @@ def p_map(tmap: TMap, two_sided: bool = False) -> np.ndarray:
     of one grid or a stack of grids on ``tmap.mask``."""
     v = tmap.values
     t = np.compress(tmap.mask.ravel(), v.reshape(v.shape[:-2] + (-1,)), axis=-1)
-    # stdtr(df, -t) is the t distribution's upper tail, the value scipy.stats' t.sf
-    # computes without that wrapper's argument checks and temporaries
-    return _on_mask(tmap.mask, 2.0 * stdtr(tmap.df, -np.abs(t)) if two_sided else stdtr(tmap.df, -t))
+    return _on_mask(tmap.mask, _p_values(t, tmap.df, two_sided))
+
+
+def _p_values(t: np.ndarray, df: float, two_sided: bool) -> np.ndarray:
+    """The p-value of each statistic in ``t``.
+
+    ``stdtr(df, -t)`` is the t distribution's upper tail, the value
+    scipy.stats' t.sf computes without that wrapper's argument checks and
+    temporaries."""
+    return 2.0 * stdtr(df, -np.abs(t)) if two_sided else stdtr(df, -t)
 
 
 @functools.lru_cache(maxsize=64)
@@ -376,25 +435,36 @@ def _by_constant(m: int) -> float:
     return math.fsum(1.0 / i for i in range(1, m + 1))
 
 
-def bh_adjust(pvalues, config: FdrConfig = FdrConfig()) -> Tuple[np.ndarray, float]:
+def _fdr_constant(config: FdrConfig, m: int) -> float:
+    """c of the step-up over m tests: 1 ("bh") or sum_{i=1}^m 1/i ("by")."""
+    return 1.0 if config.mode == "bh" else _by_constant(m)
+
+
+def bh_adjust(pvalues, config: FdrConfig = FdrConfig(),
+              m: Optional[int] = None) -> Tuple[np.ndarray, float]:
     """Step-up FDR screen; returns (rejected mask, critical p).
 
     Finds k = max{ i : p_(i) <= i*q/(m*c) } with c = 1 ("bh") or
     c = sum_{i=1}^m 1/i ("by") and rejects the k smallest p-values;
-    critical_p is k*q/(m*c), or 0 when nothing is rejected.
+    critical_p is k*q/(m*c), or 0 when nothing is rejected.  ``m`` is the
+    number of tests, by default len(pvalues).  With a larger m, ``pvalues``
+    may leave out tests whose p exceeds m*q/(m*c), the last threshold: none
+    of them can be rejected, so the result is the one over all m tests.
     """
     p = np.asarray(pvalues, dtype=np.float64).ravel()
-    if p.size == 0:
+    if p.size == 0 and m is None:
         raise DataError("empty p-value list")
     if np.isnan(p).any() or (p < 0).any() or (p > 1).any():
         raise DataError("p-values must lie in [0, 1]")
-    m = p.size
-    c = 1.0 if config.mode == "bh" else _by_constant(m)
+    m = p.size if m is None else int(m)
+    if m < max(p.size, 1):
+        raise DataError(f"{p.size} p-values for {m} tests")
+    c = _fdr_constant(config, m)
     ps = np.sort(p)
-    thresh = np.arange(1, m + 1) * config.q / (m * c)
+    thresh = np.arange(1, p.size + 1) * config.q / (m * c)
     ok = np.nonzero(ps <= thresh)[0]
     if ok.size == 0:
-        return np.zeros(m, dtype=bool), 0.0
+        return np.zeros(p.size, dtype=bool), 0.0
     k = int(ok[-1]) + 1
     critical = float(k * config.q / (m * c))
     return p <= critical, critical

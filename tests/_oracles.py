@@ -263,6 +263,40 @@ def quarter_turns_reference(values, mask):
     return k + 2 if centroid > 0.5 * (c.min() + c.max()) else k
 
 
+def resample_dense(stack, mask, t, interp="bilinear"):
+    """A (frames, rows, cols) stack resampled under the rigid transform ``t``
+    by the dense formula: at every output pixel, the inverse-mapped source
+    point's four bilinear terms (or its nearest sample) over whole frames,
+    summed left to right, then zeroed off the new mask (source point inside
+    the grid, to 1e-9, and its nearest source pixel on ``mask``)."""
+    n, rows, cols = stack.shape
+    flat = stack.reshape(n, -1)
+    inv = t.inverse()
+    c, s = math.cos(inv.theta), math.sin(inv.theta)
+    rr, cc = np.meshgrid(np.arange(rows, dtype=np.float64),
+                         np.arange(cols, dtype=np.float64), indexing="ij")
+    sr = c * rr - s * cc + inv.u
+    sc = s * rr + c * cc + inv.v
+    eps = 1e-9
+    in_dom = (sr >= -eps) & (sr <= rows - 1 + eps) & (sc >= -eps) & (sc <= cols - 1 + eps)
+    sr, sc = np.clip(sr, 0, rows - 1), np.clip(sc, 0, cols - 1)
+    rn = np.clip(np.rint(sr).astype(np.intp), 0, rows - 1)
+    cn = np.clip(np.rint(sc).astype(np.intp), 0, cols - 1)
+    if interp == "bilinear":
+        r0 = np.clip(np.floor(sr).astype(np.intp), 0, max(rows - 2, 0))
+        c0 = np.clip(np.floor(sc).astype(np.intp), 0, max(cols - 2, 0))
+        r1, c1 = np.minimum(r0 + 1, rows - 1), np.minimum(c0 + 1, cols - 1)
+        fr, fc = sr - r0, sc - c0
+        out = ((1 - fr) * (1 - fc) * flat[:, r0 * cols + c0]
+               + (1 - fr) * fc * flat[:, r0 * cols + c1]
+               + fr * (1 - fc) * flat[:, r1 * cols + c0]
+               + fr * fc * flat[:, r1 * cols + c1])
+    else:
+        out = flat[:, rn * cols + cn]
+    out_mask = in_dom & mask[rn, cn] if mask is not None else in_dom
+    return np.where(out_mask, out, 0.0), out_mask
+
+
 def lag_profile_loop(frames_a, masks_a, frames_b, masks_b, m0, max_lag):
     """CorAvg_j for j in [-max_lag, max_lag] by direct looping."""
     fa, ma = frames_a[m0:], masks_a[m0:]

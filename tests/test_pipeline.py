@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -204,15 +205,15 @@ class TestRunDynamic:
         box = np.zeros((24, 26), dtype=bool)
         box[9:15, 10:16] = True
         before, after = self.stim_pair(phase=2, effect=EffectSpec(box, 4.0))
-        real, per_pair = pipeline._compare_movies, tmp_path / "per_pair"
+        real, per_pair = pipeline._compare_maps, tmp_path / "per_pair"
 
-        def both_layouts(rb, ra, cfg, out, report, first=(0, 0), movies=False):
+        def both_layouts(diffs, mask, cfg, out, report, first=(0, 0), fps=None):
             ref = pipeline._Outputs(str(per_pair))
             ref.makedirs()
-            real(rb, ra, cfg, ref, {}, first)
-            real(rb, ra, cfg, out, report, first, movies)
+            real(diffs, mask, cfg, ref, {}, first)
+            real(diffs, mask, cfg, out, report, first, fps)
 
-        monkeypatch.setattr(pipeline, "_compare_movies", both_layouts)
+        monkeypatch.setattr(pipeline, "_compare_maps", both_layouts)
         out = tmp_path / "dyn"
         report = run_lasr(quick_config(before, after, out, before_segment=1, after_segment=1,
                                        m0=4, max_lag=6))
@@ -233,6 +234,26 @@ class TestRunDynamic:
         assert sum((g > 0).sum() for g in grids) > 0
         for values, grid in zip(movie.values, grids):
             assert np.array_equal(values, np.vectorize(lambda v: float("%.6g" % v))(grid))
+
+    def test_peak_memory_stays_within_a_few_input_movies(self, tmp_path):
+        """Each stage replaces a side's movie of the stage before, and the
+        registered movies go once differenced, so a dynamic run's traced
+        peak stays within 6 input movies: 3.5 on this phantom, where
+        keeping every stage alive took 9.9."""
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph), "--frames", "120", "--lag", "5",
+                  "--stim-left", "2", "--stim-right", "2"])
+        movie_bytes = load_movie(ph / "s1" / "seg1.lasr").values.nbytes
+        cfg = RunConfig(before=str(ph / "s1"), after=str(ph / "s2"), out_dir=str(tmp_path / "out"),
+                        before_segment=1, after_segment=1, max_lag=12, mode="dynamic")
+        tracemalloc.start()
+        try:
+            report = run_lasr(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["mode"] == "dynamic" and report["n_pairs"] > 90
+        assert peak <= 6 * movie_bytes, f"peak {peak / movie_bytes:.2f} input movies"
 
     def test_dynamic_requires_stim_tags(self, tmp_path):
         before, after = session_pair()
@@ -455,7 +476,7 @@ class TestCompareMovies:
 
         monkeypatch.setattr(pipeline.ssm, "local_quadratic_smooth", counting)
         out, report = self.Capture(), {}
-        pipeline._compare_movies(before, after, cfg, out, report)
+        pipeline._compare_maps(*pipeline._differences(before, after, cfg), cfg, out, report)
         assert len(builds) == 1  # the pairs share one mask, so one fit serves them all
         assert report["n_pairs"] == len(before)
         for k, (b, a) in enumerate(zip(before, after)):
@@ -499,13 +520,13 @@ class TestCompareMovies:
                 t_map(local_quadratic_smooth(difference_map(a, b), h=cfg.bandwidth, kernel=cfg.kernel,
                                              rim=cfg.rim))
         with pytest.raises(NumericError) as got:
-            pipeline._compare_movies(before, after, cfg, self.Capture(), {})
+            pipeline._compare_maps(*pipeline._differences(before, after, cfg), cfg, self.Capture(), {})
         assert str(got.value) == str(ref.value)
         assert "sigma_hat" in str(got.value)
         # supports that do not overlap fail before any fit
         with pytest.raises(DataError, match="registered supports do not overlap"):
-            pipeline._compare_movies(Movie(np.stack([frame(left)] * 2), left, 2.0),
-                                     Movie(np.stack([frame(right)] * 2), right, 2.0), cfg, self.Capture(), {})
+            pipeline._differences(Movie(np.stack([frame(left)] * 2), left, 2.0),
+                                  Movie(np.stack([frame(right)] * 2), right, 2.0), cfg)
 
         save_movie(before, tmp_path / "b.lasr")
         save_movie(after, tmp_path / "a.lasr")
@@ -797,21 +818,26 @@ class TestCli:
         assert rc == 4
         assert "sigma_hat" in capsys.readouterr().err
 
-    def test_unconverged_threshold_search_exits_4_at_segment(self, tmp_path, capsys, monkeypatch):
-        """The root search's iteration cap raises NumericError, so the
-        command fails like any numeric failure: exit 4, the stage named and
-        nothing written."""
+    def test_unconverged_threshold_search_falls_back_to_grid(self, tmp_path, capsys, monkeypatch):
+        """A root search that runs out of iterations gives no root, so the
+        threshold comes from the PMC grid, as for a root that is not a PMC
+        minimum: ``segment`` succeeds and reports the fallback."""
         ph = tmp_path / "ph"
         cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
         monkeypatch.setattr(segmentation, "_BRENT_MAXITER", 1)
+        model = select_model(positive_samples(load_movie(ph / "s1" / "seg0.lasr")[2]), (2,))
+        gap = lambda x: segmentation._density_gap(model, x)
+        lo, hi = float(model.means[0]), float(model.means[1])
         with pytest.raises(NumericError, match="did not converge after 1 iterations"):
-            optimal_threshold(select_model(positive_samples(load_movie(ph / "s1" / "seg0.lasr")[2]), (2,)))
+            segmentation._brentq(gap, lo, hi, float(gap(lo)), float(gap(hi)), 1e-14, 8.9e-16)
+        assert optimal_threshold(model).method == "grid-fallback"
         capsys.readouterr()
         out = tmp_path / "seg"
-        assert cli_main(["segment", "--in", str(ph / "s1" / "seg0.lasr"), "--out", str(out)]) == 4
-        assert capsys.readouterr().err.startswith(
-            "error: stage 'segment' failed: threshold root search did not converge after 1 iterations")
-        assert not out.exists()
+        assert cli_main(["segment", "--in", str(ph / "s1" / "seg0.lasr"), "--out", str(out)]) == 0
+        assert "(grid-fallback)" in capsys.readouterr().out
+        rep = read_report(out / "segment_report.txt")
+        assert rep["threshold_method"] == "grid-fallback"
+        assert (out / "segmented.lasr").exists()
 
     def test_segment_bad_components_exit_2(self, tmp_path):
         assert cli_main(["segment", "--in", "x.lasr", "--out", str(tmp_path),
@@ -881,7 +907,7 @@ class TestCli:
         """``run`` keeps its segmented and registered movies in memory;
         ``segment`` then ``register`` on the same segment file, with the
         run's m0, writes them byte for byte.  Each holds one mask, which
-        ``_compare_movies`` relies on, and ``_load_masked`` restores that
+        ``_differences`` relies on, and ``_load_masked`` restores that
         mask from the written file."""
         ph = tmp_path / "ph"
         cli_main(["phantom", "--out", str(ph), "--rows", "24", "--cols", "26", "--frames", "12",
@@ -1229,7 +1255,8 @@ class TestCliOptions:
         ref.makedirs()
         cfg = pipeline._validate(RunConfig(before="b", after="a", out_dir="o"))
         report = {}
-        pipeline._compare_movies(mean(registered[0]), mean(registered[1]), cfg, ref, report)
+        pipeline._compare_maps(*pipeline._differences(mean(registered[0]), mean(registered[1]), cfg),
+                               cfg, ref, report)
         got = tree_bytes(maps)
         disk = read_report(maps / "report.txt")
         del got["report.txt"]

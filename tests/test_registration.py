@@ -355,6 +355,64 @@ class TestApplyRigid:
             apply_rigid(band_frame(), identity_transform(), interp="cubic")
 
 
+class TestResampleOperator:
+    """``_resample``'s sparse operator gives the dense formula's bytes.
+
+    Random values make every bilinear row's products round, so a sparse
+    product that fused a multiply and an add (FMA) would differ in the
+    last bit somewhere; exact zeros and -0.0 samples check the sign of a
+    row whose terms are all zero."""
+
+    @staticmethod
+    def transforms(rng, shape):
+        yield RigidTransform(rng.uniform(-math.pi, math.pi), rng.uniform(-4, 4), rng.uniform(-4, 4))
+        yield RigidTransform(0.0, float(rng.integers(-3, 4)), float(rng.integers(-3, 4)))
+        yield reg._turn_transform(shape, int(rng.integers(1, 4)))[0]
+
+    @staticmethod
+    def stack(rng, n, shape):
+        values = rng.standard_normal((n,) + shape) * 10.0 ** rng.uniform(-3, 3)
+        values[rng.random(values.shape) < 0.2] = 0.0
+        values[rng.random(values.shape) < 0.2] = -0.0
+        return values
+
+    def test_stacks_equal_the_dense_formula(self):
+        rng = np.random.default_rng(5)
+        for trial in range(80):
+            shape = tuple(int(x) for x in rng.integers(1, 16, 2))
+            values = self.stack(rng, int(rng.integers(1, 5)), shape)
+            mask = rng.random(shape) < rng.uniform(0.3, 1.0) if trial % 4 else None
+            for t in self.transforms(rng, shape):
+                for interp in ("bilinear", "nearest"):
+                    got, got_mask = reg._resample(values, mask, t, interp)
+                    want, want_mask = orc.resample_dense(values, mask, t, interp)
+                    assert got.tobytes() == want.tobytes()
+                    assert np.array_equal(got_mask, want_mask)
+                    assert got.flags.c_contiguous
+
+    def test_signed_frames_through_apply_rigid(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            shape = tuple(int(x) for x in rng.integers(2, 14, 2))
+            values = self.stack(rng, 1, shape)[0]
+            f = Frame(values, support_mask=rng.random(shape) < 0.8, signed=True)
+            for t in self.transforms(rng, shape):
+                for interp in ("bilinear", "nearest"):
+                    out = apply_rigid(f, t, interp)
+                    want, want_mask = orc.resample_dense(values[None], f.support_mask, t, interp)
+                    assert out.values.tobytes() == want[0].tobytes()
+                    assert np.array_equal(out.support_mask, want_mask)
+                    assert out.signed
+
+    def test_a_row_of_negative_zero_terms_keeps_its_sign(self):
+        values = np.full((1, 3, 4), -0.0)
+        values[0, 0, 1] = -2.0  # zero-weight term of output pixel (1, 1): 0 * -2.0 is -0.0
+        out, mask = reg._resample(values, None, RigidTransform(0.0, 1.0, 1.0))
+        want, _ = orc.resample_dense(values, None, RigidTransform(0.0, 1.0, 1.0))
+        assert out.tobytes() == want.tobytes()
+        assert out[0, 1, 1] == 0.0 and np.signbit(out[0, 1, 1]) and out[0, 1, 2] == -2.0
+
+
 class TestRegistrationError:
     def test_single_pair_displacement(self):
         pairs = np.array([[(0.0, 0.0), (5.0, -3.0)]])

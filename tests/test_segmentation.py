@@ -147,6 +147,25 @@ class TestThresholdClosedForms:
         vals = [orc.pmc_value(t, m.weights, m.means, m.sds) for t in ts]
         assert orc.pmc_value(res.t, m.weights, m.means, m.sds) <= min(vals) + 1e-12
 
+    def test_root_search_out_of_iterations_falls_back_to_grid(self):
+        """This mixture's gap is subnormal over most of (mu_1, mu_2): the root
+        search (scipy's brentq too) uses up its 100 iterations, and the cut
+        comes from the PMC grid."""
+        m = MixtureModel(3, np.array([0.7215354597890838, 0.20690290489245397, 0.07156163531846199]),
+                         np.array([3.450694307312613, 32.826037653221405, 45.275694437605026]),
+                         np.array([0.004051550208888957, 0.7734164981757647, 0.002402562485855008]),
+                         0.0, True, 0, np.array([0.0]))
+        lo, hi = float(m.means[0]), float(m.means[1])
+        gap = functools.partial(segmentation._density_gap, m)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        with pytest.raises(NumericError, match="did not converge after 100 iterations"):
+            segmentation._brentq(gap, lo, hi, float(gap(lo)), float(gap(hi)), 1e-14, 8.9e-16)
+        res = optimal_threshold(m)
+        assert res.method == "grid-fallback" and res.t == pmc_oracle(m)
+        t_ref, _ = orc.pmc_minimum(m.weights, m.means, m.sds)
+        assert abs(res.t - t_ref) < 1e-3
+
     def test_pmc_oracle_agrees_with_reference_grid(self):
         m = model2([0.7, 0.3], [0.5, 6.0], [1.0, 1.4])
         t = pmc_oracle(m)

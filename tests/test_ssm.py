@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from lasr import (
     ConfigError,
@@ -28,6 +29,7 @@ from lasr import (
 
 import _oracles as orc
 from _oracles import prds_covariance_check, residual_traces
+from lasr import ssm
 
 
 def noisy_diff(rows=9, cols=11, seed=0, mask=None, scale=1.0):
@@ -487,6 +489,29 @@ class TestBhAdjust:
         with pytest.raises(DataError):
             bh_adjust([1.2])
 
+    @pytest.mark.parametrize("mode", ["bh", "by"])
+    def test_given_count_screens_the_stepup(self, mode):
+        """With m given, the p-values left out (all above m q/(m c)) are
+        never rejected, and the rest get the full list's result."""
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            m = int(rng.integers(1, 60))
+            q = float(rng.uniform(0.01, 0.5))
+            c = 1.0 if mode == "bh" else math.fsum(1.0 / i for i in range(1, m + 1))
+            p = rng.uniform(0, 1, m) ** rng.uniform(1, 6)
+            keep = p <= m * q / (m * c)
+            rej, crit = bh_adjust(p[keep], FdrConfig(q, mode), m)
+            full_rej, full_crit = bh_adjust(p, FdrConfig(q, mode))
+            assert crit == full_crit
+            assert np.array_equal(rej, full_rej[keep]) and not full_rej[~keep].any()
+
+    def test_given_count_must_cover_the_pvalues(self):
+        assert bh_adjust([], FdrConfig(), 5)[0].size == 0
+        with pytest.raises(DataError, match="2 p-values for 1 tests"):
+            bh_adjust([0.1, 0.2], FdrConfig(), 1)
+        with pytest.raises(DataError):
+            bh_adjust([], FdrConfig(), 0)
+
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             FdrConfig(q=0.0)
@@ -494,6 +519,90 @@ class TestBhAdjust:
             FdrConfig(q=1.0)
         with pytest.raises(ConfigError):
             FdrConfig(mode="holm")
+
+
+class TestScreenedStepUp:
+    """``_screened_pmaps`` computes p only where the step-up can reject; each
+    map's critical p, rejections and P-map bytes are those of ``p_map`` ->
+    ``bh_adjust`` -> ``fdr_map`` over every pixel."""
+
+    @staticmethod
+    def full_chain(grid, df, mask, fdr, two_sided):
+        p = p_map(TMap(grid, df, mask), two_sided)
+        rejected, critical = bh_adjust(p[mask], fdr)
+        rej = np.zeros(mask.shape, dtype=bool)
+        rej[mask] = rejected
+        return fdr_map(p, rej, critical), rej
+
+    @staticmethod
+    def cap(df, m, fdr, two_sided):
+        """The statistic at which p reaches the step-up's last threshold."""
+        c = 1.0 if fdr.mode == "bh" else math.fsum(1.0 / i for i in range(1, m + 1))
+        bound = m * fdr.q / (m * c)
+        return -float(stdtrit(df, bound / 2.0 if two_sided else bound)), bound
+
+    def stacks(self, rng, df, mask, fdr, two_sided):
+        """Null, all-signal and mixed grids, and grids of statistics at and
+        just around the cap and the screen's cut."""
+        m = int(mask.sum())
+        t_cap, bound = self.cap(df, m, fdr, two_sided)
+        cut = ssm._screen(df, bound, two_sided)
+        near = []
+        for x in (t_cap, cut):
+            near += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), x - 1e-7, x + 1e-7,
+                     x - 1e-5, x + 1e-5]
+        near = np.array(near)
+        grids = [rng.normal(0.0, 1.0, mask.shape) - 3.0,            # nothing rejected
+                 rng.uniform(t_cap + 5.0, t_cap + 40.0, mask.shape),  # every pixel rejected
+                 rng.normal(0.0, 1.0, mask.shape) + np.where(rng.random(mask.shape) < 0.3, t_cap, 0.0),
+                 rng.choice(near[:5], mask.shape),                     # every pixel within 1e-7 of the cap
+                 rng.choice(near[[0, 2, 4]], mask.shape)]              # every pixel at or just above it
+        for _ in range(4):
+            g = rng.normal(0.0, 1.5, mask.shape)
+            pick = rng.random(mask.shape) < rng.uniform(0.05, 0.9)
+            g[pick] = rng.choice(near, int(pick.sum()))
+            if two_sided:
+                g[rng.random(mask.shape) < 0.5] *= -1.0
+            grids.append(g)
+        return np.where(mask, np.stack(grids), np.nan)
+
+    @pytest.mark.parametrize("mode", ["bh", "by"])
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_equals_the_full_chain(self, mode, two_sided):
+        rng = np.random.default_rng(23 + 2 * (mode == "by") + two_sided)
+        outcomes = set()
+        for q in (0.01, 0.05, 0.2, 0.6, 0.95):
+            for _ in range(3):
+                shape = tuple(int(x) for x in rng.integers(3, 14, 2))
+                mask = rng.random(shape) < 0.7
+                mask.flat[0] = True
+                df = float(rng.choice([2.5, 7.0, 31.4, 400.0]))
+                fdr = FdrConfig(q, mode)
+                t = self.stacks(rng, df, mask, fdr, two_sided)
+                for grid, pm in zip(t, ssm._screened_pmaps(t, df, mask, fdr, two_sided)):
+                    want, rej = self.full_chain(grid, df, mask, fdr, two_sided)
+                    assert pm.critical_p == want.critical_p
+                    assert pm.n_rejected == want.n_rejected
+                    assert np.array_equal(pm.values != 0.0, rej)
+                    assert pm.values.tobytes() == want.values.tobytes()
+                    assert np.array_equal(pm.mask, want.mask)
+                    outcomes.add(0 if not rej.any() else 2 if rej[mask].all() else 1)
+        assert outcomes == {0, 1, 2}
+
+    def test_the_guard_drops_a_cut_that_p_does_not_confirm(self, monkeypatch):
+        """A quantile far off (here 20 where p reaches q near 1.7) would
+        screen out rejectable pixels; p at the cut does not exceed the last
+        threshold there, so nothing is screened out."""
+        rng = np.random.default_rng(29)
+        mask = np.ones((8, 9), dtype=bool)
+        fdr = FdrConfig(0.05, "bh")
+        t = np.stack([rng.normal(2.0, 1.0, mask.shape) for _ in range(3)])
+        want = [self.full_chain(g, 30.0, mask, fdr, False)[0] for g in t]
+        assert sum(w.n_rejected for w in want) > 0
+        monkeypatch.setattr(ssm, "stdtrit", lambda df, p: -20.0)
+        assert ssm._screen(30.0, 0.05, False) == -math.inf
+        for pm, w in zip(ssm._screened_pmaps(t, 30.0, mask, fdr), want):
+            assert pm.values.tobytes() == w.values.tobytes() and pm.critical_p == w.critical_p
 
 
 class TestFdrMap:
