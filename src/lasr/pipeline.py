@@ -31,6 +31,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -49,6 +50,8 @@ from . import synthgen
 from .errors import ConfigError, DataError, LasrError, NumericError, StageError
 
 __all__ = ["RunConfig", "run_lasr", "cli_main", "main"]
+
+_log = logging.getLogger("lasr")
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,19 @@ def _threshold_keys(prefix: str, result: seg.SegmentationResult) -> dict:
     return {f"{prefix}mixture_m": m.m, f"{prefix}mixture_loglik": m.loglik,
             f"{prefix}mixture_converged": m.converged, f"{prefix}mixture_n_iter": m.n_iter,
             f"{prefix}threshold": result.t, f"{prefix}threshold_method": result.method}
+
+
+def _warn_fit(where: str, result: seg.SegmentationResult) -> None:
+    """One warning for a segment whose mixture stopped unconverged at its
+    iteration cap or whose threshold came from the PMC grid fallback."""
+    m = result.model
+    faults = []
+    if not m.converged:
+        faults.append(f"the {m.m}-component mixture stopped unconverged after {m.n_iter} iterations")
+    if result.method == "grid-fallback":
+        faults.append("the threshold came from the PMC grid fallback")
+    if faults:
+        _log.warning("%s: %s", where, "; ".join(faults))
 
 
 def _transform_keys(prefix: str, t: reg.RigidTransform, n: int) -> dict:
@@ -353,6 +369,7 @@ def run_lasr(config: RunConfig) -> dict:
             report.update({f"{which}.segment_index": getattr(cfg, f"{which}_segment"),
                            f"{which}.tag": tags[which], f"{which}.n_frames": len(movies[which])})
             movies[which], thr = _segment_movie(movies[which], cfg)
+            _warn_fit(f"{which} side, segment {report[f'{which}.segment_index']} ({tags[which]})", thr)
             report.update(_threshold_keys(f"{which}.", thr))
 
         out.stage = "register"
@@ -565,6 +582,7 @@ def _cmd_segment(ns) -> int:
         movie = fr.load_movie(cfg.before)
         out.stage = "segment"
         segmented, result = _segment_movie(movie, cfg)
+        _warn_fit(f"segment {cfg.before}", result)
         out.makedirs()
         out.emit("segmented.lasr", fr.save_movie, segmented)
         rep = _threshold_keys("", result)

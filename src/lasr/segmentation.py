@@ -24,12 +24,20 @@ and can never exceed a positive threshold.
 
 EM runs the quantile start and its jittered restarts as one batch: one
 ``(m, restarts, n)`` array, with a start dropped from it in the iteration
-where it converges or reaches ``max_iter``.  Each iteration evaluates the
-mixture density once, since the E-step normaliser at the new parameters is
-the log-likelihood at them.  Each start's sums over the samples run along
-a contiguous row of the batch, in numpy's pairwise order, which is the
-order of the same sum over that start alone; so each start's steps are the
-same as a run of its own, bit for bit.
+where it converges or reaches ``max_iter``; the batch is copied only in
+such an iteration, and otherwise lives in two buffers that every iteration
+reuses.  Each iteration evaluates the mixture density once, since the
+E-step normaliser at the new parameters is the log-likelihood at them.
+Each start's sums over the samples run along a contiguous row of the
+batch, in numpy's pairwise order, which is the order of the same sum over
+that start alone; so each start's steps are the same as a run of its own,
+bit for bit.  The normaliser is ``scipy.special.logsumexp``'s arithmetic,
+bit for bit.  For two and three components it is computed in closed form,
+``log1p`` of the summed exponentials of the terms below the maximum, plus
+the maximum, with the components ordered by ``np.minimum``/``np.maximum``;
+a batch in which some sample has two components tied at the maximum, or
+a non-finite maximum, and any m >= 4, take the general form, which counts
+tied maxima as scipy does.
 
 A start is also dropped once it cannot win: when even twice its current
 per-iteration gain, kept up to ``max_iter``, would leave its log-likelihood
@@ -157,14 +165,71 @@ def _sum_columns(cols):
 def _logsumexp(a):
     """``log(sum_k exp(a[k]))`` over the leading (component) axis.
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``, bit for bit:
-    the maxima are split off, the sum of the other terms is divided by the
-    number of tied maxima, and the result is ``log1p(s) + log(count) + max``.
-    The tied terms are zeroed instead of shifted from -inf, so a row whose
-    maximum is infinite already gives the +-inf that scipy's non-finite
-    fallback ``log(sum(exp(a)))`` puts there.  Every reduction runs column
-    by column over the few components, which is far cheaper than a numpy
-    reduction over a short axis.
+    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``, bit for bit.
+    With two or three components (``_logsumexp_closed``) that is ``log1p(s)
+    + top``, with ``s`` the sum of the shifted exponentials of the terms
+    below the maximum ``top``.  Any other input takes ``_logsumexp_general``.
+    """
+    if len(a) in (2, 3) and a[0].size:
+        out = _logsumexp_closed(a)
+        if out is not None:
+            return out
+    return _logsumexp_general(a)
+
+
+def _logsumexp_closed(a):
+    """``_logsumexp`` of two or three components, or None where it does not apply.
+
+    The components are ordered with ``np.minimum``/``np.maximum``: ``|a0 -
+    a1|`` for two, a three-element min/max network for three.  Where every
+    column has exactly one finite maximum, scipy's tie count is 1, so its
+    ``/ count`` and ``+ log(count)`` leave the value as it is, and its sum
+    over the components, with the maximum's term zeroed, is the sum of the
+    other one or two terms, in either order.  Where some column has a tied
+    or non-finite maximum, this returns None and the caller takes
+    ``_logsumexp_general``.  For two components the shifted term is
+    ``-|a0 - a1|``, which is ``min - max`` exactly: ``a0 - a1`` and ``a1 -
+    a0`` differ only in sign.
+    """
+    if len(a) == 2:
+        top = np.maximum(a[0], a[1])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; near 1e308
+            gap = np.subtract(a[0], a[1])
+        np.abs(gap, out=gap)
+        # fails on a tie (gap 0), a nan, a maximum of -inf (gap nan) or of inf (top.max())
+        if not (gap.min() > 0 and top.max() < np.inf):
+            return None
+        s = np.negative(gap, out=gap)
+        np.exp(s, out=s)
+    else:
+        low = np.minimum(a[0], a[1])
+        mid = np.maximum(a[0], a[1])
+        top = np.maximum(mid, a[2])
+        np.minimum(mid, a[2], out=mid)
+        with np.errstate(invalid="ignore", over="ignore"):
+            low -= top
+            mid -= top
+        # fails on a tie (difference 0), a nan, a maximum of -inf (difference nan) or of inf
+        if not (low.max() < 0 and mid.max() < 0 and top.max() < np.inf):
+            return None
+        np.exp(low, out=low)
+        s = np.exp(mid, out=mid)
+        s += low
+    np.log1p(s, out=s)
+    s += top
+    return s
+
+
+def _logsumexp_general(a):
+    """``_logsumexp`` for any number of components, ties and non-finite terms.
+
+    The maxima are split off, the sum of the other terms is divided by the
+    number of tied maxima, and the result is ``log1p(s) + log(count) +
+    max``.  The tied terms are zeroed instead of shifted from -inf, so a row
+    whose maximum is infinite already gives the +-inf that scipy's
+    non-finite fallback ``log(sum(exp(a)))`` puts there.  Every reduction
+    runs column by column over the few components, which is far cheaper
+    than a numpy reduction over a short axis.
     """
     top = a[0]
     for c in a[1:]:
@@ -182,17 +247,19 @@ def _logsumexp(a):
         return np.log1p(_sum_columns(terms) / count) + np.log(count) + top
 
 
-def _log_terms(x, w, mu, sd):
+def _log_terms(x, w, mu, sd, out=None, z=None):
     """``log w_k + log phi((x - mu_k) / sd_k) - log sd_k`` for ``(m, ...)`` parameters.
 
     The samples run along the last axis of the C-contiguous result, which
     is built in place: the operations of ``-0.5 * z * z - log(sd) - log(2
-    pi)/2 + log(w)`` in that order, without a temporary per step.
+    pi)/2 + log(w)`` in that order, without a temporary per step.  ``out``
+    and ``z``, if given, are C-contiguous buffers of the result's shape
+    for the result and for ``z``.
     """
     w, mu, sd = (np.asarray(p)[..., None] for p in (w, mu, sd))
-    z = np.subtract(x, mu, order="C")
+    z = np.subtract(x, mu, out=z, order="C")
     z /= sd
-    out = z * -0.5
+    out = np.multiply(z, -0.5, out=out)
     out *= z
     out -= np.log(sd)
     out -= _HALF_LOG_2PI
@@ -210,6 +277,14 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     ``(component, start)`` row is added in numpy's pairwise order, as the
     1-D sum of that row alone is.  The sd floor is kept in force throughout.
 
+    The batch lives in two ``(m, R, n)`` buffers: the log terms, which the
+    E-step turns into the responsibilities in place, and a work buffer
+    for ``r * x``, ``r * (x - mu)**2`` and the next density pass's ``z``;
+    that pass writes its log terms over the spent responsibilities.  Both
+    are copied, narrower, only in an iteration where a start leaves.  The
+    normaliser is ``_logsumexp``, in closed form for m = 2 and 3 unless a
+    sample ties two components exactly at their maximum.
+
     A start is also cut when it cannot win: ``lead`` is the best final
     log-likelihood of the starts converged so far, and after iteration ``k``
     an unconverged start leaves when ``ll_k + _CUT_RATE * (max_iter - k) *
@@ -221,6 +296,7 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     """
     n = x.size
     logp = _log_terms(x, w, mu, sd)
+    work = np.empty_like(logp)
     lse = _logsumexp(logp)
     ll = lse.sum(axis=1)
     trace = np.empty((ll.size, max_iter + 1))
@@ -229,21 +305,20 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     runs = [None] * ll.size
     lead = -np.inf
     for it in range(1, max_iter + 1):
-        # E-step from the last density pass (in place: logp is rebuilt below),
-        # then the M-step
+        # E-step from the last density pass, in place, then the M-step
         r = np.subtract(logp, lse, out=logp)
         np.exp(r, out=r)
         nk = np.maximum(r.sum(axis=-1), 1e-12)
         w = nk / n
         w = w / _sum_columns(w)
-        mu = (r * x).sum(axis=-1) / nk
-        dev = np.subtract(x, mu[..., None], order="C")
+        mu = np.multiply(r, x, out=work).sum(axis=-1) / nk
+        dev = np.subtract(x, mu[..., None], out=work)
         dev *= dev
         dev *= r
         var = dev.sum(axis=-1) / nk
         sd = np.maximum(np.sqrt(var), floor)
-        # one density pass: the log-likelihood now and the next E-step
-        logp = _log_terms(x, w, mu, sd)
+        # one density pass, over r: the log-likelihood now and the next E-step
+        logp = _log_terms(x, w, mu, sd, out=r, z=work)
         lse = _logsumexp(logp)
         ll_new = lse.sum(axis=1)
         trace[rows, it] = ll_new
@@ -252,6 +327,9 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
             lead = max(lead, float(ll_new[converged].max()))
         done = converged | (it == max_iter)
         done |= ll_new + _CUT_RATE * (max_iter - it) * (ll_new - ll) < lead
+        if not done.any():
+            ll = ll_new
+            continue
         for j in np.flatnonzero(done):
             runs[rows[j]] = (w[:, j], mu[:, j], sd[:, j], ll_new[j], bool(converged[j]), it,
                              trace[rows[j], :it + 1].copy())
@@ -262,6 +340,7 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
         # compress, not logp[:, keep], which is not C-contiguous: the next
         # E-step's r is logp, and its rows must stay contiguous
         ll, logp, lse = ll_new[keep], logp.compress(keep, axis=1), lse[keep]
+        work = np.empty_like(logp)
     # max_iter < 1: every start is returned as it began
     return [(w[:, j], mu[:, j], sd[:, j], ll[j], False, 0, trace[j, :1].copy())
             for j in range(ll.size)]

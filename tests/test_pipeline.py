@@ -1,5 +1,6 @@
 """End-to-end runs, artifacts, determinism, and CLI exit codes."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -838,6 +839,40 @@ class TestCli:
         rep = read_report(out / "segment_report.txt")
         assert rep["threshold_method"] == "grid-fallback"
         assert (out / "segmented.lasr").exists()
+
+    def test_fallback_and_unconverged_fits_log_one_warning_per_side(self, tmp_path, caplog,
+                                                                    monkeypatch):
+        """The set-up of ``test_unconverged_threshold_search_falls_back_to_grid``:
+        each side's grid-fallback threshold logs one warning on the ``lasr``
+        logger, naming the side and the segment; so does a mixture stopped at
+        its iteration cap.  A converged fit with a root threshold logs none."""
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
+        seg0 = ph / "s1" / "seg0.lasr"
+        run = ["run", "--before", str(ph / "s1"), "--after", str(ph / "s2")]
+
+        def warnings(argv):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="lasr"):
+                assert cli_main(argv) == 0
+            assert all(r.name == "lasr" and r.levelno == logging.WARNING for r in caplog.records)
+            return [r.getMessage() for r in caplog.records]
+
+        assert warnings(run + ["--out", str(tmp_path / "r0")]) == []
+        assert read_report(tmp_path / "r0" / "report.txt")["before.mixture_converged"] == "true"
+        monkeypatch.setattr(segmentation, "_BRENT_MAXITER", 1)
+        fallback = "the threshold came from the PMC grid fallback"
+        assert warnings(run + ["--out", str(tmp_path / "r1")]) == [
+            f"before side, segment 0 (NoStim): {fallback}",
+            f"after side, segment -1 (NoStim): {fallback}"]
+        assert warnings(["segment", "--in", str(seg0), "--out", str(tmp_path / "s1")]) == [
+            f"segment {seg0}: {fallback}"]
+        monkeypatch.setattr(segmentation, "_TOL", -1.0)  # no start converges
+        assert warnings(["segment", "--in", str(seg0), "--out", str(tmp_path / "s2")]) == [
+            f"segment {seg0}: the 3-component mixture stopped unconverged after 300 "
+            f"iterations; {fallback}"]
+        rep = read_report(tmp_path / "s2" / "segment_report.txt")
+        assert rep["mixture_converged"] == "false" and rep["threshold_method"] == "grid-fallback"
 
     def test_segment_bad_components_exit_2(self, tmp_path):
         assert cli_main(["segment", "--in", "x.lasr", "--out", str(tmp_path),

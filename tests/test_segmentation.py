@@ -477,8 +477,10 @@ class TestBatchedEm:
 
     @pytest.mark.parametrize("max_iter", [0, 3, 300])
     @pytest.mark.parametrize("n_restarts", [0, 1, 5])
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_fit_equals_sequential_restarts(self, m, n_restarts, max_iter):
+        """m = 2 and 3 take the closed-form normaliser; m = 4 is the one
+        route through ``_logsumexp_general`` inside the batch."""
         init = InitSpec(n_restarts=n_restarts, seed=m + 10 * n_restarts)
         ref, iters = orc.em_reference(self.SAMPLE, m, n_restarts=n_restarts,
                                       jitter=init.jitter, seed=init.seed, max_iter=max_iter)
@@ -565,6 +567,75 @@ class TestBatchedEm:
         batch_sums = [shape for shape, _ in seen if len(shape) == 3]
         assert len(batch_sums) == 3 * max(out[5] for out in runs)  # nk, mean and variance
         assert all(contiguous for _, contiguous in seen)
+
+    @pytest.mark.parametrize("max_iter", [40, 300])
+    def test_batch_is_copied_only_when_a_start_leaves(self, max_iter):
+        """One ``compress`` of the ``(m, R, n)`` batch per iteration in which
+        some start converged, was cut or reached ``max_iter``, except the
+        iteration in which the last starts leave, which returns instead."""
+        kept = []
+
+        class Probe(np.ndarray):
+            def compress(self, *args, **kwargs):
+                out = super().compress(*args, **kwargs)
+                if self.ndim == 3:
+                    kept.append(out.shape[1])
+                return out
+
+        x = self.SAMPLE
+        start = np.quantile(x, [1 / 6, 1 / 2, 5 / 6])
+        mu = np.stack([start + d for d in (0.0, 0.5, -0.5, 1.0, -1.0)], axis=1)
+        runs = segmentation._em_batch(x.view(Probe), np.full((3, 5), 1 / 3), mu,
+                                      np.full((3, 5), x.std() / 3), 1e-3 * x.std(), max_iter)
+        if max_iter == 40:
+            # starts leave converged (25, 33), cut (39) and at the cap (40, two of them)
+            assert [(out[4], out[5]) for out in runs] == [
+                (False, 40), (True, 33), (False, 39), (True, 25), (False, 40)]
+        leaves = sorted({out[5] for out in runs})
+        assert max(leaves) > 2 * len(leaves)  # in most iterations no start leaves
+        assert len(kept) == len(leaves) - 1
+        assert kept == [sum(out[5] > k for out in runs) for k in leaves[:-1]]
+
+    @staticmethod
+    def clean_batch(rng, m, shape=(5, 400)):
+        """A finite ``(m, R, n)`` batch with no tie in any column, its columns
+        at magnitudes from 1e-3 to 1e3 and shifted as log densities are."""
+        scale = 10.0 ** rng.integers(-3, 4, shape)
+        a = rng.standard_normal((m,) + shape) * scale - rng.uniform(0.0, 50.0, shape)
+        top = np.sort(a, axis=0)
+        assert (top[-1] > top[-2]).all()
+        return a
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_closed_form_matches_scipy_bit_for_bit(self, m):
+        rng = np.random.default_rng(20 + m)
+        batches = [self.clean_batch(rng, m) for _ in range(6)]
+        low = self.clean_batch(rng, m)
+        low[np.argmin(low, axis=0), np.arange(5)[:, None], np.arange(400)] = -np.inf
+        batches.append(low)  # a term of -inf below a finite maximum
+        if m == 3:
+            # the two terms below the maximum tie: scipy still counts one maximum
+            below = self.clean_batch(rng, m)
+            below.sort(axis=0)
+            below[0] = below[1]
+            batches.append(below)
+        for a in batches:
+            assert segmentation._logsumexp_closed(a) is not None
+            ref = logsumexp(np.moveaxis(a, 0, -1), axis=-1)
+            assert (_logsumexp(a) == ref).all()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_closed_form_falls_back_on_one_tied_column(self, m):
+        rng = np.random.default_rng(30 + m)
+        a = self.clean_batch(rng, m)
+        col = a[:, 3, 117]
+        col[np.argsort(col)[-2]] = col.max()  # two components tie at the maximum
+        assert segmentation._logsumexp_closed(a) is None
+        ref = logsumexp(np.moveaxis(a, 0, -1), axis=-1)
+        assert (_logsumexp(a) == ref).all()
+        top, rest = col.max(), np.sort(col)[:-2]
+        # scipy counts both tied maxima: log1p(s / 2) + log(2) + max
+        assert ref[3, 117] == np.log1p(np.exp(rest - top).sum() / 2) + np.log(2.0) + top
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     def test_logsumexp_matches_scipy_bit_for_bit(self, m):
