@@ -125,7 +125,8 @@ def _threshold_keys(prefix: str, result: seg.SegmentationResult) -> dict:
     m = result.model
     return {f"{prefix}mixture_m": m.m, f"{prefix}mixture_loglik": m.loglik,
             f"{prefix}mixture_converged": m.converged, f"{prefix}mixture_n_iter": m.n_iter,
-            f"{prefix}threshold": result.t, f"{prefix}threshold_method": result.method}
+            f"{prefix}threshold": result.t, f"{prefix}threshold_method": result.method,
+            f"{prefix}threshold_cut": result.cut}
 
 
 def _warn_fit(where: str, result: seg.SegmentationResult) -> None:

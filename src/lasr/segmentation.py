@@ -1,16 +1,24 @@
 """Intensity segmentation via 1-D Gaussian mixtures.
 
-A frame's intensity histogram is modeled as a mixture whose first
-(lowest-mean) component is background.  The background/signal cut ``T`` is
-placed where the background density equals the pooled signal density,
+A frame's intensity histogram is modeled as a mixture whose components,
+sorted by mean, split at an adjacent cut ``k`` into background (components
+``0..k``) and contact (``k+1..m-1``).  For a cut, the background/contact
+threshold ``T`` is placed where the pooled background density equals the
+pooled contact density,
 
-    alpha_1 * phi((T - mu_1)/sigma_1) / sigma_1
-        = sum_{i >= 2} alpha_i * phi((T - mu_i)/sigma_i) / sigma_i,
+    sum_{i <= k} alpha_i * phi((T - mu_i)/sigma_i) / sigma_i
+        = sum_{i > k} alpha_i * phi((T - mu_i)/sigma_i) / sigma_i,
 
-which minimizes the probability of misclassification for the fitted model.
-Segmentation keeps values strictly above ``T`` and zeroes the rest.
+which minimizes that two-class probability of misclassification (PMC) for
+the fitted model.  The cut is the one whose threshold has the smallest PMC,
+the lowest ``k`` among equals; with two components it is ``k = 0``, the
+paper's rule.  Three components arise where the clipped background of a
+raw mean frame splits in two: the cut then falls between the background
+pair and the contact, not inside the background.  Segmentation keeps
+values strictly above ``T`` and zeroes the rest.
 
-``T`` is found by Brent's method (Brent 1973, ch. 4) in ``_brentq``, a
+``T`` is found on ``(mu_k, mu_{k+1})`` by Brent's method (Brent 1973,
+ch. 4) in ``_brentq``, a
 port of scipy's C ``brentq`` that follows its iterates exactly, so every
 threshold is the one ``scipy.optimize.brentq`` gives, bit for bit.  The
 port replaces that one call because importing ``scipy.optimize`` pulled in
@@ -121,17 +129,21 @@ class MixtureModel:
 
 @dataclass(frozen=True)
 class SegmentationResult:
-    """Threshold ``t`` for a fitted model and how it was obtained."""
+    """Threshold ``t`` for a fitted model, the cut it is for and how it was obtained.
+
+    Components ``0..cut`` of the model are background, the rest contact.
+    """
 
     t: float
     model: MixtureModel
     method: str  # "root" | "grid-fallback"
+    cut: int = 0
 
     def __post_init__(self):
         if self.method == "root":
             mu = self.model.means
-            if not (mu[0] < self.t < mu.max()):
-                raise NumericError("root threshold escaped (mu_1, max mu_i)")
+            if not (mu[self.cut] < self.t < mu[self.cut + 1]):
+                raise NumericError("root threshold escaped (mu_k, mu_k+1) of its cut k")
 
 
 def positive_samples(frame: Frame) -> np.ndarray:
@@ -452,32 +464,37 @@ def _pdf(t, mu, sd):
     return np.exp(-z**2 / 2.0) / _SQRT_2PI / sd
 
 
-def _density_gap(model: MixtureModel, t):
-    """Background density minus pooled signal density at t."""
+def _density_gap(model: MixtureModel, t, cut: int = 0):
+    """Pooled background density minus pooled contact density at ``t``,
+    components ``0..cut`` being background."""
     w, mu, sd = model.weights, model.means, model.sds
     bg = w[0] * _pdf(t, mu[0], sd[0])
-    sig = sum(w[i] * _pdf(t, mu[i], sd[i]) for i in range(1, model.m))
+    for i in range(1, cut + 1):
+        bg = bg + w[i] * _pdf(t, mu[i], sd[i])
+    sig = sum(w[i] * _pdf(t, mu[i], sd[i]) for i in range(cut + 1, model.m))
     return bg - sig
 
 
-def pmc_oracle(model: MixtureModel) -> float:
-    """Grid minimizer of the misclassification probability.
+def pmc_oracle(model: MixtureModel, cut: int = 0) -> float:
+    """Grid minimizer of the two-class misclassification probability.
 
-    PMC(T) = alpha_1 P(Z_1 > T) + sum_{i>=2} alpha_i P(Z_i <= T).  The
-    grid spans (mu_1, max mu_i) with step (max mu_i - mu_1)/1e5.
+    PMC_k(T) = sum_{i<=k} alpha_i P(Z_i > T) + sum_{i>k} alpha_i P(Z_i <=
+    T) for the cut ``k = cut``.  The grid spans (mu_1, max mu_i) with step
+    (max mu_i - mu_1)/1e5.
     """
     if model.m < 2:
         raise DataError("threshold needs at least 2 components")
     grid = np.linspace(model.means[0], model.means.max(), _PMC_GRID)
-    return float(grid[int(np.argmin(_pmc(model, grid)))])
+    return float(grid[int(np.argmin(_pmc(model, grid, cut)))])
 
 
-def _pmc(model: MixtureModel, t):
-    """PMC at ``t`` (a scalar or an array of thresholds)."""
+def _pmc(model: MixtureModel, t, cut: int = 0):
+    """PMC of the cut ``cut`` at ``t`` (a scalar or an array of thresholds)."""
     w, mu, sd = model.weights, model.means, model.sds
     pmc = w[0] * ndtr(-((t - mu[0]) / sd[0]))
     for i in range(1, model.m):
-        pmc = pmc + w[i] * ndtr((t - mu[i]) / sd[i])
+        z = (t - mu[i]) / sd[i]
+        pmc = pmc + w[i] * ndtr(-z if i <= cut else z)
     return pmc
 
 
@@ -548,34 +565,49 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol):
 
 
 def optimal_threshold(model: MixtureModel) -> SegmentationResult:
-    """Background/signal threshold for a fitted mixture (m >= 2).
+    """Background/contact threshold for a fitted mixture (m >= 2).
 
-    Solves the equal-density equation by Brent's method on (mu_1, mu_2);
-    when no sign change exists there, the search runs out of iterations, or
-    the root is not a local PMC minimum, falls back to the PMC grid
-    minimizer.  The root search is ``_brentq``, a port of scipy's C
-    ``brentq`` that takes the same iterates bit for bit: importing
-    ``scipy.optimize`` for that one call cost 21.6 MB of resident memory
-    and about 0.3 s of start-up.
+    Each adjacent cut ``k`` gets its threshold (``_cut_threshold``), and the
+    one whose threshold misclassifies least, by that cut's two-class PMC,
+    wins; the lowest ``k`` among equals.  With two components there is one
+    cut, ``k = 0``.
     """
     if model.m < 2:
         raise DataError("threshold needs at least 2 components")
-    mu = model.means
-    lo, hi = float(mu[0]), float(mu[1])
-    glo = _density_gap(model, lo)
-    ghi = _density_gap(model, hi)
+    best = best_pmc = None
+    for cut in range(model.m - 1):
+        res = _cut_threshold(model, cut)
+        pmc = _pmc(model, res.t, cut)
+        if best is None or pmc < best_pmc:
+            best, best_pmc = res, pmc
+    return best
+
+
+def _cut_threshold(model: MixtureModel, cut: int) -> SegmentationResult:
+    """The threshold of one cut: components ``0..cut`` against the rest.
+
+    Solves the equal-density equation by Brent's method on (mu_k,
+    mu_{k+1}); when no sign change exists there, the search runs out of
+    iterations, or the root is not a local PMC minimum, falls back to the
+    PMC grid minimizer.  The root search is ``_brentq``, a port of scipy's
+    C ``brentq`` that takes the same iterates bit for bit: importing
+    ``scipy.optimize`` for that one call cost 21.6 MB of resident memory
+    and about 0.3 s of start-up.
+    """
+    lo, hi = float(model.means[cut]), float(model.means[cut + 1])
+    gap = lambda s: _density_gap(model, s, cut)
+    glo, ghi = gap(lo), gap(hi)
     if np.isfinite(glo) and np.isfinite(ghi) and glo > 0 > ghi:
         try:
-            t = _brentq(lambda s: _density_gap(model, s), lo, hi, float(glo), float(ghi),
-                        xtol=1e-14, rtol=8.9e-16)
+            t = _brentq(gap, lo, hi, float(glo), float(ghi), xtol=1e-14, rtol=8.9e-16)
         except _IterationCap:
             pass  # no root within the cap: the grid gives the cut
         else:
             # accept the root only if it is a local PMC minimum
             eps = 1e-6 * max(1.0, hi - lo)
-            if _pmc(model, t) <= min(_pmc(model, t - eps), _pmc(model, t + eps)) + 1e-15:
-                return SegmentationResult(t, model, "root")
-    return SegmentationResult(pmc_oracle(model), model, "grid-fallback")
+            if _pmc(model, t, cut) <= min(_pmc(model, t - eps, cut), _pmc(model, t + eps, cut)) + 1e-15:
+                return SegmentationResult(t, model, "root", cut)
+    return SegmentationResult(pmc_oracle(model, cut), model, "grid-fallback", cut)
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,16 @@ def normal_cdf(x, mu, sd):
     return 0.5 * math.erfc(-(x - mu) / (sd * math.sqrt(2.0)))
 
 
-def pmc_value(t, weights, means, sds):
-    """Misclassified mass when everything above t is called signal."""
-    total = weights[0] * (1.0 - normal_cdf(t, means[0], sds[0]))
-    for w, m, s in zip(weights[1:], means[1:], sds[1:]):
-        total += w * normal_cdf(t, m, s)
+def pmc_value(t, weights, means, sds, cut=0):
+    """Misclassified mass when everything above t is called contact, with
+    components 0..cut (sorted by mean) as background."""
+    total = 0.0
+    for k, (w, m, s) in enumerate(zip(weights, means, sds)):
+        total += w * (1.0 - normal_cdf(t, m, s) if k <= cut else normal_cdf(t, m, s))
     return total
 
 
-def pmc_minimum(weights, means, sds, n_grid=200_001):
+def pmc_minimum(weights, means, sds, n_grid=200_001, cut=0):
     """Grid minimizer of the misclassification mass on (mu_1, mu_max).
 
     Vectorized so a 2e5-point grid stays cheap; the objective itself is
@@ -51,10 +52,10 @@ def pmc_minimum(weights, means, sds, n_grid=200_001):
     """
     lo, hi = float(means[0]), float(max(means))
     ts = np.linspace(lo, hi, n_grid)[1:-1]
-    z0 = (ts - means[0]) / (sds[0] * math.sqrt(2.0))
-    vals = weights[0] * 0.5 * erfc(z0)
-    for w, m, s in zip(weights[1:], means[1:], sds[1:]):
-        vals += w * 0.5 * erfc(-(ts - m) / (s * math.sqrt(2.0)))
+    vals = np.zeros_like(ts)
+    for k, (w, m, s) in enumerate(zip(weights, means, sds)):
+        z = (ts - m) / (s * math.sqrt(2.0))
+        vals += w * 0.5 * erfc(z if k <= cut else -z)
     k = int(np.argmin(vals))
     return float(ts[k]), float(vals[k])
 

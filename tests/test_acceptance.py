@@ -125,8 +125,12 @@ def test_threshold_closed_forms_and_grid_oracle():
         res = optimal_threshold(_model(weights, means, sds))
         assert res.method == "root", (means, sds, weights)
         span = float(means[-1] - means[0])
-        t_ref, _ = orc.pmc_minimum(weights, means, sds,
-                                   n_grid=int(round(span / step)) + 1)
+        # the cut whose grid minimum misclassifies least, then its minimizer
+        refs = [orc.pmc_minimum(weights, means, sds, n_grid=int(round(span / step)) + 1, cut=k)
+                for k in range(m - 1)]
+        cut = min(range(m - 1), key=lambda k: refs[k][1])
+        assert res.cut == cut, (refs, means, sds, weights)
+        t_ref = refs[cut][0]
         assert abs(res.t - t_ref) <= step, (res.t, t_ref, means, sds, weights)
 
     assert time.perf_counter() - t0 < 5.0
@@ -423,8 +427,6 @@ def test_pipeline_null_mean_frame_runs_controlled(null_sessions, tmp_path):
     assert np.mean(hits) <= bound, f"{sum(hits)} of {len(hits)} null runs rejected something (bound {bound:.4f})"
 
 
-@pytest.mark.xfail(reason="ROADMAP item 1: an m = 3 mixture's cut falls inside the clipped "
-                          "background, so the cut keeps background pixels past the contact")
 def test_raw_mean_frame_cut_keeps_the_noiseless_support(null_sessions):
     """The segmentation cut on a raw mean frame (a segment's frames averaged
     before any cut) keeps the phantom's noiseless support, give or take 10

@@ -974,7 +974,7 @@ class TestCli:
             # equal movies can come from different cuts: the threshold and its fit are checked too
             seg_report = read_report(chain / "seg" / "segment_report.txt")
             for key in ("mixture_m", "mixture_loglik", "mixture_converged", "mixture_n_iter",
-                        "threshold", "threshold_method"):
+                        "threshold", "threshold_method", "threshold_cut"):
                 assert seg_report[key] == report[f"{which}.{key}"], (session, key)
             assert cli_main(["register", "--in", str(chain / "seg" / "segmented.lasr"),
                              "--out", str(chain / "reg")]) == 0

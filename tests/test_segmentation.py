@@ -132,11 +132,45 @@ class TestThresholdClosedForms:
         sd = np.array([1.0, 1.0, 1.0])
         m = MixtureModel(3, w, mu, sd, 0.0, True, 0, np.array([0.0]))
         res = optimal_threshold(m)
+        assert res.cut == 0  # background alone misclassifies least
         two = optimal_threshold(model2(w[:2] / w[:2].sum(), mu[:2], sd[:2]))
         assert res.t < two.t  # extra signal mass pulls the cut down
         bg = w[0] * orc.normal_pdf(res.t, 0.0, 1.0)
         sig = w[1] * orc.normal_pdf(res.t, 4.0, 1.0) + w[2] * orc.normal_pdf(res.t, 7.0, 1.0)
         assert abs(bg - sig) <= 1e-10 * max(bg, sig)
+
+    # a raw mean frame's clipped background split in two, below one contact component
+    BACKGROUND_PAIR = (np.array([0.35, 0.25, 0.40]), np.array([0.34, 0.48, 43.0]),
+                       np.array([0.05, 0.12, 12.0]))
+
+    def test_split_background_is_cut_from_the_contact(self):
+        """The cut between the two background components misclassifies
+        about a tenth of the mass; the cut k = 1 above both of them about
+        1e-4, so it wins, and its threshold balances the pooled background
+        against the contact."""
+        w, mu, sd = self.BACKGROUND_PAIR
+        m = MixtureModel(3, w, mu, sd, 0.0, True, 0, np.array([0.0]))
+        res = optimal_threshold(m)
+        assert res.cut == 1 and res.method == "root"
+        assert mu[1] < res.t < mu[2]
+        bg = w[0] * orc.normal_pdf(res.t, mu[0], sd[0]) + w[1] * orc.normal_pdf(res.t, mu[1], sd[1])
+        sig = w[2] * orc.normal_pdf(res.t, mu[2], sd[2])
+        assert abs(bg - sig) <= 1e-10 * max(bg, sig)
+        inside = segmentation._cut_threshold(m, 0)
+        assert inside.method == "root" and inside.t < mu[1]
+        assert orc.pmc_value(res.t, w, mu, sd, cut=1) < 1e-3 < 0.05 < orc.pmc_value(inside.t, w, mu, sd)
+        t_ref, _ = orc.pmc_minimum(w, mu, sd, cut=1)
+        assert abs(res.t - t_ref) < 5e-4  # grid resolution
+        assert abs(pmc_oracle(m, cut=1) - t_ref) < 5e-4
+
+    def test_root_check_brackets_the_cut(self):
+        w, mu, sd = self.BACKGROUND_PAIR
+        m = MixtureModel(3, w, mu, sd, 0.0, True, 0, np.array([0.0]))
+        SegmentationResult(1.0, m, "root", cut=1)
+        with pytest.raises(NumericError):
+            SegmentationResult(0.4, m, "root", cut=1)
+        with pytest.raises(NumericError):
+            SegmentationResult(1.0, m, "root")  # cut 0: the root lies in (mu_1, mu_2)
 
     def test_overlapping_components_fall_back_to_grid(self):
         m = model2([0.5, 0.5], [0.0, 0.5], [1.0, 5.0])
@@ -304,7 +338,10 @@ class TestBrentPort:
                 assert t == expected
                 res = optimal_threshold(model)
                 if res.method == "root":
-                    assert res.t == t
+                    k = res.cut  # a cut above the lowest component has its own bracket
+                    assert res.t == (t if k == 0 else port(
+                        functools.partial(segmentation._density_gap, model, cut=k),
+                        float(model.means[k]), float(model.means[k + 1]), self.XTOL, self.RTOL))
                     roots += 1
         assert roots > 1000 and capped < 5
         for name in ("interpolate", "extrapolate", "rejected step", "minimum step"):
