@@ -33,8 +33,8 @@ and can never exceed a positive threshold.
 EM runs the quantile start and its jittered restarts as one batch: one
 ``(m, restarts, n)`` array, with a start dropped from it in the iteration
 where it converges or reaches ``max_iter``; the batch is copied only in
-such an iteration, and otherwise lives in two buffers that every iteration
-reuses.  Each iteration evaluates the mixture density once, since the
+such an iteration, and otherwise lives in three buffers that every
+iteration reuses.  Each iteration evaluates the mixture density once, since the
 E-step normaliser at the new parameters is the log-likelihood at them.
 Each start's sums over the samples run along a contiguous row of the
 batch, in numpy's pairwise order, which is the order of the same sum over
@@ -259,17 +259,20 @@ def _logsumexp_general(a):
         return np.log1p(_sum_columns(terms) / count) + np.log(count) + top
 
 
-def _log_terms(x, w, mu, sd, out=None, z=None):
+def _log_terms(x, w, mu, sd, out=None, z=None, centred=False):
     """``log w_k + log phi((x - mu_k) / sd_k) - log sd_k`` for ``(m, ...)`` parameters.
 
     The samples run along the last axis of the C-contiguous result, which
     is built in place: the operations of ``-0.5 * z * z - log(sd) - log(2
     pi)/2 + log(w)`` in that order, without a temporary per step.  ``out``
     and ``z``, if given, are C-contiguous buffers of the result's shape
-    for the result and for ``z``.
+    for the result and for ``z``.  With ``centred``, ``z`` already holds
+    ``x - mu``, which the M-step computed, and is divided by ``sd`` in
+    place.
     """
     w, mu, sd = (np.asarray(p)[..., None] for p in (w, mu, sd))
-    z = np.subtract(x, mu, out=z, order="C")
+    if not centred:
+        z = np.subtract(x, mu, out=z, order="C")
     z /= sd
     out = np.multiply(z, -0.5, out=out)
     out *= z
@@ -289,11 +292,13 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     ``(component, start)`` row is added in numpy's pairwise order, as the
     1-D sum of that row alone is.  The sd floor is kept in force throughout.
 
-    The batch lives in two ``(m, R, n)`` buffers: the log terms, which the
-    E-step turns into the responsibilities in place, and a work buffer
-    for ``r * x``, ``r * (x - mu)**2`` and the next density pass's ``z``;
-    that pass writes its log terms over the spent responsibilities.  Both
-    are copied, narrower, only in an iteration where a start leaves.  The
+    The batch lives in three ``(m, R, n)`` buffers: the log terms, which
+    the E-step turns into the responsibilities in place, ``x - mu`` at the
+    new means, which the variance uses and the next density pass divides
+    into its ``z``, and a work buffer for ``r * x`` and ``r * (x -
+    mu)**2``; that pass writes its log terms over the spent
+    responsibilities.  They are copied, narrower, only in an iteration
+    where a start leaves.  The
     normaliser is ``_logsumexp``, in closed form for m = 2 and 3 unless a
     sample ties two components exactly at their maximum.
 
@@ -308,7 +313,7 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     """
     n = x.size
     logp = _log_terms(x, w, mu, sd)
-    work = np.empty_like(logp)
+    work, dev = np.empty_like(logp), np.empty_like(logp)
     lse = _logsumexp(logp)
     ll = lse.sum(axis=1)
     trace = np.empty((ll.size, max_iter + 1))
@@ -324,13 +329,13 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
         w = nk / n
         w = w / _sum_columns(w)
         mu = np.multiply(r, x, out=work).sum(axis=-1) / nk
-        dev = np.subtract(x, mu[..., None], out=work)
-        dev *= dev
-        dev *= r
-        var = dev.sum(axis=-1) / nk
+        np.subtract(x, mu[..., None], out=dev)
+        sq = np.multiply(dev, dev, out=work)
+        sq *= r
+        var = sq.sum(axis=-1) / nk
         sd = np.maximum(np.sqrt(var), floor)
         # one density pass, over r: the log-likelihood now and the next E-step
-        logp = _log_terms(x, w, mu, sd, out=r, z=work)
+        logp = _log_terms(x, w, mu, sd, out=r, z=dev, centred=True)
         lse = _logsumexp(logp)
         ll_new = lse.sum(axis=1)
         trace[rows, it] = ll_new
@@ -352,7 +357,7 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
         # compress, not logp[:, keep], which is not C-contiguous: the next
         # E-step's r is logp, and its rows must stay contiguous
         ll, logp, lse = ll_new[keep], logp.compress(keep, axis=1), lse[keep]
-        work = np.empty_like(logp)
+        work, dev = np.empty_like(logp), np.empty_like(logp)
     # max_iter < 1: every start is returned as it began
     return [(w[:, j], mu[:, j], sd[:, j], ll[j], False, 0, trace[j, :1].copy())
             for j in range(ll.size)]
