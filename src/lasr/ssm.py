@@ -83,6 +83,12 @@ KERNELS = {
 # threshold by about 1e-6 * t relatively, far beyond the rounding of stdtr.
 _SCREEN_MARGIN = 1e-6
 
+# (pixel, kernel offset) pairs per block of the hat build: 2 MB per float
+# array.  The default bandwidth's 29 offsets take any mask below 9000 pixels
+# in one block; a kernel as wide as a 38x41 grid (6561 offsets) takes 39
+# pixels a block.
+_HAT_BLOCK = 1 << 18
+
 @dataclass(frozen=True)
 class SmoothFit:
     """A fitted local quadratic smoother on one difference map.
@@ -252,19 +258,28 @@ def _hat_fit(mask: np.ndarray, h: float, kernel: str, rim: int) -> SmoothFit:
     # design over offsets is shared by every pixel
     X = np.column_stack([np.ones(k), dr, dc, 0.5 * dr ** 2, 0.5 * dc ** 2, dr * dc])
 
-    nr = pr[:, None] + dr[None, :]
-    nc = pc[:, None] + dc[None, :]
-    inside = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
-    nidx = np.where(inside, flat_index[np.clip(nr, 0, rows - 1), np.clip(nc, 0, cols - 1)], -1)
-    valid = nidx >= 0
-    wts = np.where(valid, w[None, :], 0.0)         # (n, k)
+    def neighbours(lo, hi):
+        """Support index (-1: none) and kernel weight of each pixel's offsets."""
+        nr = pr[lo:hi, None] + dr[None, :]
+        nc = pc[lo:hi, None] + dc[None, :]
+        inside = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
+        nidx = np.where(inside, flat_index[np.clip(nr, 0, rows - 1), np.clip(nc, 0, cols - 1)], -1)
+        return nidx, np.where(nidx >= 0, w[None, :], 0.0)
 
-    n_pos = (wts > 0).sum(axis=1)
+    # the (pixel, offset) arrays are built a block of pixels at a time, so a
+    # kernel as wide as the grid costs memory in proportion to the block
+    step = max(1, _HAT_BLOCK // k)
+    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    n_pos = np.empty(n, dtype=np.int64)
+    A = np.empty((n, 6, 6))
+    for lo, hi in spans:
+        nidx, wts = block = neighbours(lo, hi)
+        n_pos[lo:hi] = (wts > 0).sum(axis=1)
+        A[lo:hi] = np.einsum("pk,ki,kj->pij", wts, X, X, optimize=True)
     if (n_pos < 6).any():
         bad = [(int(pr[i]), int(pc[i])) for i in np.nonzero(n_pos < 6)[0][:8]]
         raise NumericError(f"fewer than 6 weighted neighbors at pixels {bad}")
 
-    A = np.einsum("pk,ki,kj->pij", wts, X, X, optimize=True)
     # per-pixel conditioning check, reported with coordinates
     ev = np.linalg.eigvalsh(A)
     bad = ev[:, 0] <= 1e-10 * np.maximum(ev[:, -1], 1e-300)
@@ -274,12 +289,17 @@ def _hat_fit(mask: np.ndarray, h: float, kernel: str, rim: int) -> SmoothFit:
     e1 = np.zeros((n, 6))
     e1[:, 0] = 1.0
     coef = np.linalg.solve(A, e1[..., None])[..., 0]      # rows of A^{-1} e1
-    hat_w = wts * (coef @ X.T)                            # (n, k) hat weights
 
-    rows_idx = np.repeat(np.arange(n), k)[valid.ravel()]
-    cols_idx = nidx.ravel()[valid.ravel()]
-    data = hat_w.ravel()[valid.ravel()]
-    L = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(n, n))  # sums rim duplicates
+    parts = []
+    for lo, hi in spans:
+        nidx, wts = block if len(spans) == 1 else neighbours(lo, hi)
+        valid = (nidx >= 0).ravel()
+        hat_w = wts * (coef[lo:hi] @ X.T)                 # (pixels, k) hat weights
+        rows_idx = np.repeat(np.arange(hi - lo), k)[valid]
+        # sums rim duplicates
+        parts.append(sp.csr_matrix((hat_w.ravel()[valid], (rows_idx, nidx.ravel()[valid])),
+                                   shape=(hi - lo, n)))
+    L = parts[0] if len(parts) == 1 else sp.vstack(parts, format="csr")
 
     tr_l = float(L.diagonal().sum())
     fro_l2 = float((L.data * L.data).sum())
