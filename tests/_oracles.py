@@ -84,39 +84,76 @@ def _column_sums(a):
     return np.array([np.ascontiguousarray(a[:, k]).sum() for k in range(a.shape[1])])
 
 
+def _em_map(x, w, mu, sd, floor):
+    """One EM map: the E-step at ``(w, mu, sd)``, then the M-step."""
+    z = (x[:, None] - mu[None, :]) / sd[None, :]
+    logp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi) + np.log(w)[None, :]
+    logp -= logsumexp(logp, axis=1, keepdims=True)
+    r = np.exp(logp)
+    nk = np.maximum(_column_sums(r), 1e-12)
+    w = nk / x.size
+    w = w / w.sum()
+    mu = _column_sums(r * x[:, None]) / nk
+    var = _column_sums(r * (x[:, None] - mu[None, :]) ** 2) / nk
+    return w, mu, np.maximum(np.sqrt(var), floor)
+
+
+def _squarem_point(p0, p1, p2, floor):
+    """SqS3 (Varadhan & Roland 2008) from three successive EM iterates of
+    ``theta = (log w, mu, log sd)``: ``r = theta1 - theta0``, ``v = theta2
+    - theta1 - r``, ``alpha = -|r|/|v|`` held at ``alpha <= -1`` (-1 where
+    it is not finite), and ``theta0 - 2 alpha r + alpha^2 v`` with its
+    weights renormalised and its sds floored.  The squared norms add the
+    coordinates one after another, log weights first, then means, then log
+    sds."""
+    t0, t1, t2 = [[np.log(w), mu, np.log(sd)] for w, mu, sd in (p0, p1, p2)]
+    r = [b - a for a, b in zip(t0, t1)]
+    v = [(c - b) - d for b, c, d in zip(t1, t2, r)]
+    rr = vv = 0.0
+    for dr, dv in zip(np.concatenate(r), np.concatenate(v)):
+        rr, vv = rr + dr * dr, vv + dv * dv
+    alpha = -np.sqrt(rr / vv)
+    alpha = min(alpha, -1.0) if np.isfinite(alpha) else -1.0
+    lw, mu, lsd = [(a - (2.0 * alpha) * d) + (alpha * alpha) * e for a, d, e in zip(t0, r, v)]
+    w = np.exp(lw)
+    return w / w.sum(), mu, np.maximum(np.exp(lsd), floor)
+
+
 def _em_single_start(x, w, mu, sd, floor, tol, max_iter):
-    n = x.size
-    trace = []
-    ll = _em_log_density(x, w, mu, sd).sum()
-    trace.append(ll)
+    """SQUAREM cycles from one start: two EM maps, the SqS3 point, and one
+    EM map from it, or from the second map's point where the SqS3 point's
+    log-likelihood is lower or nan; plain EM maps where fewer than three
+    of ``max_iter`` are left.  The stop is tested after each cycle (or
+    plain map) on the log-likelihood gain over its last map."""
+    loglik = lambda p: _em_log_density(x, *p).sum()
+    p = (w, mu, sd)
+    trace = [loglik(p)]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        z = (x[:, None] - mu[None, :]) / sd[None, :]
-        logp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi) + np.log(w)[None, :]
-        logp -= logsumexp(logp, axis=1, keepdims=True)
-        r = np.exp(logp)
-        nk = np.maximum(_column_sums(r), 1e-12)
-        w = nk / n
-        w = w / w.sum()
-        mu = _column_sums(r * x[:, None]) / nk
-        var = _column_sums(r * (x[:, None] - mu[None, :]) ** 2) / nk
-        sd = np.maximum(np.sqrt(var), floor)
-        ll_new = _em_log_density(x, w, mu, sd).sum()
-        trace.append(ll_new)
-        if abs(ll_new - ll) <= tol * (1.0 + abs(ll_new)):
-            ll = ll_new
-            converged = True
-            break
-        ll = ll_new
-    return w, mu, sd, ll, converged, it, np.array(trace)
+    while it < max_iter and not converged:
+        if max_iter - it >= 3:
+            p1 = _em_map(x, *p, floor)
+            p2 = _em_map(x, *p1, floor)
+            trace += [loglik(p1), loglik(p2)]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                ext = _squarem_point(p, p1, p2, floor)
+                keep = loglik(ext) >= trace[-1]
+            p = _em_map(x, *(ext if keep else p2), floor)
+            it += 3
+        else:
+            p = _em_map(x, *p, floor)
+            it += 1
+        trace.append(loglik(p))
+        converged = abs(trace[-1] - trace[-2]) <= tol * (1.0 + abs(trace[-1]))
+    return (*p, trace[-1], converged, it, np.array(trace))
 
 
 def em_starts(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
     """Every start of an m >= 2 component 1-D mixture fit, run on its own.
 
     The quantile start plus ``n_restarts - 1`` jittered ones, each run to its
-    own stop with two density evaluations per iteration through
+    own stop by SQUAREM cycles (``_em_single_start``), with each density
+    evaluated twice, for its EM map and for its log-likelihood, through
     ``scipy.special.logsumexp``.  Every sum over the samples is numpy's
     pairwise sum of one contiguous 1-D array.  One ``(w, mu, sd, loglik,
     converged, n_iter, trace)`` per start, in order.
@@ -155,15 +192,19 @@ def em_best(runs, max_iter=300, cut=True):
 
 
 def _cut_points(runs, max_iter):
-    """The iteration at which each start stops once hopeless starts are cut.
+    """The EM map at which each start stops once hopeless starts are cut.
 
-    Walks k = 1, 2, ...: ``lead`` is the best final log-likelihood of the
-    starts that converged by k and were not cut, and a start still running
-    after k is cut there when ``ll_k + 2 * (max_iter - k) * (ll_k -
+    Walks the maps k that end a SQUAREM cycle (3, 6, ...) or a plain map
+    past the last full cycle: ``lead`` is the best final log-likelihood of
+    the starts that converged by k and were not cut, and a start still
+    running after k is cut there when ``ll_k + 2 * (max_iter - k) * (ll_k -
     ll_{k-1}) < lead``.
     """
     stops = [out[5] for out in runs]
-    for k in range(1, max(stops) + 1):
+    full = 3 * (max_iter // 3)
+    for k in [*range(3, full + 1, 3), *range(full + 1, max_iter + 1)]:
+        if k > max(stops):
+            break
         lead = max((out[3] for out, stop in zip(runs, stops) if out[4] and stop == out[5] <= k),
                    default=-np.inf)
         for j, out in enumerate(runs):
