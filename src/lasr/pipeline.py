@@ -121,12 +121,17 @@ def _compare_keys(cfg: RunConfig) -> dict:
 
 
 def _threshold_keys(prefix: str, result: seg.SegmentationResult) -> dict:
-    """A segment's mixture fit and threshold as report keys, each led by ``prefix``."""
+    """A segment's mixture fit, threshold and every candidate fit as report
+    keys, each led by ``prefix``."""
     m = result.model
-    return {f"{prefix}mixture_m": m.m, f"{prefix}mixture_loglik": m.loglik,
+    keys = {f"{prefix}mixture_m": m.m, f"{prefix}mixture_loglik": m.loglik,
             f"{prefix}mixture_converged": m.converged, f"{prefix}mixture_n_iter": m.n_iter,
             f"{prefix}threshold": result.t, f"{prefix}threshold_method": result.method,
             f"{prefix}threshold_cut": result.cut}
+    for c in m.candidates:
+        keys.update({f"{prefix}candidate.{c.m}.{k}": getattr(c, k)
+                     for k in ("loglik", "bic", "converged", "n_iter")})
+    return keys
 
 
 def _warn_fit(where: str, result: seg.SegmentationResult) -> None:

@@ -73,8 +73,8 @@ under plain EM), and on 15 at a factor of 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -84,6 +84,7 @@ from .frames import Frame
 
 __all__ = [
     "InitSpec",
+    "Candidate",
     "MixtureModel",
     "SegmentationResult",
     "positive_samples",
@@ -111,9 +112,24 @@ class InitSpec:
     seed: int = 0
 
 
+class Candidate(NamedTuple):
+    """One mixture size that ``select_model`` fitted, and how its fit ended."""
+
+    m: int
+    loglik: float
+    bic: float
+    converged: bool
+    n_iter: int
+
+
 @dataclass(frozen=True)
 class MixtureModel:
-    """A fitted 1-D Gaussian mixture, components sorted by mean."""
+    """A fitted 1-D Gaussian mixture, components sorted by mean.
+
+    A model chosen by ``select_model`` lists every size fitted for the
+    choice in ``candidates``, in order of m; a model from ``fit_mixture``
+    lists none.
+    """
 
     m: int
     weights: np.ndarray
@@ -123,6 +139,7 @@ class MixtureModel:
     converged: bool
     n_iter: int
     loglik_trace: np.ndarray
+    candidates: Tuple[Candidate, ...] = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -525,6 +542,8 @@ def select_model(samples, candidate_ms: Sequence[int] = (1, 2, 3),
     BIC here is loglik - (3m - 1)/2 * ln(n), to be maximized; ties go to
     the smaller model.  A size above the number of distinct sample values
     cannot be fitted and is skipped; when that leaves no size, DataError.
+    The chosen model's ``candidates`` hold every size fitted, with its
+    log-likelihood, BIC, convergence and EM map count.
     """
     ms = sorted(set(int(m) for m in candidate_ms))
     if not ms:
@@ -536,13 +555,14 @@ def select_model(samples, candidate_ms: Sequence[int] = (1, 2, 3),
     if not feasible:
         raise DataError(f"need at least {ms[0]} distinct sample values for m={ms[0]}, "
                         f"the smallest candidate; the sample has {distinct}")
-    best_model, best_bic = None, -np.inf
+    best_model, best_bic, fitted = None, -np.inf, []
     for m in feasible:
         model = fit_mixture(x, m, init=init)
         bic = model.loglik - (3 * m - 1) / 2.0 * np.log(n)
+        fitted.append(Candidate(m, model.loglik, float(bic), model.converged, model.n_iter))
         if bic > best_bic:
             best_model, best_bic = model, bic
-    return best_model
+    return replace(best_model, candidates=tuple(fitted))
 
 
 # ---------------------------------------------------------------------------

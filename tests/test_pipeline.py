@@ -29,6 +29,7 @@ from lasr import (
     cli_main,
     difference_map,
     fdr_map,
+    fit_mixture,
     gen_session,
     load_movie,
     local_quadratic_smooth,
@@ -136,6 +137,20 @@ class TestRunStatic:
             assert disk[f"{which}.mixture_loglik"] == pipeline._fmt(model.loglik)
             assert disk[f"{which}.mixture_converged"] == pipeline._fmt(model.converged)
             assert int(disk[f"{which}.mixture_n_iter"]) == model.n_iter
+            cut = optimal_threshold(model).cut
+            assert report[f"{which}.threshold_cut"] == cut and int(disk[f"{which}.threshold_cut"]) == cut
+            # every candidate size, from the fits the BIC choice made
+            n = positive_samples(ref).size
+            assert sorted(c.m for c in model.candidates) == [2, 3]
+            for m in (2, 3):
+                fit = fit_mixture(positive_samples(ref), m, init=InitSpec(seed=cfg.seed))
+                bic = fit.loglik - (3 * m - 1) / 2.0 * np.log(n)
+                expected = {"loglik": fit.loglik, "bic": bic, "converged": fit.converged,
+                            "n_iter": fit.n_iter}
+                for key, value in expected.items():
+                    assert report[f"{which}.candidate.{m}.{key}"] == value, (which, m, key)
+                    assert disk[f"{which}.candidate.{m}.{key}"] == pipeline._fmt(value), (which, m, key)
+            assert report[f"{which}.candidate.{model.m}.loglik"] == model.loglik
 
     def test_rerun_is_byte_identical(self, tmp_path):
         before, after = session_pair()
@@ -786,6 +801,10 @@ class TestCli:
         assert rep["mixture_loglik"] == pipeline._fmt(model.loglik)
         assert rep["mixture_converged"] == pipeline._fmt(model.converged)
         assert int(rep["mixture_n_iter"]) == model.n_iter
+        assert int(rep["threshold_cut"]) == optimal_threshold(model).cut
+        for c in model.candidates:
+            for key in ("loglik", "bic", "converged", "n_iter"):
+                assert rep[f"candidate.{c.m}.{key}"] == pipeline._fmt(getattr(c, key))
         reg1 = tmp_path / "reg1"
         rc = cli_main(["register", "--in", str(seg1 / "segmented.lasr"), "--out", str(reg1)])
         assert rc == 0
