@@ -29,12 +29,14 @@ CANDIDATE_M = (1, 2, 3)
 GLYPHS = " .:#"   # off / faint / mid / strong, for the ASCII view
 
 
-def misclassification(model, t):
-    """P(background above t) + P(any signal component below t)."""
+def misclassification(model, t, cut=0):
+    """P(background above t) + P(any contact component below t), with
+    components 0..cut as background."""
     w, mu, sd = model.weights, model.means, model.sds
-    v = w[0] * norm.sf(t, loc=mu[0], scale=sd[0])
-    for i in range(1, model.m):
-        v += w[i] * norm.cdf(t, loc=mu[i], scale=sd[i])
+    v = 0.0
+    for i in range(model.m):
+        tail = norm.sf if i <= cut else norm.cdf
+        v += w[i] * tail(t, loc=mu[i], scale=sd[i])
     return float(v)
 
 
@@ -89,14 +91,15 @@ def main():
 
     # ---- threshold ---------------------------------------------------
     result = optimal_threshold(model)
-    t_grid = pmc_oracle(model)
-    print(f"\nthreshold t* = {result.t:.4f}  ({result.method})")
+    k = result.cut
+    t_grid = pmc_oracle(model, k)
+    print(f"\nthreshold t* = {result.t:.4f}  ({result.method}, components 0..{k} background)")
     print(f"grid-scan check:          {t_grid:.4f}  (|diff| = {abs(result.t - t_grid):.2e})")
-    print(f"misclassification probability at t*: {misclassification(model, result.t):.5f}")
+    print(f"misclassification probability at t*: {misclassification(model, result.t, k):.5f}")
 
     # sanity: t* beats a naive midpoint cut
-    mid = 0.5 * (model.means[0] + model.means[1])
-    print(f"midpoint cut {mid:.4f} would give PMC {misclassification(model, mid):.5f}")
+    mid = 0.5 * (model.means[k] + model.means[k + 1])
+    print(f"midpoint cut {mid:.4f} would give PMC {misclassification(model, mid, k):.5f}")
 
     # ---- apply -------------------------------------------------------
     segmented = segment_frame(frame, result.t)
