@@ -234,9 +234,10 @@ def _load_masked(path: str) -> fr.Movie:
 
 
 class _Outputs:
-    """A command's output files, as a context: on failure every file written
-    (and the directory, if made here) is removed, and the error is re-raised
-    as a StageError naming ``stage``."""
+    """A command's output files, as a context: on any failure every file
+    written (and the directory, if made here) is removed; a LasrError or
+    OSError is re-raised as a StageError naming ``stage``, anything else as
+    it is."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -248,7 +249,7 @@ class _Outputs:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if not isinstance(exc, (LasrError, OSError)):
+        if exc is None:
             return False
         for p in self.written:
             with suppress(OSError):
@@ -256,6 +257,8 @@ class _Outputs:
         if self.made_dir:
             with suppress(OSError):
                 os.rmdir(self.out_dir)
+        if not isinstance(exc, (LasrError, OSError)):
+            return False
         raise StageError(self.stage, exc) from exc
 
     def makedirs(self) -> None:

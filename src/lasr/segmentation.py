@@ -58,16 +58,6 @@ with the components ordered by ``np.minimum``/``np.maximum``; a batch in
 which some sample has two components tied at the maximum, or a
 non-finite maximum, and any m >= 4, take the general form, which counts
 tied maxima as scipy does.
-
-A start is also dropped once it cannot win: when even twice the gain of
-its last EM map, kept for every map up to ``max_iter``, would leave its
-log-likelihood below that of a start that has already converged.  A cut
-start is below that converged start, so the winner is always a start that
-converged or reached ``max_iter``.  The factor 2 is a margin for a start
-whose gain picks up again, not a guarantee, and SQUAREM's gains come in
-leaps: against the same starts run uncut, the winner changed on 5 of the
-first 100 m = 3 fits of the BIC test battery at a factor of 2 (1 of 100
-under plain EM), and on 15 at a factor of 1.
 """
 
 from __future__ import annotations
@@ -96,7 +86,6 @@ __all__ = [
 ]
 
 _VAR_FLOOR_SCALE = 1e-3  # sd floor relative to the sample sd
-_CUT_RATE = 2.0  # a start is cut when even this multiple of its gain cannot reach the lead
 _TOL = 1e-8  # EM stops when the log-likelihood gain is at most this, relative
 _PMC_GRID = 100001  # points of the PMC fallback grid
 _SQRT_2PI = np.sqrt(2 * np.pi)  # scipy.stats.norm's pdf constant
@@ -386,13 +375,13 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     are left, the remaining ones are plain EM maps.  The trace holds the
     log-likelihood after each map, and ``n_iter`` is the number of maps.
 
-    A start leaves the batch at the end of the cycle (or plain map) where it
-    converges, that is its log-likelihood rose by at most ``_TOL`` relative
-    over the last map, or where it reaches ``max_iter``.  Every step of it
-    is the same arithmetic as a run of its own: each sum over the samples
-    runs along one contiguous row (``_em_map``), and each norm and sum over
-    the parameters adds them one after another.  The sd floor is kept in
-    force throughout.
+    A start leaves the batch only at the end of the cycle (or plain map)
+    where it converges, that is its log-likelihood rose by at most
+    ``_TOL`` relative over the last map, or where it reaches ``max_iter``.
+    Every step of it is the same arithmetic as a run of its own: each sum
+    over the samples runs along one contiguous row (``_em_map``), and each
+    norm and sum over the parameters adds them one after another.  The sd
+    floor is kept in force throughout.
 
     The batch lives in four ``(m, R, n)`` buffers: the log terms at the
     current parameters, the log terms at ``theta'``, and ``_em_map``'s two
@@ -402,15 +391,8 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     The normaliser is ``_logsumexp``, in closed form for m = 2 and 3 unless
     a sample ties two components exactly at their maximum.
 
-    A start is also cut when it cannot win: ``lead`` is the best final
-    log-likelihood of the starts converged so far, and at the end of a
-    cycle ending at map ``k`` an unconverged start leaves when ``ll_k +
-    _CUT_RATE * (max_iter - k) * (ll_k - ll_{k-1}) < lead``, i.e. even
-    climbing at twice the rate of its last map to the cap it would end
-    below a converged start.  A cut start is returned as it stood,
-    unconverged and below ``lead``, so the best start is always one that
-    converged or reached ``max_iter``.  Returns one ``(w, mu, sd, loglik,
-    converged, n_iter, trace)`` per start, in order.
+    Returns one ``(w, mu, sd, loglik, converged, n_iter, trace)`` per
+    start, in order.
     """
     logp = _log_terms(x, w, mu, sd)
     work, dev, spare = (np.empty_like(logp) for _ in range(3))
@@ -420,7 +402,6 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     trace[:, 0] = ll
     rows = np.arange(ll.size)
     runs = [None] * ll.size
-    lead = -np.inf
     k = 0
     while k < max_iter:
         if max_iter - k >= 3:
@@ -448,10 +429,7 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
         w, mu, sd, logp, lse, ll_new = _em_map(x, logp, lse, floor, work, dev)
         trace[rows, k] = ll_new
         converged = np.abs(ll_new - ll) <= _TOL * (1.0 + np.abs(ll_new))
-        if converged.any():
-            lead = max(lead, float(ll_new[converged].max()))
         done = converged | (k == max_iter)
-        done |= ll_new + _CUT_RATE * (max_iter - k) * (ll_new - ll) < lead
         if not done.any():
             continue
         for j in np.flatnonzero(done):
@@ -485,9 +463,7 @@ def fit_mixture(samples, m: int, init: InitSpec = InitSpec(), max_iter: int = 30
     log-likelihood after each.  All starts run as one batch, with the same
     results as running them one by one: each start's sums over the samples
     are numpy's pairwise sums of one contiguous row, as over that start
-    alone.  A start that could not catch an already converged one even at
-    twice the gain of its last map leaves early, so the winner has always
-    converged or reached ``max_iter``.  Deterministic given ``init.seed``.
+    alone.  Deterministic given ``init.seed``.
     Component sds are floored at 1e-3 times the sample sd, so the floor is
     part of the maximization and the log-likelihood trace stays
     nondecreasing.

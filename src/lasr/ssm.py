@@ -179,7 +179,9 @@ def pad_rim(diff: Frame, rim: int) -> Frame:
     mask = diff.support_mask
     if not mask.any():
         raise DataError("empty support")
-    band = binary_dilation(mask, structure=np.ones((3, 3), bool), iterations=rim) & ~mask
+    # past max(shape) steps the band covers the grid and stops growing
+    steps = min(rim, max(mask.shape))
+    band = binary_dilation(mask, structure=np.ones((3, 3), bool), iterations=steps) & ~mask
     br, bc = np.nonzero(band)
     srcs, scols = np.nonzero(mask)
     order = np.lexsort((scols, srcs))  # ties resolve to smallest row, then col

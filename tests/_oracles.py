@@ -171,52 +171,23 @@ def em_starts(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
     return runs
 
 
-def em_best(runs, max_iter=300, cut=True):
-    """The winning fit among ``em_starts`` runs, and every start's iteration count.
-
-    With ``cut``, the starts the library drops as hopeless are first cut
-    after the fact (``_cut_points``).  The first start not cut with
-    the strictly largest final log-likelihood wins.  Returns ``(weights,
-    means, sds, loglik, converged, n_iter, trace)`` with the components
-    sorted by mean, and each start's cut point or its own stop.
+def em_best(runs):
+    """The winning fit among ``em_starts`` runs: the first start with the
+    strictly largest final log-likelihood.  Returns ``(weights, means, sds,
+    loglik, converged, n_iter, trace)`` with the components sorted by mean.
     """
-    iters = _cut_points(runs, max_iter) if cut else [out[5] for out in runs]
     best = None
-    for out, stop in zip(runs, iters):
-        if stop == out[5] and (best is None or out[3] > best[3]):
+    for out in runs:
+        if best is None or out[3] > best[3]:
             best = out
     w, mu, sd, ll, converged, it, trace = best
     order = np.argsort(mu, kind="stable")
-    fit = (w[order] / w[order].sum(), mu[order], sd[order], float(ll), converged, it, trace)
-    return fit, iters
-
-
-def _cut_points(runs, max_iter):
-    """The EM map at which each start stops once hopeless starts are cut.
-
-    Walks the maps k that end a SQUAREM cycle (3, 6, ...) or a plain map
-    past the last full cycle: ``lead`` is the best final log-likelihood of
-    the starts that converged by k and were not cut, and a start still
-    running after k is cut there when ``ll_k + 2 * (max_iter - k) * (ll_k -
-    ll_{k-1}) < lead``.
-    """
-    stops = [out[5] for out in runs]
-    full = 3 * (max_iter // 3)
-    for k in [*range(3, full + 1, 3), *range(full + 1, max_iter + 1)]:
-        if k > max(stops):
-            break
-        lead = max((out[3] for out, stop in zip(runs, stops) if out[4] and stop == out[5] <= k),
-                   default=-np.inf)
-        for j, out in enumerate(runs):
-            trace = out[6]
-            if stops[j] == out[5] > k and trace[k] + 2.0 * (max_iter - k) * (trace[k] - trace[k - 1]) < lead:
-                stops[j] = k
-    return stops
+    return w[order] / w[order].sum(), mu[order], sd[order], float(ll), converged, it, trace
 
 
 def em_reference(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
     """``em_best`` of ``em_starts``: the fit the library must return, one start after another."""
-    return em_best(em_starts(x, m, n_restarts, jitter, seed, tol, max_iter), max_iter)
+    return em_best(em_starts(x, m, n_restarts, jitter, seed, tol, max_iter))
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,18 @@ class TestRunFailures:
         assert isinstance(exc.value.cause, OSError)
         assert not out_dir.exists()
 
+    def test_any_failure_removes_outputs_and_keeps_its_type(self, tmp_path):
+        def fail(path):
+            raise RuntimeError("writer bug")
+
+        out_dir = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="writer bug"):
+            with pipeline._Outputs(str(out_dir)) as out:
+                out.makedirs()
+                out.emit("report.txt", pipeline._write_report, {"n_pairs": 1})
+                out.emit("pair0000_diff.csv", fail)
+        assert not out_dir.exists()
+
 
 class TestSelectedSegmentLoading:
     """A session directory is parsed only for the segment the run compares."""
@@ -717,6 +729,15 @@ class TestCli:
         assert disk["mode"] == "static"
         assert disk["before.path"] == str(ph / "s1")
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--rim", str(10**20)), ("--bandwidth", "1e20")])
+    def test_rim_beyond_a_c_long_runs(self, tmp_path, flag, value):
+        ph = tmp_path / "ph"
+        cli_main(["phantom", "--out", str(ph)] + PHANTOM_ARGS)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--before", str(ph / "s1"), "--after", str(ph / "s2"),
+                         "--out", str(out), "--mean-frame", flag, value]) == 0
+        assert read_report(out / "report.txt")["rim"] == str(10**20)
 
     def test_usage_errors_exit_2(self, capsys):
         assert cli_main([]) == 2

@@ -135,6 +135,17 @@ class TestPadRim:
         assert pad_rim(f, 0) is f
         assert pad_rim(f, 3) is f  # full mask: nothing to fill
 
+    def test_huge_rim_stops_at_the_grid(self):
+        """Past max(shape) steps the band covers the grid, so a rim beyond
+        any C long pads as that one does."""
+        rows, cols = 7, 12
+        f = noisy_diff(rows, cols, seed=3, mask=blob_mask(rows, cols))
+        want = pad_rim(f, max(rows, cols))
+        got = pad_rim(f, 10**20)
+        assert got.support_mask.all()
+        assert np.array_equal(got.support_mask, want.support_mask)
+        assert np.array_equal(got.values, want.values)
+
     def test_bad_inputs(self):
         f = noisy_diff(4, 4, seed=2)
         with pytest.raises(ConfigError):
