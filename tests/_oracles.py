@@ -71,12 +71,6 @@ def mixture_loglik(x, weights, means, sds):
     return float(out)
 
 
-def _em_log_density(x, w, mu, sd):
-    z = (x[:, None] - mu[None, :]) / sd[None, :]
-    comp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi)
-    return logsumexp(comp + np.log(w)[None, :], axis=1)
-
-
 def _column_sums(a):
     """Sum of each column of an ``(n, m)`` array, one contiguous 1-D sum per
     column: numpy's pairwise order over the samples.  (``a.sum(axis=0)``
@@ -84,18 +78,30 @@ def _column_sums(a):
     return np.array([np.ascontiguousarray(a[:, k]).sum() for k in range(a.shape[1])])
 
 
-def _em_map(x, w, mu, sd, floor):
-    """One EM map: the E-step at ``(w, mu, sd)``, then the M-step."""
+def _em_point(x, w, mu, sd):
+    """``(params, logp, lse)`` at ``(w, mu, sd)``: the ``(n, m)`` log terms
+    ``log w + log phi(z) - log sd`` and their logsumexp per sample, whose
+    sum is the log-likelihood there and which the E-step from there uses."""
     z = (x[:, None] - mu[None, :]) / sd[None, :]
     logp = -0.5 * z * z - np.log(sd)[None, :] - 0.5 * np.log(2.0 * np.pi) + np.log(w)[None, :]
-    logp -= logsumexp(logp, axis=1, keepdims=True)
-    r = np.exp(logp)
+    return (w, mu, sd), logp, logsumexp(logp, axis=1)
+
+
+def _loglik(point):
+    return point[2].sum()
+
+
+def _em_map(x, point, floor):
+    """One EM map from an ``_em_point``: the E-step there, then the M-step;
+    returns the ``_em_point`` at the new parameters."""
+    _, logp, lse = point
+    r = np.exp(logp - lse[:, None])
     nk = np.maximum(_column_sums(r), 1e-12)
     w = nk / x.size
     w = w / w.sum()
     mu = _column_sums(r * x[:, None]) / nk
     var = _column_sums(r * (x[:, None] - mu[None, :]) ** 2) / nk
-    return w, mu, np.maximum(np.sqrt(var), floor)
+    return _em_point(x, w, mu, np.maximum(np.sqrt(var), floor))
 
 
 def _squarem_point(p0, p1, p2, floor):
@@ -124,28 +130,28 @@ def _em_single_start(x, w, mu, sd, floor, tol, max_iter):
     EM map from it, or from the second map's point where the SqS3 point's
     log-likelihood is lower or nan; plain EM maps where fewer than three
     of ``max_iter`` are left.  The stop is tested after each cycle (or
-    plain map) on the log-likelihood gain over its last map."""
-    loglik = lambda p: _em_log_density(x, *p).sum()
-    p = (w, mu, sd)
-    trace = [loglik(p)]
+    plain map) on the log-likelihood gain over its last map.  Each point's
+    density is evaluated once, for its log-likelihood and the E-step from it."""
+    point = _em_point(x, w, mu, sd)
+    trace = [_loglik(point)]
     converged = False
     it = 0
     while it < max_iter and not converged:
         if max_iter - it >= 3:
-            p1 = _em_map(x, *p, floor)
-            p2 = _em_map(x, *p1, floor)
-            trace += [loglik(p1), loglik(p2)]
+            p1 = _em_map(x, point, floor)
+            p2 = _em_map(x, p1, floor)
+            trace += [_loglik(p1), _loglik(p2)]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                ext = _squarem_point(p, p1, p2, floor)
-                keep = loglik(ext) >= trace[-1]
-            p = _em_map(x, *(ext if keep else p2), floor)
+                ext = _em_point(x, *_squarem_point(point[0], p1[0], p2[0], floor))
+                keep = _loglik(ext) >= trace[-1]
+            point = _em_map(x, ext if keep else p2, floor)
             it += 3
         else:
-            p = _em_map(x, *p, floor)
+            point = _em_map(x, point, floor)
             it += 1
-        trace.append(loglik(p))
+        trace.append(_loglik(point))
         converged = abs(trace[-1] - trace[-2]) <= tol * (1.0 + abs(trace[-1]))
-    return (*p, trace[-1], converged, it, np.array(trace))
+    return (*point[0], trace[-1], converged, it, np.array(trace))
 
 
 def em_starts(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
@@ -153,7 +159,7 @@ def em_starts(x, m, n_restarts=5, jitter=0.25, seed=0, tol=1e-8, max_iter=300):
 
     The quantile start plus ``n_restarts - 1`` jittered ones, each run to its
     own stop by SQUAREM cycles (``_em_single_start``), with each density
-    evaluated twice, for its EM map and for its log-likelihood, through
+    evaluated once, for its log-likelihood and the EM map from it, through
     ``scipy.special.logsumexp``.  Every sum over the samples is numpy's
     pairwise sum of one contiguous 1-D array.  One ``(w, mu, sd, loglik,
     converged, n_iter, trace)`` per start, in order.

@@ -549,23 +549,94 @@ class TestBatchedEm:
             assert model.converged or model.n_iter == max_iter, rep
 
     def test_large_sample_equals_oracle(self):
-        # above numpy's 8192-element reduction buffer
+        # longer than numpy's default 8192-element ufunc buffer, under which
+        # the oracle sums, and than the EM's own: neither may split a row's sum
         x = draw_mixture(np.random.default_rng(0), 9000, [0.5, 0.3, 0.2], [0.0, 4.0, 9.0],
                          [1.0, 1.2, 1.0])
         ref = orc.em_reference(x, 3)
         assert_same_fit(fit_mixture(x, 3), ref)
 
-    @pytest.mark.parametrize("width", [1, 5])
-    @pytest.mark.parametrize("n", [9, 1558, 8193, 20000])
-    def test_batch_row_sum_equals_one_start_sum(self, n, width):
+    @pytest.mark.parametrize("n, width, bufsize", [
+        pytest.param(n, width, bufsize, id=f"{n}-{width}{suffix}")
+        for suffix, bufsize in (("", None), ("-em-buffer", segmentation._EM_BUFSIZE))
+        for n in (9, 1558, 8193, 20000) for width in (1, 5)])
+    def test_batch_row_sum_equals_one_start_sum(self, n, width, bufsize):
         """What makes the batch equal to the one-by-one oracle: a row's sum
-        over the last axis of an ``(m, R, n)`` array is the 1-D sum of it."""
+        over the last axis of an ``(m, R, n)`` array, at numpy's default
+        ufunc buffer or under the EM's, is the 1-D sum of it at the default,
+        which is how the oracle sums."""
         rng = np.random.default_rng(n + width)
         a = rng.random((3, width, n)) * 10.0 ** rng.integers(-3, 4, (3, width, 1))
-        rows = a.sum(axis=-1)
+        default = np.getbufsize()
+        np.setbufsize(bufsize or default)
+        try:
+            rows = a.sum(axis=-1)
+        finally:
+            np.setbufsize(default)
         for k in range(3):
             for j in range(width):
                 assert rows[k, j] == a[k, j].copy().sum()
+
+    def test_em_buffer_is_scoped_to_the_batch(self, monkeypatch):
+        """``_em_batch`` runs under ``_EM_BUFSIZE`` and gives the caller's
+        buffer back when it returns and when it raises."""
+        x = self.SAMPLE
+        caller = 4096  # neither numpy's default nor the EM's
+        old = np.setbufsize(caller)
+        try:
+            fit_mixture(x, 3)
+            assert np.getbufsize() == caller
+            select_model(x)
+            assert np.getbufsize() == caller
+            seen = []
+
+            def failing(*args):
+                seen.append(np.getbufsize())
+                raise RuntimeError("map failed")
+
+            monkeypatch.setattr(segmentation, "_em_map", failing)
+            with pytest.raises(RuntimeError, match="map failed"):
+                fit_mixture(x, 3)
+            assert seen == [segmentation._EM_BUFSIZE]
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("shape", ["batch", "flat"])
+    def test_exp_helper_equals_np_exp_bit_for_bit(self, shape):
+        """``_exp_inplace`` skips exp on the lanes below its cutoff and must
+        still give ``np.exp``'s bits on every lane: normal, subnormal and
+        zero results, each side of the rounding edge and of the cutoff,
+        deep negatives, overflow and the special values."""
+        rng = np.random.default_rng(7)
+        edge = -745.1332191019412  # ln 2**-1075: exp rounds to 0 below it
+
+        def ulps_around(v, k=2000):
+            return (np.array([v]).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+        a = np.concatenate([
+            rng.uniform(-700.0, 700.0, 3000),                   # normal results
+            rng.uniform(-745.13, -708.4, 3000),                 # subnormal results
+            ulps_around(edge), ulps_around(segmentation._EXP_ZERO_BELOW),
+            ulps_around(np.log(np.finfo(np.float64).max)),      # the overflow edge
+            -np.logspace(3.0, 308.0, 3000),                     # deep negatives to -1e308
+            rng.uniform(709.79, 1e4, 500),                      # overflow
+            [-np.inf, np.inf, np.nan, 0.0, -0.0, -1.7976931348623157e308],
+        ])
+        a = np.concatenate([a, np.zeros(-a.size % 15)])
+        if shape == "batch":
+            a = rng.permutation(a).reshape(3, 5, -1)  # C-contiguous (m, R, n)
+        with np.errstate(over="ignore"):
+            ref = np.exp(a)
+            got = segmentation._exp_inplace(a.copy())
+            default = np.setbufsize(segmentation._EM_BUFSIZE)
+            try:
+                got_em = segmentation._exp_inplace(a.copy())  # as the batch runs it
+            finally:
+                np.setbufsize(default)
+        for out in (got, got_em):
+            assert out.shape == ref.shape and out.flags.c_contiguous
+            assert (out.view(np.uint64) == ref.view(np.uint64)).all()
 
     def test_em_batch_sums_only_contiguous_arrays(self):
         seen = []
