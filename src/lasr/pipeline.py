@@ -482,8 +482,10 @@ def _build_parser() -> _Parser:
     ph.add_argument("--noise-signal", type=float, default=2.0)
     ph.add_argument("--effect-delta", type=float, default=0.0,
                     help="intensity change planted in the after session (0 = none)")
-    ph.add_argument("--effect-rows", default=None, help="effect row span r0:r1")
-    ph.add_argument("--effect-cols", default=None, help="effect column span c0:c1")
+    ph.add_argument("--effect-rows", default=None,
+                    help="effect row span r0:r1 (default rows//2-3:rows//2+3, clipped to the grid)")
+    ph.add_argument("--effect-cols", default=None,
+                    help="effect column span c0:c1 (default cols//2-3:cols//2+3, clipped to the grid)")
     ph.add_argument("--stim-period", type=int, default=20)
     ph.add_argument("--stim-left", type=float, default=0.5)
     ph.add_argument("--stim-right", type=float, default=0.5)
@@ -542,8 +544,8 @@ def _cmd_phantom(ns) -> int:
             raise ConfigError(f"--{flag} must be {rule}, got {getattr(ns, flag.replace('-', '_'))}")
     effect = None
     if ns.effect_delta != 0.0:
-        r0, r1 = _span(ns.effect_rows, ns.rows, (ns.rows // 2 - 3, ns.rows // 2 + 3))
-        c0, c1 = _span(ns.effect_cols, ns.cols, (ns.cols // 2 - 3, ns.cols // 2 + 3))
+        r0, r1 = _span(ns.effect_rows, ns.rows, (max(0, ns.rows // 2 - 3), min(ns.rows, ns.rows // 2 + 3)))
+        c0, c1 = _span(ns.effect_cols, ns.cols, (max(0, ns.cols // 2 - 3), min(ns.cols, ns.cols // 2 + 3)))
         mask = np.zeros((ns.rows, ns.cols), dtype=bool)
         mask[r0:r1, c0:c1] = True
         effect = synthgen.EffectSpec(mask, ns.effect_delta)

@@ -51,13 +51,12 @@ the samples run along a contiguous row of the batch, in numpy's pairwise
 order, which is the order of the same sum over that start alone, and its
 norms and sums over the parameters add them one after another; so each
 start's steps are the same as a run of its own, bit for bit.  The
-normaliser is ``scipy.special.logsumexp``'s arithmetic, bit for bit.  For
-two and three components it is computed in closed form, ``log1p`` of the
+normaliser is ``scipy.special.logsumexp``'s value, bit for bit.  For two
+and three components it is computed in closed form, ``log1p`` of the
 summed exponentials of the terms below the maximum, plus the maximum,
 with the components ordered by ``np.minimum``/``np.maximum``; a batch in
 which some sample has two components tied at the maximum, or a
-non-finite maximum, and any m >= 4, take the general form, which counts
-tied maxima as scipy does.
+non-finite maximum, and any m >= 4, call scipy's ``logsumexp``.
 
 EM keeps two numpy costs that are not arithmetic out of the batch, bit for
 bit.  It runs under a ufunc buffer no longer than a sample row, set for the
@@ -73,7 +72,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 
 from .errors import DataError, NumericError
 from .frames import Frame
@@ -219,85 +218,56 @@ def _exp_inplace(a):
 def _logsumexp(a):
     """``log(sum_k exp(a[k]))`` over the leading (component) axis.
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``, bit for bit.
-    With two or three components (``_logsumexp_closed``) that is ``log1p(s)
-    + top``, with ``s`` the sum of the shifted exponentials of the terms
-    below the maximum ``top``.  Any other input takes ``_logsumexp_general``.
+    The value of ``scipy.special.logsumexp`` over the components, bit for
+    bit.  With two or three components (``_logsumexp_closed``) that is
+    ``log1p(s) + top``, with ``s`` the sum of the shifted exponentials of
+    the terms below the maximum ``top``.  Any other input goes to scipy
+    itself.  numpy adds fewer than 8 terms left to right along any axis,
+    but 8 or more in its pairwise order, the order of scipy's sum over one
+    sample's terms, only along a contiguous axis; so from 8 components on
+    they are first copied to a contiguous last axis.  Fewer stay where they
+    are, since a reduction over a short contiguous axis is slow.
     """
     if len(a) in (2, 3) and a[0].size:
         out = _logsumexp_closed(a)
         if out is not None:
             return out
-    return _logsumexp_general(a)
+    axis = 0
+    if len(a) >= 8:
+        a, axis = np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1
+    # scipy's own shift overflows near 1e308, and warns without this
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return logsumexp(a, axis=axis)
 
 
 def _logsumexp_closed(a):
     """``_logsumexp`` of two or three components, or None where it does not apply.
 
-    The components are ordered with ``np.minimum``/``np.maximum``: ``|a0 -
-    a1|`` for two, a three-element min/max network for three.  Where every
-    column has exactly one finite maximum, scipy's tie count is 1, so its
-    ``/ count`` and ``+ log(count)`` leave the value as it is, and its sum
-    over the components, with the maximum's term zeroed, is the sum of the
-    other one or two terms, in either order.  Where some column has a tied
-    or non-finite maximum, this returns None and the caller takes
-    ``_logsumexp_general``.  For two components the shifted term is
-    ``-|a0 - a1|``, which is ``min - max`` exactly: ``a0 - a1`` and ``a1 -
-    a0`` differ only in sign.
+    A min/max network orders the components: ``top`` is the maximum and
+    ``rest`` the one or two terms below it.  Where every column has exactly
+    one finite maximum, scipy's tie count is 1, so its ``/ count`` and ``+
+    log(count)`` leave the value as it is, and its sum over the components,
+    with the maximum's term zeroed, is the sum of the other one or two
+    terms, in either order.  Where some column has a tied or non-finite
+    maximum, this returns None and the caller takes scipy's.
     """
-    if len(a) == 2:
-        top = np.maximum(a[0], a[1])
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; near 1e308
-            gap = np.subtract(a[0], a[1])
-        np.abs(gap, out=gap)
-        # fails on a tie (gap 0), a nan, a maximum of -inf (gap nan) or of inf (top.max())
-        if not (gap.min() > 0 and top.max() < np.inf):
-            return None
-        s = _exp_inplace(np.negative(gap, out=gap))
-    else:
-        low = np.minimum(a[0], a[1])
-        mid = np.maximum(a[0], a[1])
-        top = np.maximum(mid, a[2])
-        np.minimum(mid, a[2], out=mid)
-        with np.errstate(invalid="ignore", over="ignore"):
-            low -= top
-            mid -= top
-        # fails on a tie (difference 0), a nan, a maximum of -inf (difference nan) or of inf
-        if not (low.max() < 0 and mid.max() < 0 and top.max() < np.inf):
-            return None
-        _exp_inplace(low)
-        s = _exp_inplace(mid)
-        s += low
+    rest = [np.minimum(a[0], a[1])]
+    top = np.maximum(a[0], a[1])
+    if len(a) == 3:
+        rest.append(np.minimum(top, a[2]))
+        np.maximum(top, a[2], out=top)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; near 1e308
+        for r in rest:
+            r -= top
+    # fails on a tie (difference 0), a nan, a maximum of -inf (difference nan) or of inf
+    if not (all(r.max() < 0 for r in rest) and top.max() < np.inf):
+        return None
+    s = _exp_inplace(rest[0])
+    for r in rest[1:]:
+        s += _exp_inplace(r)
     np.log1p(s, out=s)
     s += top
     return s
-
-
-def _logsumexp_general(a):
-    """``_logsumexp`` for any number of components, ties and non-finite terms.
-
-    The maxima are split off, the sum of the other terms is divided by the
-    number of tied maxima, and the result is ``log1p(s) + log(count) +
-    max``.  The tied terms are zeroed instead of shifted from -inf, so a row
-    whose maximum is infinite already gives the +-inf that scipy's
-    non-finite fallback ``log(sum(exp(a)))`` puts there.  Every reduction
-    runs column by column over the few components, which is far cheaper
-    than a numpy reduction over a short axis.
-    """
-    top = a[0]
-    for c in a[1:]:
-        top = np.maximum(top, c)
-    count = np.zeros_like(top)
-    terms = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in a:
-            tied = c == top
-            count += tied
-            e = np.subtract(c, top)
-            np.exp(e, out=e)
-            e[tied] = 0.0
-            terms.append(e)
-        return np.log1p(_sum_columns(terms) / count) + np.log(count) + top
 
 
 def _log_terms(x, w, mu, sd, out=None, z=None, centred=False):
@@ -409,9 +379,10 @@ def _em_batch(x, w, mu, sd, floor, max_iter):
     ``theta2``'s log terms copied over those of ``theta'``.  The buffers
     are copied, narrower, only at the end of a cycle where a start leaves.
     The normaliser is ``_logsumexp``, in closed form for m = 2 and 3 unless
-    a sample ties two components exactly at their maximum.  Its shifted
-    terms and the responsibilities go through ``_exp_inplace``, which
-    zeroes the lanes that round to zero without computing exp there.
+    a sample ties two components exactly at their maximum, and scipy's
+    ``logsumexp`` otherwise.  The closed form's shifted terms and the
+    responsibilities go through ``_exp_inplace``, which zeroes the lanes
+    that round to zero without computing exp there.
 
     The batch runs under a ufunc buffer of ``_EM_BUFSIZE`` elements, and
     the caller's is restored on return or on an exception.  At numpy's

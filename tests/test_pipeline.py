@@ -1249,6 +1249,19 @@ class TestCliOptions:
         assert needle in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows,cols,box", [(4, 5, (slice(0, 4), slice(0, 5))),
+                                               (38, 41, (slice(16, 22), slice(17, 23)))])
+    def test_phantom_default_effect_box_is_clipped_to_the_grid(self, tmp_path, rows, cols, box):
+        """The default span ``n//2-3:n//2+3`` is clipped to the grid rather than
+        wrapping from the far edge on a side shorter than 6."""
+        out = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(out), "--rows", str(rows), "--cols", str(cols),
+                         "--frames", "2", "--effect-delta", "4"]) == 0
+        mask = np.loadtxt(out / "effect_mask.csv", delimiter=",")
+        want = np.zeros((rows, cols))
+        want[box] = 1.0
+        assert np.array_equal(mask, want)
+
     @pytest.mark.parametrize("flag,value,needle", [
         ("--rows", "0", "--rows must be >= 1, got 0"), ("--cols", "-2", "--cols must be >= 1"),
         ("--frames", "0", "--frames must be >= 1"), ("--fps", "0", "--fps must be > 0"),

@@ -4,6 +4,7 @@ import functools
 import inspect
 import math
 import sys
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 
@@ -24,13 +25,14 @@ from lasr import (
     SegmentationResult,
     fit_mixture,
     gen_session,
+    load_session,
     optimal_threshold,
     pmc_oracle,
     positive_samples,
     segment_frame,
     select_model,
 )
-from lasr import segmentation
+from lasr import pipeline, segmentation
 from lasr.segmentation import _logsumexp
 
 import _oracles as orc
@@ -517,8 +519,8 @@ class TestBatchedEm:
     @pytest.mark.parametrize("n_restarts", [0, 1, 5])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_fit_equals_sequential_restarts(self, m, n_restarts, max_iter):
-        """m = 2 and 3 take the closed-form normaliser; m = 4 is the one
-        route through ``_logsumexp_general`` inside the batch."""
+        """m = 2 and 3 take the closed-form normaliser; m = 4 takes scipy's
+        ``logsumexp`` inside the batch."""
         init = InitSpec(n_restarts=n_restarts, seed=m + 10 * n_restarts)
         runs = orc.em_starts(self.SAMPLE, m, n_restarts=n_restarts, jitter=init.jitter,
                              seed=init.seed, max_iter=max_iter)
@@ -762,6 +764,61 @@ class TestBatchedEm:
         # scipy counts both tied maxima: log1p(s / 2) + log(2) + max
         assert ref[3, 117] == np.log1p(np.exp(rest - top).sum() / 2) + np.log(2.0) + top
 
+    def test_logsumexp_of_a_batch_adds_each_sample_pairwise(self):
+        """On a C-contiguous ``(m, R, n)`` batch, as EM holds it, nine terms
+        are added in the order of scipy's sum over one sample's terms in a
+        row, as the oracle calls it, and not one component after another."""
+        rng = np.random.default_rng(49)
+        a = self.clean_batch(rng, 9)
+        a[:, 0, :50] = np.round(a[:, 0, :50])  # ties at the maximum
+        ref = logsumexp(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
+        assert (_logsumexp(a) == ref).all()
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        """The calls that ``_logsumexp`` hands to scipy's ``logsumexp``."""
+        calls = []
+        real = segmentation.logsumexp
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(segmentation, "logsumexp", counting)
+        return calls
+
+    def test_tied_start_falls_back_inside_an_m3_batch(self, monkeypatch):
+        """More than half the sample sits at one value, so the m = 3
+        quantile start has two identical components, and every density pass
+        of that start ties them: the batch takes scipy's normaliser and
+        still equals the one-by-one oracle, without a warning."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.full(900, 1.0), np.full(100, 2.0),
+                            np.maximum(rng.normal(20.0, 3.0, 500), 0.5)])
+        calls = self.count_fallbacks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_mixture(x, 3, init=InitSpec(seed=4))
+        assert calls and all(shape == (3, 5, x.size) for shape in calls)
+        assert_same_fit(model, orc.em_reference(x, 3, seed=4))
+
+    def test_pipeline_frames_never_fall_back(self, tmp_path, monkeypatch):
+        """The fits ``run`` makes, on frame 10 (``RunConfig.m0``) of every
+        segment of ``lasr phantom`` sessions read back from their files,
+        all take the closed-form normaliser: scipy's is for ties and m >= 4.
+        If a change makes ties common on such frames, this fails, and the
+        cost of scipy's call there is to be measured again."""
+        calls = self.count_fallbacks(monkeypatch)
+        fits = 0
+        for seed in (0, 1, 2):
+            out = tmp_path / str(seed)
+            assert pipeline.cli_main(["phantom", "--out", str(out), "--seed", str(seed)]) == 0
+            for side in ("s1", "s2"):
+                for _, movie in load_session(out / side).segments:
+                    select_model(positive_samples(movie[10]), (2, 3), init=InitSpec(seed=seed))
+                    fits += 1
+        assert fits == 18 and calls == []
+
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     def test_logsumexp_matches_scipy_bit_for_bit(self, m):
         rng = np.random.default_rng(m)
@@ -779,7 +836,10 @@ class TestBatchedEm:
         a[1, 40:50, 0] = 1.79e308
         with np.errstate(over="ignore"):  # scipy's own shift overflows near 1e308
             ref = logsumexp(a, axis=-1)
-        assert (_logsumexp(np.moveaxis(a, -1, 0)) == ref).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # _logsumexp silences that overflow itself
+            got = _logsumexp(np.moveaxis(a, -1, 0))
+        assert (got == ref).all()
 
 
 class TestModelSelection:
