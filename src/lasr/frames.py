@@ -28,13 +28,13 @@ that promises more than the body holds costs no memory.  A parsed movie
 is ``Movie(values, fps=fps)``, which takes the parsed array over without
 a copy.
 
-The writers format only the values that vary.  Segmented movies and
-per-pair maps repeat the same exact zeros (and, in t-maps, NaNs) in the
-same positions grid after grid, so a pattern of ``+0.0`` and NaN
-positions seen a second time gets a cached format string with those
-positions spelled out (``0``, ``nan``), and ``%`` is applied only to the
-other values.  A grid whose pattern is new goes through one plain format
-string per call; the bytes written are the same either way.
+The writers turn a block of about 8192 values at a time into text with
+one numpy kernel, byte for byte what ``'%.6g' % v`` (movies) or
+``'%.10g' % v`` (CSV maps) gives.  Zeros and NaN are literals.  Every
+other value is scaled by one exact power of ten, rounded with ``rint``
+and spelled from a 4-digit table; the few values that this cannot
+decide (within a few ulps of a rounding half, printed with an exponent,
+or infinite) go through ``%`` one at a time.
 
 A session directory is a ``session.txt`` manifest plus one movie file per
 segment.  ``lasr run`` checks the whole manifest (no key given twice,
@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -205,7 +204,6 @@ class SessionLayout:
 # ---------------------------------------------------------------------------
 
 _MAGIC = "LASR1"
-_VALUE_FMT = "%.6g"
 
 
 def _parse_header(line: str):
@@ -310,62 +308,177 @@ def _read_text(path) -> str:
         raise FormatError("not ASCII text", path=path) from None
 
 
-# Templates of repeated grid patterns, least recently used evicted first:
-# key -> format string, or None for a pattern seen once.  The key is
-# (spec, separator, shape, +0.0 positions, NaN positions as bytes).
-_TEMPLATE_SLOTS = 16
-_templates: OrderedDict = OrderedDict()
-_UNSEEN = object()
+def _quad_tables():
+    """The kernel's 4-digit tables: "0000".."9999" and ".000"..".999" as
+    4-byte words, so one take writes four characters, and each word's
+    digits up to its last nonzero one (far below any length for 0000)."""
+    q = np.arange(10000)
+    chars = (np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")).astype(np.uint8)
+    point = np.concatenate([np.full((1000, 1), ord("."), np.uint8), chars[:1000, 1:]], axis=1)
+    kept = np.where(q == 0, -100, 4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0))
+    return (_frozen(chars.reshape(-1).view(np.uint32)), _frozen(point.reshape(-1).view(np.uint32)),
+            _frozen(kept))
 
 
-class _GridFormat:
-    """Formats ``shape`` grids as ``spec`` values joined by ``sep``, one line
-    per row.  Positions holding ``+0.0`` (or integer 0) or NaN in a pattern
-    seen before are literals of a cached template; every other value,
-    ``-0.0`` included, goes through ``%``."""
+_QUAD_TEXT, _POINT_TEXT, _QUAD_KEPT = _quad_tables()
+_POW10 = _frozen([float(10 ** k) for k in range(23)])  # exact in float64 up to 1e22
+# the literals, by a value's top two bits (sign, top exponent bit): +0.0, NaN, -0.0, NaN
+_LITERALS = ("0", "nan", "-0", "nan")
+_BLOCK_VALUES = 8192  # values per kernel call, which bounds every temporary
 
-    def __init__(self, spec: str, sep: str, shape: tuple):
-        self.spec, self.sep, self.shape = spec, sep, shape
-        self._plain = None
 
-    def _template(self, cells: list) -> str:
-        rows, cols = self.shape
-        return "".join(self.sep.join(cells[r * cols:(r + 1) * cols]) + "\n" for r in range(rows))
+def _format_value(value: float, digits: int) -> str:
+    """``'%.{digits}g' % value``: the kernel's path for a value its fast path cannot decide."""
+    return "%.*g" % (digits, value)
 
-    def __call__(self, grid: np.ndarray) -> str:
-        flat = grid.ravel()
-        zero = flat.view(np.uint64) == 0  # -0.0 has its sign bit set
-        nan = np.isnan(flat) if flat.dtype.kind == "f" else np.zeros_like(zero)
-        key = (self.spec, self.sep, self.shape, zero.tobytes(), nan.tobytes())
-        template = _templates.pop(key, _UNSEEN)
-        if template is None:  # second sighting
-            cells = [self.spec] * flat.size
-            for i in np.flatnonzero(zero).tolist():
-                cells[i] = "0"
-            for i in np.flatnonzero(nan).tolist():
-                cells[i] = "nan"
-            template = self._template(cells)
-        _templates[key] = None if template is _UNSEEN else template
-        if len(_templates) > _TEMPLATE_SLOTS:
-            _templates.popitem(last=False)
-        if template is _UNSEEN:
-            if self._plain is None:
-                self._plain = self._template([self.spec] * flat.size)
-            return self._plain % tuple(flat.tolist())
-        return template % tuple(flat[~(zero | nan)].tolist())
+
+def _format_block(block: np.ndarray, digits: int, sep: str, blank: Optional[np.ndarray] = None) -> str:
+    """The text of a 2-D float64 block: each value exactly as ``'%.{digits}g'
+    % v`` (``digits`` 6 or 10), values joined by the one-character ``sep``,
+    each row ended by a newline and, where the boolean ``blank[row]`` holds,
+    by a second one.
+
+    ``+0.0``, ``-0.0`` and NaN are literals.  Every other value is written
+    into a row of a byte buffer by :func:`_fixed_point_text`, or, where that
+    cannot decide it, by :func:`_format_value`; one gather then joins the
+    values' slices of their rows.
+    """
+    rows, cols = block.shape
+    flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    terms = (sep, "\n", "\n\n")
+    term = np.zeros((rows, cols), np.intp)  # each value's terminator, an index into terms
+    term[:, -1] = 1 if blank is None else 1 + blank
+    term = term.ravel()
+    term_len = np.array([len(t) for t in terms])
+    width = 8 * ((digits + 3) // 4) + 4
+    live = np.flatnonzero(np.abs(flat) > 0)  # neither a zero nor NaN
+    n_live = live.size
+    # a row per live value, then each literal with each terminator
+    buf = np.empty((n_live + 3 * len(_LITERALS), width), np.uint8)
+    buf[n_live:] = np.frombuffer("".join((s + t).ljust(width) for s in _LITERALS for t in terms)
+                                 .encode("ascii"), np.uint8).reshape(-1, width)
+    # every value as a literal first; the live ones are overwritten below
+    row = (flat.view(np.uint64) >> 62).view(np.int64) * 3
+    row += term
+    lengths = np.array([len(s + t) for s in _LITERALS for t in terms]).take(row)
+    starts = row + n_live  # of each value's text in buf's bytes
+    starts *= width
+    if n_live:
+        x, t = flat[live], term[live]
+        first, end, undecided = _fixed_point_text(x, digits, buf[:n_live])
+        row0 = np.arange(0, n_live * width, width)
+        text = buf.reshape(-1)
+        text[row0 + end] = np.frombuffer((sep + "\n\n").encode("ascii"), np.uint8).take(t)
+        two = np.flatnonzero(t == 2)
+        text[row0[two] + end[two] + 1] = ord("\n")
+        for i in undecided.tolist():
+            s = (_format_value(x[i], digits) + terms[t[i]]).encode("ascii")
+            buf[i, :len(s)] = np.frombuffer(s, np.uint8)
+            first[i], end[i] = 0, len(s) - term_len[t[i]]
+        lengths[live] = end - first + term_len.take(t)
+        starts[live] = row0 + first
+    ends = np.cumsum(lengths)
+    gather = np.repeat(starts - (ends - lengths), lengths)
+    gather += np.arange(ends[-1])
+    return buf.reshape(-1).take(gather).tobytes().decode("ascii")
+
+
+def _fixed_point_text(x: np.ndarray, digits: int, out: np.ndarray):
+    """Write ``'%.{digits}g' % v`` of each nonzero ``x`` that prints without
+    an exponent into its row of ``out`` (uint8, ``8 * ceil(digits / 4) + 4``
+    wide); returns the text's first and end columns per row and the
+    indices of the values left undecided.
+
+    The row is a fixed-point field: integer digits right-aligned before a
+    point at a fixed column, fraction digits after it, a minus sign written
+    just before the first digit.  The decimal exponent comes from
+    ``log10``, corrected both ways by checking the scaled value against
+    10**(digits - 1) and 10**digits, so no digit depends on ``log10``'s
+    last bit.  The scale is one multiply by an exact power of ten, so the
+    product is the exact one rounded once (Clinger's fast path), and
+    ``rint`` of it gives the right digits unless the product lies within a
+    few ulps of a rounding half.  Those values, exponent-notation ones
+    (exponent below -4 or from ``digits`` on) and infinities are left
+    undecided.
+    """
+    P = digits
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - inf, for an infinite x
+        # k = digits after the point, P - 1 - exponent, within the exact powers
+        k = np.floor(np.log10(a))
+        np.subtract(P - 1, k, out=k)
+        k = np.clip(k, 0, P + 4).astype(np.intp)
+        scale = _POW10.take(k)
+        p = a * scale
+        over, under = p >= _POW10[P], p < _POW10[P - 1]
+        fix = np.flatnonzero(over | under)
+        if fix.size:
+            k[fix] += under[fix].view(np.int8) - over[fix].view(np.int8)
+            scale[fix] = _POW10.take(np.clip(k[fix], 0, P + 4))
+            p[fix] = a[fix] * scale[fix]
+        m = np.rint(p)
+        p -= m
+        near_half = np.abs(p, out=p) > 0.5 - 4 * np.spacing(_POW10[P])
+    carry = np.flatnonzero(m == _POW10[P])  # rounded up to the next power of ten
+    if carry.size:
+        m[carry] = _POW10[P - 1]
+        k[carry] -= 1
+        scale[carry] = _POW10.take(np.clip(k[carry], 0, P + 4))
+    # exponent below -4 or above P - 1, or the clip above held k
+    undecided = np.flatnonzero(near_half | (k.view(np.uintp) > P + 3))
+    if undecided.size:
+        m[undecided], k[undecided], scale[undecided] = _POW10[P - 1], P - 1, _POW10[P - 1]
+    # integer part and fraction, exact: every value involved is an integer below 2**53
+    whole = np.floor(m / scale)
+    quads = 1 + int(k.max()) // 4  # ".ddd" and then 4-digit words, enough for every k
+    frac = ((m - whole * scale) * _POW10.take(4 * quads - 1 - k)).astype(np.int64)
+    whole = whole.astype(np.int64)
+    words = out.view(np.uint32)
+    point = 4 * ((P + 3) // 4)
+    for j in range(point // 4 - 1, point // 4 - 1 - (max(P - int(k.min()), 1) + 3) // 4, -1):
+        high = whole // 10000
+        words[:, j] = _QUAD_TEXT.take(whole - high * 10000)
+        whole = high
+    kept = np.zeros(x.size, np.intp)  # fraction digits after trailing zeros are cut
+    for j in range(quads - 1, 0, -1):
+        high = frac // 10000
+        quad = frac - high * 10000
+        words[:, point // 4 + j] = _QUAD_TEXT.take(quad)
+        np.maximum(kept, _QUAD_KEPT.take(quad) + (4 * j - 1), out=kept)
+        frac = high
+    words[:, point // 4] = _POINT_TEXT.take(frac)
+    np.maximum(kept, _QUAD_KEPT.take(frac) - 1, out=kept)
+    first = point - np.maximum(P - k, 1)
+    neg = np.flatnonzero(np.signbit(x))
+    first[neg] -= 1
+    out[neg, first[neg]] = ord("-")
+    end = point + kept + (kept > 0)
+    return first, end, undecided
+
+
+def _write_rows(fh, values: np.ndarray, digits: int, sep: str, frame_rows: int = 0) -> None:
+    """Write the rows of a 2-D float64 array through :func:`_format_block`,
+    a block of at most about ``_BLOCK_VALUES`` values (and at least one row)
+    at a time; with ``frame_rows``, a blank line follows every
+    ``frame_rows`` rows but the last."""
+    nrows, cols = values.shape
+    step = max(1, _BLOCK_VALUES // cols)
+    for r0 in range(0, nrows, step):
+        r1 = min(r0 + step, nrows)
+        blank = None
+        if frame_rows:
+            done = np.arange(r0 + 1, r1 + 1)  # rows written once each row is
+            blank = (done % frame_rows == 0) & (done < nrows)
+        fh.write(_format_block(values[r0:r1], digits, sep, blank))
 
 
 def save_movie(movie: Movie, path) -> None:
     """Write a movie in the text format (values at 6 significant digits, fps exact)."""
     rows, cols = movie.shape
     fps = np.format_float_positional(movie.fps, trim="-")
-    fmt = _GridFormat(_VALUE_FMT, " ", movie.shape)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%s %d %d %d %s\n" % (_MAGIC, rows, cols, len(movie), fps))
-        for k, grid in enumerate(movie.values):
-            if k > 0:
-                fh.write("\n")
-            fh.write(fmt(grid))
+        _write_rows(fh, movie.values.reshape(-1, cols), 6, " ", frame_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -373,40 +486,49 @@ def save_movie(movie: Movie, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _real_maps(values, ndims: tuple, shape_error: str) -> np.ndarray:
+    """``values`` as a nonempty float64 array with ``ndims`` dimensions;
+    anything else, a complex map included, is a DataError."""
+    try:
+        maps = np.asarray(values)
+    except ValueError:  # a list of maps of differing shapes
+        maps = None
+    if maps is None or maps.ndim not in ndims:
+        raise DataError(shape_error)
+    if maps.dtype.kind == "c":
+        raise DataError("map values must be real")
+    if maps.size == 0:
+        raise DataError(f"map must be a nonempty grid, got shape {maps.shape}")
+    return maps.astype(np.float64, copy=False)
+
+
 def save_map_image(frame_or_values, path) -> None:
     """Write a map of values in [0, 1] as plain (P2) PGM, maxval 255;
     pixel = round(255 * v)."""
-    v = frame_or_values.values if isinstance(frame_or_values, Frame) else np.asarray(frame_or_values, dtype=np.float64)
-    if v.ndim != 2:
-        raise DataError("map must be 2-D")
+    v = frame_or_values.values if isinstance(frame_or_values, Frame) else frame_or_values
+    v = _real_maps(v, (2,), "map must be 2-D")
     if not np.isfinite(v).all():
         raise DataError("map values must be finite")
     if (v < 0).any() or (v > 1).any():
         raise DataError("map values must lie in [0, 1]")
-    pix = np.floor(255.0 * v + 0.5).astype(np.int64)
+    pix = np.floor(255.0 * v + 0.5)  # whole levels, which print as integers
     rows, cols = v.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n%d %d\n255\n" % (cols, rows))
-        fh.write(_GridFormat("%d", " ", pix.shape)(pix))
+        _write_rows(fh, pix, 6, " ")
 
 
 def save_map_csv(values, path) -> None:
-    """Write a 2-D map as CSV, one line per row (NaN spelled ``nan``).
+    """Write a 2-D map as CSV, one line per row, values as ``%.10g`` (NaN
+    spelled ``nan``).
 
     A 3-D stack of maps (or a list of 2-D maps of one shape) is written map
     after map, map k as rows ``k*rows`` to ``k*rows + rows - 1``: the file
     is the maps' one-map files concatenated.
     """
-    try:
-        maps = np.asarray(values, dtype=np.float64)
-    except ValueError:  # a list of maps of differing shapes
-        maps = None
-    if maps is None or maps.ndim not in (2, 3):
-        raise DataError("each map must be 2-D and stacked maps must share one shape")
-    fmt = _GridFormat("%.10g", ",", maps.shape[-2:])
+    maps = _real_maps(values, (2, 3), "each map must be 2-D and stacked maps must share one shape")
     with open(path, "w", encoding="ascii") as fh:
-        for v in maps.reshape((-1,) + maps.shape[-2:]):
-            fh.write(fmt(v))
+        _write_rows(fh, maps.reshape(-1, maps.shape[-1]), 10, ",")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Containers, the movie text format, and map export."""
 
+import io
 import os
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,9 +15,12 @@ from lasr import (
     Frame,
     FormatError,
     Movie,
+    RunConfig,
     SessionLayout,
+    cli_main,
     load_movie,
     load_session,
+    run_lasr,
     save_map_csv,
     save_map_image,
     save_movie,
@@ -284,7 +287,8 @@ class TestParserErrors:
 # writers exactly as out of the per-value reference writers
 FORMAT_PROBES = [0.0, -0.0, 1.0, 7.0, 250.0, 1e-300, 1e300, 5e-324,
                  1.2345649999, 1.2345650001, 0.99999951, 999999.5, 1234567.0,
-                 1.234567890449, 1.234567890551, 9.9999999995, 1e-5, 0.5, 0.125]
+                 1.234567890449, 1.234567890551, 9.9999999995, 1e-5, 0.5, 0.125,
+                 123456.5, 9.999995, 99999.95, 0.000099999995, 1e-4, 2.5e-320, 1.234375]
 
 
 def probe_grid(rng, rows, cols, probes=FORMAT_PROBES, start=0):
@@ -301,7 +305,7 @@ def starts(shape, probes):
 
 
 GRID_SHAPES = [(1, 1), (1, 7), (7, 1), (38, 41)]
-CSV_PROBES = [np.nan, -3.5, -1e300, -0.0, -1.2345650001] + FORMAT_PROBES
+CSV_PROBES = [np.nan, -3.5, -1e300, -0.0, -1.2345650001, np.inf, -np.inf, -9.999995] + FORMAT_PROBES
 UNIT_PROBES = [0.0, -0.0, 1.0, 0.5, 1 / 510, 0.5 / 255, 1.5 / 255, 1e-300, 0.99999]
 
 
@@ -347,8 +351,9 @@ class TestWritersMatchReference:
 
 
 def same_as_reference(tmp_path, kind, v):
-    """Write ``v`` with the writer of ``kind`` twice (the second write takes
-    the template path) and compare each write with the reference writer."""
+    """Write ``v`` with the writer of ``kind`` twice (the writers keep no
+    state between calls, so a repeat must not change a byte) and compare
+    each write with the reference writer."""
     new, ref = tmp_path / f"new.{kind}", tmp_path / f"ref.{kind}"
     if kind == "lasr":
         writer = lambda g, p: save_movie(Movie(g, fps=2.0), p)
@@ -369,15 +374,9 @@ def masked_grid(rng, mask, fill=0.0, shape=(6, 7)):
 
 
 class TestWriterTemplates:
-    """The writers' repeated-pattern templates give the per-value reference
-    writers' bytes; every grid is written at least twice."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(fr, "_templates", OrderedDict())
-
-    def built(self):
-        return sum(isinstance(t, str) for t in fr._templates.values())
+    """Grids whose pattern of literal zeros and NaNs repeats, changes or
+    never repeats give the per-value reference writers' bytes; every grid
+    is written at least twice."""
 
     def test_patterns_change_within_one_movie(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -385,7 +384,6 @@ class TestWriterTemplates:
         order = [0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1]
         stack = np.stack([masked_grid(rng, masks[i]) for i in order])
         same_as_reference(tmp_path, "lasr", stack)
-        assert self.built() == 3
 
     def test_negative_zero_where_the_cached_pattern_had_positive_zero(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -395,7 +393,6 @@ class TestWriterTemplates:
         same_as_reference(tmp_path, "csv", v)
         same_as_reference(tmp_path, "csv", w)
         same_as_reference(tmp_path, "lasr", np.stack([v, v, w, v, w]))
-        assert self.built() == 4
 
     def test_nan_and_zero_swapped_at_one_position(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -407,7 +404,6 @@ class TestWriterTemplates:
         no_nan[0, 1] = 4.25  # same zero positions, one NaN fewer
         for g in (v, swapped, v, no_nan, v, swapped):
             same_as_reference(tmp_path, "csv", g)
-        assert self.built() == 3
 
     def test_all_zero_maps(self, tmp_path):
         for shape in GRID_SHAPES:
@@ -430,28 +426,172 @@ class TestWriterTemplates:
             v = np.where(mask, rng.uniform(1 / 255, 1.0, mask.shape),
                          rng.choice([0.0, -0.0, 1e-300, 0.99 / 510], mask.shape))
             same_as_reference(tmp_path, "pgm", v)
-        assert self.built() >= 1
 
-    def test_pattern_seen_again_after_eviction(self, tmp_path):
+    def test_pattern_seen_again_after_sixteen_others(self, tmp_path):
         rng = np.random.default_rng(5)
         v = masked_grid(rng, rng.random((6, 7)) < 0.5, fill=np.nan)
         same_as_reference(tmp_path, "csv", v)
-        first = set(fr._templates)
-        for k in range(fr._TEMPLATE_SLOTS):
+        for k in range(16):
             other = v.copy()
             other.flat[k] = 0.0 if np.isnan(other.flat[k]) else np.nan
             same_as_reference(tmp_path, "csv", other)
-        assert not first & set(fr._templates)
-        assert len(fr._templates) == fr._TEMPLATE_SLOTS
         v = np.where(np.isnan(v), v, v + 1.0)
         same_as_reference(tmp_path, "csv", v)
-        assert first <= set(fr._templates)
 
-    def test_patterns_that_never_repeat_stay_bounded(self, tmp_path):
+    def test_patterns_that_never_repeat(self, tmp_path):
         rng = np.random.default_rng(6)
         stack = np.where(rng.random((40, 6, 7)) < 0.3, 0.0, rng.uniform(0.5, 9.0, (40, 6, 7)))
         same_as_reference(tmp_path, "lasr", stack)
-        assert len(fr._templates) == fr._TEMPLATE_SLOTS
+
+
+def kernel_lanes(values, digits):
+    """The text kernel's value strings for a 1-D sample, 8 values a row."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.concatenate([values, np.zeros(-values.size % 8)]).reshape(-1, 8)
+    out = io.StringIO()
+    fr._write_rows(out, rows, digits, ",")
+    return out.getvalue().replace("\n", ",").split(",")[:values.size]
+
+
+def ulp_neighbours(v, reach=2):
+    """``v`` and the floats 1..reach ulps either side of it."""
+    v = np.asarray(v, dtype=np.float64)
+    out, up, down = [v], v, v
+    for _ in range(reach):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def battery_sample(digits, rng):
+    """Over a million values that probe every branch of the kernel."""
+    # log-uniform magnitudes over the whole float64 range, both signs
+    wide = 10.0 ** rng.uniform(np.log10(5e-324), 308.0, 600_000) * rng.choice([-1.0, 1.0], 600_000)
+    # the decimal halves between two digits-long mantissas at exponents -8..digits+2,
+    # each read as the nearest float, and its ulp neighbours
+    mant = rng.integers(10 ** (digits - 1), 10 ** digits, 60_000)
+    exps = rng.integers(-8, digits + 3, mant.size)
+    halves = np.array([float(f"{m}5e{e - digits}") for m, e in zip(mant.tolist(), exps.tolist())])
+    # the half below each power of ten, where rounding carries into the next
+    # exponent (9.999995, 99999.95, 0.000099999995 at 6 digits), the powers
+    # themselves (the 1e-5 and 1e-4 switches included), and their neighbours
+    carries = [float(f"{10 ** (digits + 1) - 5}e{e - digits}") for e in range(-12, 30)]
+    powers = [10.0 ** e for e in range(-12, 30)]
+    # dyadic values whose exact decimal is digits + 1 long and ends in 5: exact
+    # ties, which '%' rounds to even (123456.5, 1.234375 = 79/64)
+    ties = []
+    for j in range(1, 18):
+        lo, hi = -(-10 ** digits // 5 ** j), 10 ** (digits + 1) // 5 ** j
+        if lo < hi:
+            ties += [n / 2.0 ** j for n in (rng.integers(lo, hi, 1000) | 1).tolist()
+                     if len(str(n * 5 ** j)) == digits + 1]
+    # subnormals
+    sub = (rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64)).view(np.float64)
+    near = ulp_neighbours(np.concatenate([halves, carries, powers, ties]))
+    rest = np.array(CSV_PROBES + ties + [123456.5, 999999.5, 1e-5, 1e-4, 5e-324])
+    sample = np.concatenate([wide, near, -near, sub, -sub, rest])
+    return sample[rng.permutation(sample.size)]
+
+
+class TestTextKernel:
+    """The writers' kernel against ``'%.{digits}g' % v``, value by value."""
+
+    @pytest.mark.parametrize("digits", [6, 10])
+    def test_battery_matches_percent(self, digits):
+        rng = np.random.default_rng(digits)
+        sample = battery_sample(digits, rng)
+        assert sample.size >= 1_000_000
+        got = kernel_lanes(sample, digits)
+        want = ["%.*g" % (digits, v) for v in sample.tolist()]
+        wrong = [(v, g, w) for v, g, w in zip(sample.tolist(), got, want) if g != w]
+        assert not wrong, f"{len(wrong)} values differ, e.g. {wrong[:5]}"
+
+    @pytest.mark.parametrize("digits", [6, 10])
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_survives_a_log10_off_by_half_a_decade(self, monkeypatch, digits, shift):
+        """The exponent from ``log10`` is checked against exact powers of
+        ten both ways, so a ``log10`` whose floor is one too low or too high
+        gives the same text."""
+        sample = battery_sample(digits, np.random.default_rng(digits + 1))[:200_000]
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        got = kernel_lanes(sample, digits)
+        monkeypatch.undo()
+        want = ["%.*g" % (digits, v) for v in sample.tolist()]
+        wrong = [(v, g, w) for v, g, w in zip(sample.tolist(), got, want) if g != w]
+        assert not wrong, f"{len(wrong)} values differ, e.g. {wrong[:5]}"
+
+    @pytest.mark.parametrize("digits", [6, 10])
+    @pytest.mark.parametrize("v", [0.5, 0.000123, 7.0, 123456.0, 1e-7, 99999.95, -0.25])
+    def test_uniform_blocks(self, digits, v):
+        """A block with one value throughout, so its integer or fraction
+        digits are all the kernel writes."""
+        for shape in [(1, 1), (3, 5), (400, 41)]:
+            block = np.full(shape, v)
+            out = io.StringIO()
+            fr._write_rows(out, block, digits, ",")
+            row = ",".join(["%.*g" % (digits, v)] * shape[1]) + "\n"
+            assert out.getvalue() == row * shape[0]
+
+    def test_pgm_levels_print_as_str(self):
+        assert kernel_lanes(np.arange(256.0), 6) == [str(k) for k in range(256)]
+
+    def test_blank_lines_between_frames_only(self):
+        """Blocks split frames wherever they fall; a blank line follows each
+        frame but the last."""
+        rng = np.random.default_rng(9)
+        for rows, cols, n in [(1, 1, 3), (300, 40, 2), (5, 9000, 2), (7, 3, 400)]:
+            stack = np.where(rng.random((n, rows, cols)) < 0.3, 0.0, rng.uniform(0, 9, (n, rows, cols)))
+            out = io.StringIO()
+            fr._write_rows(out, stack.reshape(-1, cols), 6, " ", frame_rows=rows)
+            want = "\n".join("".join(" ".join("%.6g" % v for v in r) + "\n" for r in g) for g in stack)
+            assert out.getvalue() == want
+
+
+class TestFastPathRuns:
+    def test_phantom_and_dynamic_run_rarely_fall_back(self, tmp_path, monkeypatch):
+        """Every file a ``lasr phantom --frames 60`` session and a dynamic
+        run on it write equals the reference writers' bytes, and fewer than
+        0.1% of the values that are not literals go through ``%``."""
+        seen = {"fallback": 0, "live": 0, "files": 0}
+        format_value, format_block = fr._format_value, fr._format_block
+
+        def counted_value(value, digits):
+            seen["fallback"] += 1
+            return format_value(value, digits)
+
+        def counted_block(block, *args):
+            seen["live"] += np.count_nonzero(np.abs(block) > 0)
+            return format_block(block, *args)
+
+        def checked(writer, reference, arrays):
+            def write(obj, path):
+                writer(obj, path)
+                reference(*arrays(obj), tmp_path / "reference")
+                assert open(path, "rb").read() == (tmp_path / "reference").read_bytes(), path
+                seen["files"] += 1
+            return write
+
+        def csv_rows(values):
+            v = np.asarray(values, dtype=np.float64)
+            return (v.reshape(-1, v.shape[-1]),)
+
+        monkeypatch.setattr(fr, "_format_value", counted_value)
+        monkeypatch.setattr(fr, "_format_block", counted_block)
+        monkeypatch.setattr(fr, "save_movie", checked(fr.save_movie, _oracles.save_movie_reference,
+                                                      lambda m: (m.values, m.fps)))
+        monkeypatch.setattr(fr, "save_map_csv", checked(fr.save_map_csv, _oracles.save_map_csv_reference,
+                                                        csv_rows))
+        monkeypatch.setattr(fr, "save_map_image", checked(fr.save_map_image,
+                                                          _oracles.save_map_image_reference,
+                                                          lambda v: (np.asarray(v, dtype=np.float64),)))
+        ph = tmp_path / "ph"
+        assert cli_main(["phantom", "--out", str(ph), "--frames", "60", "--lag", "3",
+                         "--effect-delta", "4.0"]) == 0
+        run_lasr(RunConfig(before=str(ph / "s1"), after=str(ph / "s2"), out_dir=str(tmp_path / "out"),
+                           before_segment=1, after_segment=1, mode="dynamic", max_lag=6))
+        assert seen["files"] > 50 and seen["live"] > 400_000
+        assert seen["fallback"] < 0.001 * seen["live"], seen
 
 
 def body(*frames, sep="\n", eol="\n"):
@@ -604,6 +744,28 @@ class TestCReader:
 # ---------------------------------------------------------------------------
 
 
+class TestEmptyAndComplexMaps:
+    @pytest.mark.parametrize("values", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 0, 3)),
+                                        np.zeros((0, 3, 3))], ids=["0x3", "3x0", "2x0x3", "0x3x3"])
+    def test_empty_csv_map(self, tmp_path, values):
+        with pytest.raises(DataError, match="nonempty"):
+            save_map_csv(values, tmp_path / "m.csv")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_empty_pgm_map(self, tmp_path):
+        with pytest.raises(DataError, match="nonempty"):
+            save_map_image(np.zeros((0, 3)), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("writer", [save_map_csv, save_map_image])
+    def test_complex_map(self, tmp_path, writer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="real"):
+                writer(np.full((2, 2), 0.5 + 0j), tmp_path / "m.out")
+        assert not (tmp_path / "m.out").exists()
+
+
 class TestMapImage:
     def read_pgm(self, path):
         tok = path.read_text().split()
@@ -658,7 +820,7 @@ class TestMapCsv:
     def test_a_list_of_maps_is_their_files_concatenated(self, tmp_path):
         rng = np.random.default_rng(4)
         maps = []
-        for k in range(5):  # repeated zero/NaN patterns take the template path
+        for k in range(5):  # the zero/NaN pattern repeats from map to map
             v = np.where(rng.random((4, 6)) < 0.3, 0.0, rng.normal(0.0, 3.0, (4, 6)))
             v[:, 0] = np.nan
             maps.append(v if k != 2 else v.tolist())
